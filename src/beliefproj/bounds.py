@@ -16,9 +16,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import GuardError, InputError
+from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, GREATER, LinearProgram, solve_lp
-from .model import Pomdp
+from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, build_basis, constraint_family,
                          indicator_vector, project_batch, residual_sq_length)
 from .solver import AlphaSet
@@ -31,25 +31,11 @@ METHODS = ("LP", "VS", "Oracle")
 
 
 @dataclass(frozen=True)
-class GradientVector:
-    """Difference alpha_i - alpha_j: the direction along which a displacement
-    changes the relative assessment of the two plans."""
-
-    i: int
-    j: int
-    diff: np.ndarray
-
-
-@dataclass(frozen=True)
 class SwitchDecision:
     switches: bool
     method: str
     objective: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
-
-
-def gradient(aset: AlphaSet, i: int, j: int) -> GradientVector:
-    return GradientVector(i, j, aset.matrix[i] - aset.matrix[j])
 
 
 def scheme_lookup(scheme_source):
@@ -109,7 +95,7 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     lower = [0.0] * (2 * dim) + [None]
     result = solve_lp(LinearProgram(objective, constraints, lower=lower))
     if result.status != "optimal":
-        raise InputError(f"switch-test LP unexpectedly {result.status}")
+        raise NumericalError(f"switch-test LP unexpectedly {result.status}")
     switches = result.value > threshold
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
     return SwitchDecision(switches, "LP", float(result.value), witness)
@@ -123,12 +109,6 @@ def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis,
     residual = residual_sq_length(diff, basis)
     eps_sq = (threshold ** 2) * float(diff @ diff)
     return SwitchDecision(residual > eps_sq, "VS", residual)
-
-
-def sample_beliefs(dim: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draws on the simplex (normalized unit-rate exponentials)."""
-    raw = rng.standard_exponential((samples, dim))
-    return raw / raw.sum(axis=1, keepdims=True)
 
 
 def _pre_post_winners(aset: AlphaSet, scheme: ProjectionScheme,

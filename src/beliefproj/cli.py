@@ -43,7 +43,7 @@ def _write_json(path: str, doc) -> None:
 
 
 def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
-                    outputs: list[str], seconds: dict) -> None:
+                    outputs: list[str], seconds: dict, counters: dict | None = None) -> None:
     config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
         "command": command,
@@ -54,6 +54,8 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
         "outputs": outputs,
         "seconds": seconds,
     }
+    if counters is not None:
+        doc["counters"] = counters
     _write_json(str(out_path) + ".manifest.json", doc)
 
 
@@ -165,7 +167,8 @@ def cmd_eval(args) -> int:
     print(f"{report.method} {report.mode}: average loss {report.average_loss:.6g} "
           f"(B={report.bound_B:.6g}, E={report.bound_E:.6g}) in {report.seconds:.3f}s")
     _write_manifest("eval", args, args.out, [args.out, csv_path],
-                    {"eval": report.seconds, "total": time.perf_counter() - started})
+                    {"eval": report.seconds, "total": time.perf_counter() - started},
+                    counters={"approx_restarts": report.approx_restarts})
     return 0
 
 

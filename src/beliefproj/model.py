@@ -45,6 +45,16 @@ def as_belief(probs, dim: int | None = None) -> np.ndarray:
     return b
 
 
+def sample_beliefs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform draws on the simplex, one per row (normalized
+    unit-rate exponentials). The draws fill the array in row order, so a
+    block equals the same number of successive one-row draws."""
+    if dim < 1:
+        raise InputError("belief dimension must be at least 1")
+    raw = rng.standard_exponential((count, dim))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
 def _check_stochastic(table: np.ndarray, what: str) -> None:
     if np.any(table < -1e-12) or np.any(table > 1 + 1e-12):
         raise InputError(f"{what} has entries outside [0, 1]")

@@ -12,6 +12,7 @@ matching the state indexing of :mod:`beliefproj.model`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +66,17 @@ class ProjectionScheme:
     @property
     def block_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(b) for b in self.blocks)
+
+    @cached_property
+    def block_keys(self) -> tuple[np.ndarray, ...]:
+        """Per block, each state's restriction to the block packed into a
+        small index. Computed on first use and kept with the scheme, since the
+        belief dimension is always 2^n."""
+        dim = num_states(self.n)
+        keys = tuple(_block_keys(block, dim) for block in self.blocks)
+        for k in keys:
+            k.setflags(write=False)
+        return keys
 
     def is_identity(self) -> bool:
         return len(self.blocks) == 1
@@ -178,29 +190,26 @@ def _block_keys(block: tuple[int, ...], dim: int) -> np.ndarray:
 
 def project(b: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:
     """Product of block marginals: the belief the scheme monitors in place of b."""
-    dim = b.shape[0]
-    if dim != num_states(scheme.n):
-        raise InputError(f"belief dimension {dim} != 2^{scheme.n}")
-    out = np.ones(dim)
-    for block in scheme.blocks:
-        keys = _block_keys(block, dim)
-        marg = np.bincount(keys, weights=b, minlength=1 << len(block))
-        out *= marg[keys]
-    return out
+    return project_batch(b[np.newaxis, :], scheme)[0]
 
 
 def project_batch(beliefs: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:
-    """Row-wise :func:`project` for a (count, 2^n) array of beliefs."""
-    dim = beliefs.shape[1]
+    """Row-wise :func:`project` for a (count, 2^n) array of beliefs.
+
+    Each row's marginals are summed in state order by one ``bincount`` over
+    row-offset keys, so a row's result does not depend on the other rows.
+    """
+    count, dim = beliefs.shape
     if dim != num_states(scheme.n):
         raise InputError(f"belief dimension {dim} != 2^{scheme.n}")
-    out = np.ones_like(beliefs)
-    for block in scheme.blocks:
-        keys = _block_keys(block, dim)
-        gather = np.zeros((dim, 1 << len(block)))
-        gather[np.arange(dim), keys] = 1.0
-        marg = beliefs @ gather
-        out *= marg[:, keys]
+    weights = np.ascontiguousarray(beliefs, dtype=float).reshape(-1)
+    rows = np.arange(count)[:, np.newaxis]
+    out = np.ones((count, dim))
+    for block, keys in zip(scheme.blocks, scheme.block_keys):
+        size = 1 << len(block)
+        offsets = keys + size * rows  # row r's marginals occupy bins r*size ...
+        marg = np.bincount(offsets.reshape(-1), weights=weights, minlength=count * size)
+        out *= marg.take(offsets)
     return out
 
 

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from beliefproj import (ProjectionScheme, bound_B, build_basis, displacement,
-                        lattice_root, lp_switch_test, oracle_switch_test,
-                        project, random_pomdp, solve, switch_set,
-                        vs_switch_test, walsh_vector)
+from beliefproj import (LpResult, NumericalError, ProjectionScheme, bound_B,
+                        bounds, build_basis, displacement, lattice_root,
+                        lp_switch_test, oracle_switch_test, project, random_pomdp,
+                        solve, switch_set, vs_switch_test, walsh_vector)
 from beliefproj.bounds import (alt_sets, compute_bounds, oracle_switch_sets,
                                stage_switch_sets)
 from beliefproj.solver import AlphaSet, AlphaVector, plan_vector
@@ -33,6 +33,12 @@ def test_lp_switch_identical_vectors():
     decision = lp_switch_test(CORRELATED, CORRELATED, lattice_root(2))
     assert not decision.switches
     assert decision.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_lp_switch_non_optimal_lp_is_numerical_error(monkeypatch):
+    monkeypatch.setattr(bounds, "solve_lp", lambda lp: LpResult("infeasible"))
+    with pytest.raises(NumericalError, match="infeasible"):
+        lp_switch_test(CORRELATED, FLAT, lattice_root(2))
 
 
 def test_lp_switch_identity_scheme_never_switches():

@@ -41,7 +41,9 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     assert report_doc["average_loss"] >= 0.0
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0] == "method,mode,average_loss,B,E,seconds"
-    assert (tmp_path / "report.json.manifest.json").exists()
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["counters"] == {"approx_restarts": 0}
+    assert "approx_restarts" not in report_doc
 
 
 def test_gen_is_seed_deterministic(tmp_path):
@@ -188,3 +190,12 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
                                                         model.variables))
     assert float(row[3]) == oracle.max_B
     assert float(row[4]) == oracle.max_E
+
+
+def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
+    from beliefproj import LpResult, bounds
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    monkeypatch.setattr(bounds, "solve_lp", lambda lp: LpResult("infeasible"))
+    assert run(["search", policy, "--method", "b-lp", "--out", tmp_path / "s.json"]) == 4
+    assert "numerical failure" in capsys.readouterr().err

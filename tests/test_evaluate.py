@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from beliefproj import (EvalConfig, GuardError, InputError, ProjectionScheme,
-                        achieved_value, average_error, belief_update,
-                        lattice_children, lattice_root, observation_probabilities,
-                        project, random_belief, random_pomdp, solve, value_of,
-                        vs_search)
+from beliefproj import (AlphaSet, AlphaVector, EvalConfig, GuardError, InputError,
+                        Pomdp, ProjectionScheme, achieved_value, average_error,
+                        belief_update, evaluate, lattice_children, lattice_root,
+                        observation_probabilities, project, random_belief,
+                        random_pomdp, solve, value_of, vs_search)
 from beliefproj.bounds import scheme_lookup
+from beliefproj.evaluate import BRANCH_TOL, _block_values
+from beliefproj.model import sample_beliefs
+from beliefproj.solver import plan_vector
 
 
 def solved(seed, n=2, actions=2, obs=2, horizon=2, discount=0.9):
@@ -34,6 +37,19 @@ def test_random_belief_always_valid(rng):
         b = random_belief(7, rng)
         assert np.all(b >= 0)
         assert b.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sample_beliefs_block_equals_successive_draws():
+    block = sample_beliefs(64, 300, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for row in block:
+        np.testing.assert_array_equal(row, random_belief(64, rng))
+    rng = np.random.default_rng(9)
+    for row in block:
+        raw = rng.standard_exponential(64)
+        np.testing.assert_array_equal(row, raw / raw.sum())
+    with pytest.raises(InputError):
+        sample_beliefs(0, 3, rng)
 
 
 def test_random_pomdp_determinism_and_validity():
@@ -103,15 +119,14 @@ def _policy_tree_oracle(model, stages, scheme_source, b0, mode):
         pz = observation_probabilities(model, b_exact, action)
         acc = 0.0
         for z in range(model.n_observations):
-            if pz[z] < 1e-12:
+            if pz[z] < BRANCH_TOL:
                 continue
             nxt_exact = belief_update(model, b_exact, action, z)
             child = node["children"][z]
             if child is None:
                 # the real run restarts the approximate track from the exact
                 # posterior; rebuild the subtree from there
-                child = build(nxt_exact if mode == "single"
-                              else nxt_exact, k - 1)
+                child = build(nxt_exact, k - 1)
             acc += pz[z] * price(child, nxt_exact, k - 1)
         return total + model.discount * acc
 
@@ -205,3 +220,97 @@ def test_finer_schemes_help_on_ensemble_average():
             per_child.append(report.average_loss)
         child_losses.append(float(np.mean(per_child)))
     assert np.mean(child_losses) <= np.mean(parent_losses) + 1e-9
+
+
+# (n, |Z|, horizon, model seed): every n in 2..4, |Z| in {2, 3} and horizon
+# in 1..3 appears, and the per-region maps hold two or more distinct schemes
+# wherever the horizon allows
+DIFFERENTIAL_CASES = [(2, 2, 1, 20), (2, 3, 3, 21), (3, 2, 3, 22), (3, 3, 2, 23),
+                      (4, 2, 3, 24), (4, 3, 2, 25), (3, 3, 3, 26)]
+
+
+@pytest.mark.parametrize("n, obs, horizon, seed", DIFFERENTIAL_CASES)
+def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
+    model = random_pomdp(n, 3, obs, np.random.default_rng(seed), discount=0.9)
+    stages = solve(model, horizon)
+    sources = {"global": lattice_root(n),
+               "per-region": vs_search(stages, "sum", scope="all").per_region}
+    beliefs = sample_beliefs(model.n_states, 40, np.random.default_rng(seed))
+    for name, source in sources.items():
+        for mode in ("single", "successive"):
+            optimal, achieved, _ = _block_values(model, stages, scheme_lookup(source),
+                                                 beliefs, mode)
+            for row, b0 in enumerate(beliefs):
+                want, _ = value_of(b0, stages[-1])
+                assert abs(optimal[row] - want) <= 1e-12, (name, mode, row)
+                want = achieved_value(model, stages, source, b0, mode)
+                assert abs(achieved[row] - want) <= 1e-12, (name, mode, row)
+            report = average_error(model, stages, source,
+                                   EvalConfig(num_beliefs=40, seed=seed, mode=mode),
+                                   include_bounds=False)
+            assert report.average_loss == pytest.approx(
+                float(np.mean(np.maximum(0.0, optimal - achieved))), abs=1e-12)
+
+
+RESTART_EPS = 1e-8
+
+
+def restart_instance():
+    """Two variables, where a projected track finds an observation impossible
+    that the exact track still reaches.
+
+    "go" moves every state to 00 except for mass RESTART_EPS on 11 and observes
+    nothing; "probe" stays put and observes z1 only in state 11. After "go" the
+    exact belief puts RESTART_EPS on 11 and its singleton projection about
+    RESTART_EPS**2, so under "probe" z1 has probability RESTART_EPS on the exact
+    track (above BRANCH_TOL) and below the update threshold on the projected one.
+    The plan is go, then probe, then stop.
+    """
+    go = np.zeros((4, 4))
+    go[:, 0] = 1.0 - RESTART_EPS
+    go[:, 3] = RESTART_EPS
+    probe_obs = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    model = Pomdp(("x", "y"), ("go", "probe"), ("z0", "z1"),
+                  np.stack([go, np.eye(4)]),
+                  np.stack([np.full((4, 2), 0.5), probe_obs]),
+                  np.array([0.0, 1.0, 2.0, 5.0]), 0.9)
+    stages, values = [], np.zeros(4)
+    for k, action in enumerate((1, 1, 0), start=1):
+        values = plan_vector(model, action, [values, values])
+        stages.append(AlphaSet(k, [AlphaVector(values, action, (0, 0), k)]))
+    return model, stages
+
+
+def test_restart_path_matches_recursive_and_is_counted():
+    model, stages = restart_instance()
+    scheme = lattice_root(2)
+    num_beliefs = 70  # two blocks, the second one partial
+    for mode, restarts_per_belief in (("single", 0), ("successive", 2)):
+        beliefs = sample_beliefs(4, num_beliefs, np.random.default_rng(4))
+        _, achieved, restarts = _block_values(model, stages, scheme_lookup(scheme),
+                                              beliefs, mode)
+        assert restarts == restarts_per_belief * num_beliefs
+        for row, b0 in enumerate(beliefs):
+            want = achieved_value(model, stages, scheme, b0, mode)
+            assert abs(achieved[row] - want) <= 1e-12
+        report = average_error(model, stages, scheme,
+                               EvalConfig(num_beliefs=num_beliefs, seed=4, mode=mode),
+                               include_bounds=False)
+        assert report.approx_restarts == restarts_per_belief * num_beliefs
+        assert "approx_restarts" not in report.to_doc()
+
+
+def test_average_error_checks_horizon_and_guard_before_sampling(monkeypatch):
+    model, stages = solved(5, horizon=2)
+
+    def no_sampling(*args):
+        raise AssertionError("beliefs drawn before the checks")
+
+    monkeypatch.setattr(evaluate, "sample_beliefs", no_sampling)
+    with pytest.raises(InputError, match="horizon 3"):
+        average_error(model, stages, lattice_root(2),
+                      EvalConfig(num_beliefs=10, horizon=3), include_bounds=False)
+    monkeypatch.setattr(evaluate, "BRANCH_GUARD", 3)
+    with pytest.raises(GuardError):
+        average_error(model, stages, lattice_root(2),
+                      EvalConfig(num_beliefs=10), include_bounds=False)
