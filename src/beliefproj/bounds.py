@@ -169,72 +169,48 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
 
     ``scheme_for`` is a ProjectionScheme or a callable index -> scheme (each
     vector's own scheme governs its switch set). ``candidates`` optionally
-    restricts which pairs are tested (everything else is reported negative),
-    which search callers use to exploit monotonicity along lattice edges.
+    restricts which pairs (i, j), i < j, are tested (everything else is
+    reported negative), which search callers use to exploit monotonicity
+    along lattice edges.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
     m = len(aset)
-    fixed = None
-    if not callable(scheme_for):
-        fixed = scheme_for
-        scheme_for = lambda idx: fixed  # noqa: E731
+    if isinstance(scheme_for, ProjectionScheme):
+        schemes = [scheme_for] * m
+    else:
+        schemes = [scheme_for(i) for i in range(m)]
     if method == "Oracle":
-        schemes = {scheme_for(i) for i in range(m)}
-        if len(schemes) == 1:
-            return oracle_switch_sets(aset, schemes.pop(), samples, seed)
-        out = []
-        for i in range(m):
-            sets = oracle_switch_sets(aset, scheme_for(i), samples, seed)
-            out.append(sets[i])
-        return out
+        rows = {scheme: oracle_switch_sets(aset, scheme, samples, seed)
+                for scheme in dict.fromkeys(schemes)}
+        return [rows[scheme][i] for i, scheme in enumerate(schemes)]
 
     if basis_cache is None:
         basis_cache = {}
-
-    def basis_for(scheme):
-        basis = basis_cache.get(scheme)
-        if basis is None:
-            basis = basis_cache[scheme] = build_basis(scheme)
-        return basis
-
     sets: list[set[int]] = [set() for _ in range(m)]
-    if fixed is not None:
-        # one scheme for every vector: both tests are symmetric in (i, j),
-        # so each unordered pair is decided once
-        basis = basis_for(fixed) if method == "VS" else None
-        for i in range(m):
-            for j in range(i + 1, m):
-                if candidates is not None and (i, j) not in candidates:
-                    continue
-                if method == "VS":
-                    decision = vs_switch_test(aset.matrix[i], aset.matrix[j], basis)
-                else:
-                    decision = lp_switch_test(aset.matrix[i], aset.matrix[j], fixed)
-                if decision.switches:
-                    sets[i].add(j)
-                    sets[j].add(i)
-    else:
-        for i in range(m):
-            scheme = scheme_for(i)
-            basis = basis_for(scheme) if method == "VS" else None
-            for j in range(m):
-                if j == i:
-                    continue
-                if method == "VS":
-                    decision = vs_switch_test(aset.matrix[i], aset.matrix[j], basis)
-                else:
-                    decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme)
-                if decision.switches:
-                    sets[i].add(j)
+    for i, scheme in enumerate(schemes):
+        if method == "VS" and scheme not in basis_cache:
+            basis_cache[scheme] = build_basis(scheme)
+        for j in range(m):
+            if j == i or (candidates is not None and (min(i, j), max(i, j)) not in candidates):
+                continue
+            if j < i and schemes[j] == scheme:
+                # both tests are symmetric in (i, j) under one scheme, so the
+                # decision made at (j, i) stands
+                switches = i in sets[j]
+            elif method == "VS":
+                switches = vs_switch_test(aset.matrix[i], aset.matrix[j],
+                                          basis_cache[scheme]).switches
+            else:
+                switches = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme).switches
+            if switches:
+                sets[i].add(j)
     return [tuple(sorted(s)) for s in sets]
 
 
 def switch_set(i: int, aset: AlphaSet, scheme: ProjectionScheme, method: str = "LP",
                *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple[int, ...]:
     """Indices j whose plans the scheme could erroneously switch vector i to."""
-    if method == "Oracle":
-        return oracle_switch_sets(aset, scheme, samples, seed)[i]
     return stage_switch_sets(aset, scheme, method, samples=samples, seed=seed)[i]
 
 
@@ -255,12 +231,9 @@ def bound_B(aset: AlphaSet, scheme_source, method: str = "LP", *,
             seed: int = 0) -> float:
     """Loss bound for a single approximation at one stage."""
     stage = aset.stage if stage is None else stage
-    if isinstance(scheme_source, ProjectionScheme):
-        source = scheme_source
-    else:
-        lookup = scheme_lookup(scheme_source)
-        source = lambda i: lookup(stage, i)  # noqa: E731
-    sets = stage_switch_sets(aset, source, method, samples=samples, seed=seed)
+    lookup = scheme_lookup(scheme_source)
+    sets = stage_switch_sets(aset, lambda i: lookup(stage, i), method,
+                             samples=samples, seed=seed)
     return bound_from_switch_sets(aset, sets)
 
 
@@ -418,12 +391,8 @@ def compute_bounds(model: Pomdp | None, stage_sets: list[AlphaSet], scheme_sourc
     basis_cache: dict = {}
     sw_per_stage = []
     for aset in stage_sets:
-        if isinstance(scheme_source, ProjectionScheme):
-            source = scheme_source
-        else:
-            source = lambda i, k=aset.stage: lookup(k, i)  # noqa: E731
-        sw = stage_switch_sets(aset, source, method, samples=samples, seed=seed,
-                               basis_cache=basis_cache)
+        sw = stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), method,
+                               samples=samples, seed=seed, basis_cache=basis_cache)
         sw_per_stage.append(sw)
     alts = None
     if include_E:

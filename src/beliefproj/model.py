@@ -119,18 +119,6 @@ class Pomdp:
     def n_observations(self) -> int:
         return len(self.observations)
 
-    def action_index(self, name: str) -> int:
-        try:
-            return self.actions.index(name)
-        except ValueError:
-            raise InputError(f"unknown action {name!r}") from None
-
-    def observation_index(self, name: str) -> int:
-        try:
-            return self.observations.index(name)
-        except ValueError:
-            raise InputError(f"unknown observation {name!r}") from None
-
 
 def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) -> np.ndarray:
     """Per-state probability that ``var`` is true next step, from a CPT entry."""
@@ -188,6 +176,14 @@ def compile_model(spec: dict) -> Pomdp:
                 "observation", "reward", "discount"):
         if key not in spec:
             raise InputError(f"model document missing key {key!r}")
+    for key in ("transitions", "observation"):
+        if not isinstance(spec[key], dict):
+            raise InputError(f"model {key!r} must be an object keyed by action name, "
+                             f"got {type(spec[key]).__name__}")
+    try:
+        discount = float(spec["discount"])
+    except (TypeError, ValueError):
+        raise InputError(f"model discount {spec['discount']!r} is not a number") from None
     variables = tuple(spec["variables"])
     if len(set(variables)) != len(variables):
         raise InputError("duplicate variable names")
@@ -225,7 +221,7 @@ def compile_model(spec: dict) -> Pomdp:
         obs[ai] = table
 
     reward = np.asarray(spec["reward"], dtype=float)
-    return Pomdp(variables, actions, observations, trans, obs, reward, float(spec["discount"]))
+    return Pomdp(variables, actions, observations, trans, obs, reward, discount)
 
 
 def model_to_spec(model: Pomdp) -> dict:

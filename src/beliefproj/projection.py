@@ -63,10 +63,6 @@ class ProjectionScheme:
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
-    def block_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(b) for b in self.blocks)
-
     @cached_property
     def block_keys(self) -> tuple[np.ndarray, ...]:
         """Per block, each state's restriction to the block packed into a
@@ -77,9 +73,6 @@ class ProjectionScheme:
         for k in keys:
             k.setflags(write=False)
         return keys
-
-    def is_identity(self) -> bool:
-        return len(self.blocks) == 1
 
     @staticmethod
     def singletons(n: int) -> "ProjectionScheme":
@@ -99,6 +92,10 @@ class ProjectionScheme:
             blocks = tuple(tuple(index[name] for name in block) for block in doc)
         except KeyError as e:
             raise InputError(f"scheme references unknown variable {e.args[0]!r}") from None
+        covered = {i for block in blocks for i in block}
+        missing = [name for i, name in enumerate(variables) if i not in covered]
+        if missing:
+            raise InputError(f"scheme leaves out variables {missing}")
         return ProjectionScheme(blocks)
 
 

@@ -4,9 +4,10 @@ Two families: bound-guided searches minimize the B or E loss bound (with LP
 or VS switch tests) and return one global scheme; the estimator searches
 minimize, per optimal region, the summed or maximal squared residual of the
 region's value gradients outside the preserved null space, and return one
-scheme per (stage, vector). Every descent starts at the all-singletons root,
-always moves to the best child, and stops when merges would create 3-variable
-blocks, or early when the objective is already exactly zero.
+scheme per (stage, vector). All of them run one descent driver, which starts
+at the all-singletons root, always moves to the best child, and stops when
+merges would create 3-variable blocks, or early when the objective is already
+zero.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .bounds import (ALT_GUARD, DEFAULT_SAMPLES, alt_sets, bound_E_from_alts,
-                     bound_from_switch_sets, stage_switch_sets)
+from .bounds import (ALT_GUARD, alt_sets, bound_E_from_alts, bound_from_switch_sets,
+                     stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, build_basis, lattice_children,
                          lattice_root, residual_sq_length, walsh_vector)
@@ -33,9 +34,7 @@ ALL_METHODS = BOUND_METHODS + ESTIMATOR_METHODS
 class SearchConfig:
     method: str
     scope: str = "all"  # "last" | "all"
-    seed: int = 0
     alt_guard: int = ALT_GUARD
-    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -72,8 +71,11 @@ def result_from_doc(doc: dict, variables) -> SearchResult:
     if "per_region" in doc:
         per_region = {}
         for key, names in doc["per_region"].items():
-            stage, idx = key.split(":")
-            per_region[(int(stage), int(idx))] = ProjectionScheme.from_names(names, variables)
+            try:
+                stage, idx = (int(part) for part in key.split(":"))
+            except ValueError:
+                raise InputError(f"per-region key {key!r} is not 'stage:index'") from None
+            per_region[(stage, idx)] = ProjectionScheme.from_names(names, variables)
         result.per_region = per_region
     if result.scheme is None and result.per_region is None:
         raise InputError("search result document carries no scheme")
@@ -111,6 +113,30 @@ def _aggregate(values: np.ndarray, estimator: str) -> float:
     return float(values.sum()) if estimator == "sum" else float(values.max())
 
 
+def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0):
+    """Greedy descent from the lattice root, whose objective is ``value``.
+
+    While the objective is above ``floor``, move to the first child with the
+    strictly lowest ``score(child, mask, state) -> (value, state)``; ``state``
+    carries what a child's score reuses from its parent. Returns the final
+    node and one ``{"merge": [...], label: value}`` trace entry per step.
+    """
+    node = lattice_root(n)
+    trace = []
+    while value > floor:
+        children = lattice_children(node)
+        if not children:
+            break
+        best = None
+        for child, mask in children:
+            child_value, child_state = score(child, mask, state)
+            if best is None or child_value < best[0]:
+                best = (child_value, child, child_state, mask)
+        value, node, state, mask = best
+        trace.append({"merge": [b for b in range(n) if mask >> b & 1], label: value})
+    return node, trace
+
+
 def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
               scope: str = "all") -> SearchResult:
     """Per-region greedy descent scored by the sum or max estimator, updated
@@ -119,8 +145,7 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
         raise InputError(f"unknown estimator {estimator!r}")
     scoped = stage_sets[-1:] if scope == "last" else stage_sets
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
-    root = lattice_root(n)
-    root_basis = build_basis(root)
+    root_basis = build_basis(lattice_root(n))
     per_region: dict = {}
     traces: dict = {}
     for aset in scoped:
@@ -132,25 +157,16 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
                                  0.0, None)
             else:
                 scores = np.zeros(0)
-            node = root
-            agg = _aggregate(scores, estimator)
+
+            def score(child, mask, parent_scores):
+                child_scores = incremental_scores(parent_scores, walsh_vector(mask, n), grads)
+                return _aggregate(child_scores, estimator), child_scores
+
             # zero within rounding counts as zero: for odd n the basis scale
             # 2^(-n/2) is inexact, so exact-zero residuals round to ~1e-16
             floor = 1e-12 * _aggregate((grads * grads).sum(axis=1), estimator)
-            trace = []
-            while agg > floor:
-                children = lattice_children(node)
-                if not children:
-                    break
-                best = None
-                for child, mask in children:
-                    child_scores = incremental_scores(scores, walsh_vector(mask, n), grads)
-                    child_agg = _aggregate(child_scores, estimator)
-                    if best is None or child_agg < best[0]:
-                        best = (child_agg, child, child_scores, mask)
-                agg, node, scores, mask = best
-                trace.append({"merge": [b for b in range(n) if mask >> b & 1],
-                              "score": agg})
+            node, trace = _descend(n, _aggregate(scores, estimator), scores, score,
+                                   "score", floor)
             per_region[(aset.stage, i)] = node
             traces[f"{aset.stage}:{i}"] = trace
     return SearchResult(f"vs-{estimator}", scope, per_region=per_region, trace=traces)
@@ -191,23 +207,13 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
     basis_cache: dict = {}
-    node = lattice_root(n)
-    value, positives = _scoped_bound(model, stage_sets, node, bound, test, scope,
-                                     alt_guard, basis_cache)
-    trace = []
-    while value != 0.0:
-        children = lattice_children(node)
-        if not children:
-            break
-        best = None
-        for child, mask in children:
-            child_value, child_pos = _scoped_bound(model, stage_sets, child, bound,
-                                                   test, scope, alt_guard,
-                                                   basis_cache, positives)
-            if best is None or child_value < best[0]:
-                best = (child_value, child, child_pos, mask)
-        value, node, positives, mask = best
-        trace.append({"merge": [b for b in range(n) if mask >> b & 1], "bound": value})
+
+    def score(node, mask, positives):
+        return _scoped_bound(model, stage_sets, node, bound, test, scope, alt_guard,
+                             basis_cache, positives)
+
+    value, positives = score(lattice_root(n), None, None)
+    node, trace = _descend(n, value, positives, score, "bound")
     return SearchResult(f"{bound.lower()}-{test.lower()}", scope, scheme=node, trace=trace)
 
 

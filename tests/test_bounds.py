@@ -135,6 +135,79 @@ def test_switch_set_inclusion_chain():
         assert set(vs_sets[i]) <= set(lp_sets[i])
 
 
+def record_tests(monkeypatch, aset):
+    """Log the (i, j) row indices of every switch test stage_switch_sets runs."""
+    rows = {row.tobytes(): k for k, row in enumerate(aset.matrix)}
+    calls = []
+    for name in ("lp_switch_test", "vs_switch_test"):
+        def logged(a_i, a_j, *args, original=getattr(bounds, name)):
+            calls.append((rows[a_i.tobytes()], rows[a_j.tobytes()]))
+            return original(a_i, a_j, *args)
+        monkeypatch.setattr(bounds, name, logged)
+    return calls
+
+
+def reference_sets(aset, schemes, method):
+    """Row i tests every j != i under vector i's own scheme."""
+    test = {"LP": lp_switch_test, "VS": vs_switch_test}[method]
+    args = schemes if method == "LP" else [build_basis(s) for s in schemes]
+    return [tuple(j for j in range(len(aset))
+                  if j != i and test(aset.matrix[i], aset.matrix[j], args[i]).switches)
+            for i in range(len(aset))]
+
+
+def alternating_schemes(m):
+    return [lattice_root(3) if i % 2 else ProjectionScheme(((0, 1), (2,)))
+            for i in range(m)]
+
+
+@pytest.mark.parametrize("method", ["LP", "VS"])
+def test_per_vector_source_tests_only_candidate_pairs(monkeypatch, method):
+    _, stages = small_stage_sets(1)
+    aset = stages[-1]
+    schemes = alternating_schemes(len(aset))
+    full = reference_sets(aset, schemes, method)
+    positive = sorted({(min(i, j), max(i, j)) for i, sw in enumerate(full) for j in sw})
+    candidates = set(positive[::2])
+    assert set(positive) - candidates
+    calls = record_tests(monkeypatch, aset)
+    got = stage_switch_sets(aset, schemes.__getitem__, method, candidates=candidates)
+    assert got == [tuple(j for j in sw if (min(i, j), max(i, j)) in candidates)
+                   for i, sw in enumerate(full)]
+    assert calls and all((min(i, j), max(i, j)) in candidates for i, j in calls)
+
+
+@pytest.mark.parametrize("method", ["LP", "VS"])
+def test_one_scheme_callable_matches_fixed_scheme(monkeypatch, method):
+    _, stages = small_stage_sets(1)
+    aset = stages[-1]
+    m = len(aset)
+    scheme = lattice_root(3)
+    fixed = stage_switch_sets(aset, scheme, method)
+    assert fixed == reference_sets(aset, [scheme] * m, method)
+    calls = record_tests(monkeypatch, aset)
+    assert stage_switch_sets(aset, lambda i: scheme, method) == fixed
+    assert sorted(calls) == list(itertools.combinations(range(m), 2))
+
+
+def test_per_region_oracle_samples_once_per_distinct_scheme(monkeypatch):
+    _, stages = small_stage_sets(1)
+    aset = stages[-1]
+    schemes = alternating_schemes(len(aset))
+    expected = [oracle_switch_sets(aset, s, samples=20_000, seed=3)[i]
+                for i, s in enumerate(schemes)]
+    calls = []
+
+    def counted(aset, scheme, *args):
+        calls.append(scheme)
+        return oracle_switch_sets(aset, scheme, *args)
+
+    monkeypatch.setattr(bounds, "oracle_switch_sets", counted)
+    got = stage_switch_sets(aset, schemes.__getitem__, "Oracle", samples=20_000, seed=3)
+    assert calls == list(dict.fromkeys(schemes))
+    assert got == expected
+
+
 def test_vs_negative_implies_pairwise_oracle_negative():
     # vectors that depend on variable 0 only differ inside the preserved
     # subspace of ((0,), (1,)), so no projection can flip their order; one

@@ -199,3 +199,36 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "solve_lp", lambda lp: LpResult("infeasible"))
     assert run(["search", policy, "--method", "b-lp", "--out", tmp_path / "s.json"]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("transitions", [], "model 'transitions' must be an object keyed by action name"),
+    ("observation", [], "model 'observation' must be an object keyed by action name"),
+    ("discount", "x", "model discount 'x' is not a number"),
+], ids=["transitions-list", "observation-list", "discount-string"])
+def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
+    doc = json.loads(gen_model(tmp_path).read_text())
+    doc[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 1, "--out", tmp_path / "p.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme,message", [
+    ({"method": "vs-sum", "per_region": {"abc": [["x0"], ["x1"]]}},
+     "per-region key 'abc' is not 'stage:index'"),
+    ([["x0"]], "scheme leaves out variables ['x1']"),
+], ids=["per-region-key", "partial-scheme"])
+def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, message):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(scheme))
+    capsys.readouterr()
+    assert run(["eval", model, policy, scheme_path, "--mode", "single", "--seed", 0,
+                "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
