@@ -1,12 +1,13 @@
 """Switch tests, switch sets, alternative-plan sets, and the loss bounds.
 
-Three switch tests decide whether monitoring through a projection scheme can
+Two switch tests decide whether monitoring through a projection scheme can
 make plan j look better than plan i from inside i's optimal region: an LP over
-belief pairs with matching preserved marginals, the algebraic subspace test
-(nonzero residual of the value gradient outside the preserved null space), and
-a one-sided sampling oracle. Switch sets feed an upper bound on the loss of a
-single approximation (B) and, through alternative-plan sets, of successive
-approximations (E).
+belief pairs with matching preserved marginals, and the algebraic subspace
+test (nonzero residual of the value gradient outside the preserved null
+space). Switch sets feed an upper bound on the loss of a single approximation
+(B) and, through alternative-plan sets, of successive approximations (E). A
+one-sided sampling oracle is kept as the reference the tests check both
+against.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from .lpcore import EQUAL, GREATER, LinearProgram, solve_lp
 from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, build_basis, constraint_family,
                          indicator_vector, project_batch, residual_sq_length)
-from .solver import AlphaSet
+from .solver import AlphaSet, undominated
 
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
 ALT_GUARD = 100_000
 DEFAULT_SAMPLES = 100_000
 
-METHODS = ("LP", "VS", "Oracle")
+METHODS = ("LP", "VS")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,7 @@ def scheme_lookup(scheme_source):
     raise InputError(f"unsupported scheme source {type(scheme_source).__name__}")
 
 
-def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
-                   threshold: float = SWITCH_TOL) -> SwitchDecision:
+def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme) -> SwitchDecision:
     """Linear switch test: is there a pair (b, b') agreeing on every preserved
     marginal with b favoring i and b' favoring j by a common positive margin?
 
@@ -96,18 +96,17 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     result = solve_lp(LinearProgram(objective, constraints, lower=lower))
     if result.status != "optimal":
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
-    switches = result.value > threshold
+    switches = result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
     return SwitchDecision(switches, "LP", float(result.value), witness)
 
 
-def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis,
-                   threshold: float = SWITCH_TOL) -> SwitchDecision:
+def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:
     """Algebraic switch test: positive iff the gradient has a component outside
-    the span of the basis (squared residual above (threshold * |a_ij|)^2)."""
+    the span of the basis (squared residual above (SWITCH_TOL * |a_ij|)^2)."""
     diff = alpha_i - alpha_j
     residual = residual_sq_length(diff, basis)
-    eps_sq = (threshold ** 2) * float(diff @ diff)
+    eps_sq = (SWITCH_TOL ** 2) * float(diff @ diff)
     return SwitchDecision(residual > eps_sq, "VS", residual)
 
 
@@ -163,7 +162,6 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
 
 
 def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
-                      samples: int = DEFAULT_SAMPLES, seed: int = 0,
                       candidates=None, basis_cache: dict | None = None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
@@ -180,11 +178,6 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
         schemes = [scheme_for] * m
     else:
         schemes = [scheme_for(i) for i in range(m)]
-    if method == "Oracle":
-        rows = {scheme: oracle_switch_sets(aset, scheme, samples, seed)
-                for scheme in dict.fromkeys(schemes)}
-        return [rows[scheme][i] for i, scheme in enumerate(schemes)]
-
     if basis_cache is None:
         basis_cache = {}
     sets: list[set[int]] = [set() for _ in range(m)]
@@ -208,12 +201,6 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
     return [tuple(sorted(s)) for s in sets]
 
 
-def switch_set(i: int, aset: AlphaSet, scheme: ProjectionScheme, method: str = "LP",
-               *, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> tuple[int, ...]:
-    """Indices j whose plans the scheme could erroneously switch vector i to."""
-    return stage_switch_sets(aset, scheme, method, samples=samples, seed=seed)[i]
-
-
 def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
     """max over vectors and their switch targets of the componentwise maximum
     of (alpha - alpha'): the simplex maximum of the pairwise value gap."""
@@ -226,46 +213,11 @@ def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
     return best
 
 
-def bound_B(aset: AlphaSet, scheme_source, method: str = "LP", *,
-            stage: int | None = None, samples: int = DEFAULT_SAMPLES,
-            seed: int = 0) -> float:
-    """Loss bound for a single approximation at one stage."""
-    stage = aset.stage if stage is None else stage
-    lookup = scheme_lookup(scheme_source)
-    sets = stage_switch_sets(aset, lambda i: lookup(stage, i), method,
-                             samples=samples, seed=seed)
-    return bound_from_switch_sets(aset, sets)
-
-
-def bound_E(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-            method: str = "LP", *, alt_guard: int = ALT_GUARD,
-            samples: int = DEFAULT_SAMPLES, seed: int = 0) -> list[float]:
-    """Per-stage loss bounds for successive approximations."""
-    report = compute_bounds(model, stage_sets, scheme_source, method,
-                            alt_guard=alt_guard, samples=samples, seed=seed)
-    return [s.E for s in report.stages]
-
-
 def _minimal_members(members: list[np.ndarray]) -> list[np.ndarray]:
     """Drop duplicates and every member that pointwise-dominates another;
-    the survivors attain the same max of (alpha - member)."""
-    uniq = []
-    seen = set()
-    for w in members:
-        key = w.tobytes()
-        if key not in seen:
-            seen.add(key)
-            uniq.append(w)
-    if len(uniq) <= 1:
-        return uniq
-    mat = np.stack(uniq)
-    keep = []
-    for i in range(len(uniq)):
-        ge = np.all(mat[i] >= mat, axis=1)
-        ge[i] = False
-        if not ge.any():
-            keep.append(i)
-    return [uniq[i] for i in keep]
+    the survivors attain the same max of (alpha - member). Negation is exact,
+    so :func:`undominated` on the negated rows makes exactly these cuts."""
+    return [members[i] for i in undominated(-np.stack(members))]
 
 
 def alt_sets(model: Pomdp, stage_sets: list[AlphaSet], switch_sets_per_stage,
@@ -337,9 +289,9 @@ def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:
 class StageBounds:
     stage: int
     B: float
-    E: float | None
+    E: float
     switch_sets: list[tuple[int, ...]]
-    alt_set_sizes: list[int] | None
+    alt_set_sizes: list[int]
 
 
 @dataclass
@@ -353,9 +305,7 @@ class BoundsReport:
         return max(s.B for s in self.stages)
 
     @property
-    def max_E(self) -> float | None:
-        if any(s.E is None for s in self.stages):
-            return None
+    def max_E(self) -> float:
         return max(s.E for s in self.stages)
 
     def to_doc(self, variables) -> dict:
@@ -381,28 +331,19 @@ def scheme_source_doc(scheme_source, variables):
             for (stage, idx), scheme in sorted(scheme_source.items())}
 
 
-def compute_bounds(model: Pomdp | None, stage_sets: list[AlphaSet], scheme_source,
-                   method: str = "VS", include_E: bool = True, *,
-                   alt_guard: int = ALT_GUARD, samples: int = DEFAULT_SAMPLES,
-                   seed: int = 0) -> BoundsReport:
-    """Per-stage switch sets and B bounds, plus E bounds when ``include_E``
-    (which requires the model for the alternative-set recursion)."""
+def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
+                   method: str = "VS", *, alt_guard: int = ALT_GUARD) -> BoundsReport:
+    """Per-stage switch sets with their B bounds and, through the
+    alternative-set recursion, E bounds."""
     lookup = scheme_lookup(scheme_source)
     basis_cache: dict = {}
-    sw_per_stage = []
-    for aset in stage_sets:
-        sw = stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), method,
-                               samples=samples, seed=seed, basis_cache=basis_cache)
-        sw_per_stage.append(sw)
-    alts = None
-    if include_E:
-        if model is None:
-            raise InputError("E bounds require the model")
-        alts = alt_sets(model, stage_sets, sw_per_stage, guard=alt_guard)
-    stages = []
-    for idx, aset in enumerate(stage_sets):
-        b_val = bound_from_switch_sets(aset, sw_per_stage[idx])
-        e_val = bound_E_from_alts(aset, alts[idx]) if alts is not None else None
-        sizes = [len(members) for members in alts[idx]] if alts is not None else None
-        stages.append(StageBounds(aset.stage, b_val, e_val, sw_per_stage[idx], sizes))
+    sw_per_stage = [
+        stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), method,
+                          basis_cache=basis_cache)
+        for aset in stage_sets]
+    alts = alt_sets(model, stage_sets, sw_per_stage, guard=alt_guard)
+    stages = [StageBounds(aset.stage, bound_from_switch_sets(aset, sw),
+                          bound_E_from_alts(aset, stage_alts), sw,
+                          [len(members) for members in stage_alts])
+              for aset, sw, stage_alts in zip(stage_sets, sw_per_stage, alts)]
     return BoundsReport(method, scheme_source, stages)

@@ -64,9 +64,13 @@ def _load_policy(path: str):
     for key in ("model", "horizon", "stages"):
         if key not in doc:
             raise InputError(f"policy document missing key {key!r}")
+    try:
+        horizon = int(doc["horizon"])
+    except (TypeError, ValueError):
+        raise InputError(f"policy horizon {doc['horizon']!r} is not an integer") from None
     model = compile_model(doc["model"])
     stages = stages_from_doc(doc["stages"])
-    if len(stages) != int(doc["horizon"]):
+    if len(stages) != horizon:
         raise InputError("policy horizon does not match its stage count")
     for aset in stages:
         for v in aset.vectors:
@@ -135,8 +139,7 @@ def _load_scheme_source(path: str, model):
         return ProjectionScheme.from_names(doc, model.variables), "scheme"
     if isinstance(doc, dict):
         result = result_from_doc(doc, model.variables)
-        source = result.scheme if result.scheme is not None else {
-            key: scheme for key, scheme in result.per_region.items()}
+        source = result.scheme if result.scheme is not None else result.per_region
         return source, result.method
     raise InputError(f"{path}: expected a scheme array or a search-result object")
 

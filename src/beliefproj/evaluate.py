@@ -265,9 +265,9 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
 
 def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
                   cfg: EvalConfig, method: str = "scheme",
-                  include_bounds: bool = True, bound_method: str = "VS") -> EvalReport:
+                  include_bounds: bool = True) -> EvalReport:
     """Mean decision loss over random initial beliefs, with the scheme's B/E
-    bounds attached for the same instance.
+    bounds (VS switch tests) attached for the same instance.
 
     The beliefs are drawn ``EVAL_BLOCK`` rows at a time from one generator,
     so they are the same beliefs as ``num_beliefs`` successive
@@ -291,8 +291,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     avg = float(np.mean(losses))
     bound_b = bound_e = per_b = per_e = None
     if include_bounds:
-        report = compute_bounds(model, stage_sets, scheme_source,
-                                method=bound_method)
+        report = compute_bounds(model, stage_sets, scheme_source, method="VS")
         bound_b, bound_e = report.max_B, report.max_E
         per_b = [s.B for s in report.stages]
         per_e = [s.E for s in report.stages]

@@ -120,6 +120,21 @@ class Pomdp:
         return len(self.observations)
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """A model table as a float array; InputError naming ``what`` otherwise."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} is not a table of numbers") from None
+
+
+def _names(spec: dict, key: str) -> tuple[str, ...]:
+    value = spec[key]
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise InputError(f"model {key!r} must be a list of names")
+    return tuple(value)
+
+
 def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) -> np.ndarray:
     """Per-state probability that ``var`` is true next step, from a CPT entry."""
     parents = cpt.get("parents", [])
@@ -129,7 +144,7 @@ def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) ->
     rows = cpt.get("rows")
     if rows is None:
         raise InputError(f"cpt for {var!r} has no rows")
-    rows = np.asarray(rows, dtype=float)
+    rows = _numbers(rows, f"cpt rows for {var!r}")
     expected = 1 << len(parents)
     if rows.shape != (expected, 2):
         raise InputError(
@@ -184,13 +199,13 @@ def compile_model(spec: dict) -> Pomdp:
         discount = float(spec["discount"])
     except (TypeError, ValueError):
         raise InputError(f"model discount {spec['discount']!r} is not a number") from None
-    variables = tuple(spec["variables"])
+    variables = _names(spec, "variables")
     if len(set(variables)) != len(variables):
         raise InputError("duplicate variable names")
     if len(variables) > MAX_VARIABLES:
         raise InputError(f"{len(variables)} variables exceeds the {MAX_VARIABLES}-variable limit")
-    actions = tuple(spec["actions"])
-    observations = tuple(spec["observations"])
+    actions = _names(spec, "actions")
+    observations = _names(spec, "observations")
     n = len(variables)
     s = num_states(n)
 
@@ -199,8 +214,10 @@ def compile_model(spec: dict) -> Pomdp:
         entry = spec["transitions"].get(a)
         if entry is None:
             raise InputError(f"transitions missing action {a!r}")
+        if not isinstance(entry, dict):
+            raise InputError(f"transitions for {a!r} must be an object, got {type(entry).__name__}")
         if "flat" in entry:
-            table = np.asarray(entry["flat"], dtype=float)
+            table = _numbers(entry["flat"], f"flat transition for {a!r}")
             if table.shape != (s, s):
                 raise InputError(f"flat transition for {a!r} has shape {table.shape}, expected {(s, s)}")
         elif "cpts" in entry:
@@ -214,13 +231,13 @@ def compile_model(spec: dict) -> Pomdp:
         table = spec["observation"].get(a)
         if table is None:
             raise InputError(f"observation missing action {a!r}")
-        table = np.asarray(table, dtype=float)
+        table = _numbers(table, f"observation table for {a!r}")
         if table.shape != (s, len(observations)):
             raise InputError(
                 f"observation table for {a!r} has shape {table.shape}, expected {(s, len(observations))}")
         obs[ai] = table
 
-    reward = np.asarray(spec["reward"], dtype=float)
+    reward = _numbers(spec["reward"], "model reward")
     return Pomdp(variables, actions, observations, trans, obs, reward, discount)
 
 

@@ -87,6 +87,10 @@ class ProjectionScheme:
 
     @staticmethod
     def from_names(doc, variables) -> "ProjectionScheme":
+        if not isinstance(doc, list) or not all(
+                isinstance(block, list) and all(isinstance(name, str) for name in block)
+                for block in doc):
+            raise InputError(f"scheme {doc!r} is not a list of blocks of variable names")
         index = {name: i for i, name in enumerate(variables)}
         try:
             blocks = tuple(tuple(index[name] for name in block) for block in doc)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .bounds import (ALT_GUARD, alt_sets, bound_E_from_alts, bound_from_switch_sets,
-                     stage_switch_sets)
+                     scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, build_basis, lattice_children,
                          lattice_root, residual_sq_length, walsh_vector)
@@ -54,11 +54,9 @@ class SearchResult:
 
     def to_doc(self, variables) -> dict:
         doc = {"method": self.method, "scope": self.scope}
-        if self.scheme is not None:
-            doc["scheme"] = self.scheme.to_names(variables)
-        if self.per_region is not None:
-            doc["per_region"] = {f"{k}:{i}": scheme.to_names(variables)
-                                 for (k, i), scheme in sorted(self.per_region.items())}
+        for key, source in (("scheme", self.scheme), ("per_region", self.per_region)):
+            if source is not None:
+                doc[key] = scheme_source_doc(source, variables)
         doc["trace"] = self.trace
         return doc
 
@@ -69,6 +67,8 @@ def result_from_doc(doc: dict, variables) -> SearchResult:
     if "scheme" in doc:
         result.scheme = ProjectionScheme.from_names(doc["scheme"], variables)
     if "per_region" in doc:
+        if not isinstance(doc["per_region"], dict):
+            raise InputError("search result 'per_region' must be an object keyed by 'stage:index'")
         per_region = {}
         for key, names in doc["per_region"].items():
             try:
@@ -217,7 +217,7 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
     return SearchResult(f"{bound.lower()}-{test.lower()}", scope, scheme=node, trace=trace)
 
 
-def run_search(model: Pomdp | None, stage_sets: list[AlphaSet],
+def run_search(model: Pomdp, stage_sets: list[AlphaSet],
                config: SearchConfig) -> SearchResult:
     """Dispatch one of the six methods; elapsed wall-clock lands on the result
     object only (artifact files stay byte-reproducible)."""
@@ -226,8 +226,6 @@ def run_search(model: Pomdp | None, stage_sets: list[AlphaSet],
         result = vs_search(stage_sets, config.method.split("-")[1], config.scope)
     else:
         bound, test = config.method.split("-")
-        if model is None:
-            raise InputError("bound-guided search requires the model")
         result = greedy_bound_search(model, stage_sets, bound.upper(), test.upper(),
                                      config.scope, config.alt_guard)
     result.elapsed_seconds = time.perf_counter() - start

@@ -20,6 +20,7 @@ from .model import Pomdp, belief_update, observation_probabilities
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
+DOMINANCE_BLOCK = 1 << 18  # boolean entries per slice of undominated()
 
 
 @dataclass(frozen=True)
@@ -120,38 +121,49 @@ def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.nda
     return result.x[:dim]
 
 
-def prune(aset: AlphaSet, tol: float = DOMINANCE_TOL) -> AlphaSet:
+def undominated(mat: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows to keep: the first of any byte-identical
+    duplicates, minus every row that another of those rows is >= everywhere.
+
+    Compares one slice of rows against all rows at a time, so the boolean
+    working set stays within ``DOMINANCE_BLOCK`` entries, or one row's
+    comparisons when those are more.
+    """
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(mat):
+        first.setdefault(row.tobytes(), i)
+    idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    rows = mat[idx]
+    m, dim = rows.shape
+    dominated = np.empty(m, dtype=bool)
+    step = max(1, DOMINANCE_BLOCK // (m * dim))
+    for lo in range(0, m, step):
+        block = rows[lo:lo + step]
+        # ge[r, j]: row j is >= block row r everywhere
+        ge = np.all(rows[np.newaxis, :, :] >= block[:, np.newaxis, :], axis=2)
+        ge[np.arange(block.shape[0]), np.arange(lo, lo + block.shape[0])] = False
+        dominated[lo:lo + step] = ge.any(axis=1)
+    return idx[~dominated]
+
+
+def prune(aset: AlphaSet) -> AlphaSet:
     """Parsimonious subset: keeps a vector iff some belief makes it strictly
     better than every other retained vector.
 
     Exact duplicates collapse to the first occurrence, pointwise-dominated
-    vectors go in a fast path, and the rest is witness-LP filtering. Output
-    preserves the original relative order.
+    vectors go in a fast path (:func:`undominated`), and the rest is
+    witness-LP filtering. Output preserves the original relative order.
     """
     vectors = aset.vectors
     if len(vectors) <= 1:
         return AlphaSet(aset.stage, list(vectors))
 
-    seen: dict[bytes, int] = {}
-    candidates: list[int] = []
-    for i, v in enumerate(vectors):
-        key = v.values.tobytes()
-        if key not in seen:
-            seen[key] = i
-            candidates.append(i)
-
     mat = aset.matrix
-    undominated = []
-    for i in candidates:
-        if not any(np.all(mat[j] >= mat[i]) for j in candidates if j != i):
-            undominated.append(i)
-    candidates = undominated
-
     kept: list[int] = []
-    pending = list(candidates)
+    pending = undominated(mat).tolist()
     while pending:
         i = pending[0]
-        b = _witness(mat[i], [mat[j] for j in kept], tol)
+        b = _witness(mat[i], [mat[j] for j in kept], DOMINANCE_TOL)
         if b is None:
             pending.pop(0)
             continue
@@ -224,7 +236,7 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
                 vectors.append(AlphaVector(
                     np.asarray(e["values"], dtype=float), int(e["action"]),
                     tuple(int(i) for i in e["strategy"]), k))
-            except (KeyError, TypeError) as err:
+            except (KeyError, TypeError, ValueError) as err:
                 raise InputError(f"malformed stage-{k} policy entry: {err}") from None
         if not vectors:
             raise InputError(f"stage {k} of the policy is empty")

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from beliefproj import (LpResult, NumericalError, ProjectionScheme, bound_B,
-                        bounds, build_basis, displacement, lattice_root,
-                        lp_switch_test, oracle_switch_test, project, random_pomdp,
-                        solve, switch_set, vs_switch_test, walsh_vector)
-from beliefproj.bounds import (alt_sets, compute_bounds, oracle_switch_sets,
-                               stage_switch_sets)
+from beliefproj import (LpResult, NumericalError, ProjectionScheme, bounds,
+                        build_basis, displacement, lattice_root, lp_switch_test,
+                        oracle_switch_test, project, random_pomdp, solve,
+                        vs_switch_test, walsh_vector)
+from beliefproj.bounds import (alt_sets, bound_from_switch_sets, compute_bounds,
+                               oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, AlphaVector, plan_vector
 
 from conftest import random_partition
@@ -25,6 +25,10 @@ def small_stage_sets(seed=0, n=3, actions=3, obs=2, horizon=3, discount=0.9):
 def as_set(rows, stage=1):
     return AlphaSet(stage, [AlphaVector(np.asarray(r, float), 0, (0,), stage)
                             for r in rows])
+
+
+def bound_B(aset, scheme, method):
+    return bound_from_switch_sets(aset, stage_switch_sets(aset, scheme, method))
 
 
 # -- LP switch test ---------------------------------------------------------
@@ -115,11 +119,12 @@ def test_oracle_seed_determinism():
 def test_switch_sets_empty_for_identity_and_singleton():
     model, stages = small_stage_sets(0)
     identity = ProjectionScheme.full(3)
-    for method in ("LP", "VS", "Oracle"):
-        assert switch_set(0, stages[-1], identity, method, samples=2000) == ()
+    for method in ("LP", "VS"):
+        assert stage_switch_sets(stages[-1], identity, method)[0] == ()
+    assert oracle_switch_sets(stages[-1], identity, samples=2000)[0] == ()
     singleton = as_set([CORRELATED])
     for method in ("LP", "VS"):
-        assert switch_set(0, singleton, lattice_root(2), method) == ()
+        assert stage_switch_sets(singleton, lattice_root(2), method)[0] == ()
 
 
 def test_switch_set_inclusion_chain():
@@ -133,6 +138,29 @@ def test_switch_set_inclusion_chain():
         assert set(or_sets[i]) <= set(vs_sets[i])
         assert set(or_sets[i]) <= set(lp_sets[i])
         assert set(vs_sets[i]) <= set(lp_sets[i])
+
+
+def test_lp_switch_decided_by_vs_and_gradient_signs():
+    """On pruned stage sets the LP test fires exactly when the VS test does
+    and alpha_i - alpha_j has a strictly positive and a strictly negative
+    entry, for every ordered pair and a random scheme per stage."""
+    pairs = positives = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        model = random_pomdp(n, 2, 2, rng, discount=0.9)
+        for aset in solve(model, 3):
+            scheme = ProjectionScheme(random_partition(n, rng))
+            basis = build_basis(scheme)
+            for i, j in itertools.permutations(range(len(aset)), 2):
+                a_i, a_j = aset.matrix[i], aset.matrix[j]
+                diff = a_i - a_j
+                algebraic = (vs_switch_test(a_i, a_j, basis).switches
+                             and diff.max() > 0.0 and diff.min() < 0.0)
+                assert lp_switch_test(a_i, a_j, scheme).switches == algebraic, (seed, i, j)
+                pairs += 1
+                positives += algebraic
+    assert pairs > 500 and 0 < positives < pairs
 
 
 def record_tests(monkeypatch, aset):
@@ -188,24 +216,6 @@ def test_one_scheme_callable_matches_fixed_scheme(monkeypatch, method):
     calls = record_tests(monkeypatch, aset)
     assert stage_switch_sets(aset, lambda i: scheme, method) == fixed
     assert sorted(calls) == list(itertools.combinations(range(m), 2))
-
-
-def test_per_region_oracle_samples_once_per_distinct_scheme(monkeypatch):
-    _, stages = small_stage_sets(1)
-    aset = stages[-1]
-    schemes = alternating_schemes(len(aset))
-    expected = [oracle_switch_sets(aset, s, samples=20_000, seed=3)[i]
-                for i, s in enumerate(schemes)]
-    calls = []
-
-    def counted(aset, scheme, *args):
-        calls.append(scheme)
-        return oracle_switch_sets(aset, scheme, *args)
-
-    monkeypatch.setattr(bounds, "oracle_switch_sets", counted)
-    got = stage_switch_sets(aset, schemes.__getitem__, "Oracle", samples=20_000, seed=3)
-    assert calls == list(dict.fromkeys(schemes))
-    assert got == expected
 
 
 def test_vs_negative_implies_pairwise_oracle_negative():
@@ -307,15 +317,6 @@ def test_bound_E_at_least_B():
         for sb in report.stages:
             assert sb.E >= sb.B - 1e-12
             assert sb.B >= 0.0 and sb.E >= 0.0
-
-
-def test_bound_E_wrapper_matches_report():
-    from beliefproj import bound_E
-    model, stages = small_stage_sets(10, horizon=2)
-    scheme = lattice_root(3)
-    per_stage = bound_E(model, stages, scheme, "VS")
-    report = compute_bounds(model, stages, scheme, method="VS")
-    assert per_stage == [s.E for s in report.stages]
 
 
 # -- vector-space identities ------------------------------------------------

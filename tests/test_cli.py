@@ -205,7 +205,17 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     ("transitions", [], "model 'transitions' must be an object keyed by action name"),
     ("observation", [], "model 'observation' must be an object keyed by action name"),
     ("discount", "x", "model discount 'x' is not a number"),
-], ids=["transitions-list", "observation-list", "discount-string"])
+    ("transitions", {"a0": 3, "a1": 3}, "transitions for 'a0' must be an object, got int"),
+    ("transitions", {"a0": {"flat": [["p"] * 4] * 4}},
+     "flat transition for 'a0' is not a table of numbers"),
+    ("observation", {"a0": [["p", "q"]] * 4},
+     "observation table for 'a0' is not a table of numbers"),
+    ("reward", ["p"] * 4, "model reward is not a table of numbers"),
+    ("variables", 2, "model 'variables' must be a list of names"),
+    ("actions", 2, "model 'actions' must be a list of names"),
+], ids=["transitions-list", "observation-list", "discount-string", "transition-entry-number",
+        "flat-strings", "observation-strings", "reward-strings", "variables-number",
+        "actions-number"])
 def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
     doc = json.loads(gen_model(tmp_path).read_text())
     doc[key] = value
@@ -221,7 +231,13 @@ def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value
     ({"method": "vs-sum", "per_region": {"abc": [["x0"], ["x1"]]}},
      "per-region key 'abc' is not 'stage:index'"),
     ([["x0"]], "scheme leaves out variables ['x1']"),
-], ids=["per-region-key", "partial-scheme"])
+    ({"method": "vs-sum", "per_region": [["x0"], ["x1"]]},
+     "search result 'per_region' must be an object keyed by 'stage:index'"),
+    ({"method": "vs-sum", "per_region": {"1:0": 5}},
+     "scheme 5 is not a list of blocks of variable names"),
+    ([[["x0"]], ["x1"]], "scheme [[['x0']], ['x1']] is not a list of blocks of variable names"),
+], ids=["per-region-key", "partial-scheme", "per-region-list", "per-region-number",
+        "nested-names"])
 def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, message):
     model = gen_model(tmp_path)
     policy = solve_policy(tmp_path, model)
@@ -230,5 +246,21 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     capsys.readouterr()
     assert run(["eval", model, policy, scheme_path, "--mode", "single", "--seed", 0,
                 "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc.__setitem__("horizon", "x"), "policy horizon 'x' is not an integer"),
+    (lambda doc: doc["stages"][0][0].__setitem__("values", ["p"] * 4),
+     "malformed stage-1 policy entry: could not convert string to float: 'p'"),
+], ids=["horizon-string", "values-strings"])
+def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
+    doc = json.loads(solve_policy(tmp_path, gen_model(tmp_path)).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["search", bad, "--method", "vs-sum", "--out", tmp_path / "s.json"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

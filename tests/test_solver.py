@@ -4,7 +4,8 @@ import pytest
 from beliefproj import (AlphaSet, AlphaVector, GuardError, Pomdp, backup,
                         brute_force_value, prune, random_belief, random_pomdp,
                         solve, value_of, zero_stage)
-from beliefproj.solver import stages_from_doc, stages_to_doc
+from beliefproj import solver
+from beliefproj.solver import stages_from_doc, stages_to_doc, undominated
 
 from conftest import two_state_model
 
@@ -84,6 +85,23 @@ def test_prune_idempotent_on_parsimonious_set():
 def test_prune_keeps_first_duplicate_and_corner_winners():
     out = prune(alpha_set([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert [tuple(v.values) for v in out.vectors] == [(1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("block", [solver.DOMINANCE_BLOCK, 7])
+def test_undominated_matches_pairwise_loop(rng, monkeypatch, block):
+    """Same cuts as keeping the first of each byte-identical row and then
+    comparing every pair, on small integer rows (many ties and duplicates)
+    with signed zeros; a small block splits the comparison into slices."""
+    monkeypatch.setattr(solver, "DOMINANCE_BLOCK", block)
+    for _ in range(200):
+        m, dim = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        mat = rng.integers(0, 3, size=(m, dim)).astype(float)
+        mat = np.where(rng.random(mat.shape) < 0.2, -mat, mat)
+        first = list({row.tobytes(): i for i, row in reversed(list(enumerate(mat)))}.values())
+        first.sort()
+        expected = [i for i in first
+                    if not any(np.all(mat[j] >= mat[i]) for j in first if j != i)]
+        assert undominated(mat).tolist() == expected
 
 
 def test_prune_preserves_upper_surface(rng):
