@@ -71,27 +71,18 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme) -> SwitchDe
         raise InputError("alpha vectors differ in dimension")
     n = dim.bit_length() - 1
     diff = alpha_i - alpha_j
-    nvar = 2 * dim + 1
-    objective = np.zeros(nvar)
+    ind = indicator_vector(constraint_family(scheme).subsets, n)
+    k = ind.shape[0]
+    rows = np.zeros((k + 3, 2 * dim + 1))
+    rows[0, :dim] = diff
+    rows[1, dim:2 * dim] = -diff
+    rows[:2, -1] = -1.0
+    rows[2:k + 2, :dim] = ind
+    rows[2:k + 2, dim:2 * dim] = -ind
+    rows[-1, :dim] = 1.0
+    objective = np.zeros(2 * dim + 1)
     objective[-1] = 1.0
-    constraints = []
-    row = np.zeros(nvar)
-    row[:dim] = diff
-    row[-1] = -1.0
-    constraints.append((row, GREATER, 0.0))
-    row = np.zeros(nvar)
-    row[dim:2 * dim] = -diff
-    row[-1] = -1.0
-    constraints.append((row, GREATER, 0.0))
-    for mask in constraint_family(scheme).subsets:
-        ind = indicator_vector(mask, n)
-        row = np.zeros(nvar)
-        row[:dim] = ind
-        row[dim:2 * dim] = -ind
-        constraints.append((row, EQUAL, 0.0))
-    row = np.zeros(nvar)
-    row[:dim] = 1.0
-    constraints.append((row, EQUAL, 1.0))
+    constraints = list(zip(rows, [GREATER] * 2 + [EQUAL] * (k + 1), [0.0] * (k + 2) + [1.0]))
     lower = [0.0] * (2 * dim) + [None]
     result = solve_lp(LinearProgram(objective, constraints, lower=lower))
     if result.status != "optimal":

@@ -1,8 +1,14 @@
-"""Small dense linear program solver (two-phase primal simplex, Bland's rule).
+"""Small dense linear program solver (two-phase primal simplex).
 
 Built for the many small programs this package solves (dominance pruning and
 switch tests): deterministic pivoting, explicit statuses, and explicit
 numerical-failure errors rather than silent infeasibility.
+
+Pricing enters the column of largest reduced cost (Dantzig's rule), which
+takes far fewer pivots than the lowest-index rule on these programs. The
+lowest-index rule (Bland's) is kept as the anti-cycling fallback: it takes
+over after a run of degenerate pivots and cannot cycle, so every solve
+terminates.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 
 FEAS_TOL = 1e-9
+DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
+PIVOT_REL = 1e-3  # smallest tied pivot entry kept, relative to the largest
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -53,41 +61,67 @@ class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     value: float | None = None
+    pivots: int = 0  # basis changes made, over both phases
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
+    others = T[:, col].nonzero()[0]
+    others = others[others != row]
+    T[others] -= T[others, col][:, np.newaxis] * T[row]
     if r[col] != 0.0:
         r -= r[col] * T[row, :-1]
     basis[row] = col
 
 
+def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int, tol: float) -> tuple[int, float]:
+    """Minimum-ratio row for the entering column and its ratio, or (-1, inf)
+    when the column has no entry above ``tol``.
+
+    Ratios within ``tol`` of the best tie, and a tie goes to the row whose
+    basic column has the lowest index, unless that row's entry is below
+    ``PIVOT_REL`` times the largest tied entry: then the tie goes to the
+    lowest basic column among the tied rows whose entries are not. Dividing
+    by an entry that small next to a usable one blows the tableau up.
+    """
+    rows = (T[:, enter] > tol).nonzero()[0]
+    entries = T[rows, enter]
+    ratios = T[rows, -1] / entries
+    leave, leave_col, best = -1, -1, np.inf
+    for i, col, ratio in zip(rows.tolist(), basis[rows].tolist(), ratios.tolist()):
+        if leave < 0 or ratio < best - tol:
+            leave, leave_col, best = i, col, ratio
+        elif ratio <= best + tol and col < leave_col:
+            leave, leave_col, best = i, col, min(best, ratio)
+    if leave >= 0:
+        tied = ratios <= best + tol
+        floor = PIVOT_REL * entries[tied].max()
+        if T[leave, enter] < floor:
+            stable = np.flatnonzero(tied & (entries >= floor))
+            k = stable[np.argmin(basis[rows[stable]])]
+            leave, best = int(rows[k]), float(ratios[k])
+    return leave, best
+
+
 def _run_simplex(T, basis, cost, tol, max_iter):
-    """Bland-rule simplex on a canonical tableau; returns "optimal"/"unbounded"."""
-    ncols = T.shape[1] - 1
+    """Simplex on a canonical tableau; returns ("optimal" | "unbounded", pivots).
+
+    Enters the column of largest reduced cost, lowest index on ties. After
+    ``DEGENERATE_RUN`` consecutive degenerate pivots it enters the lowest-index
+    improving column (Bland's rule) until a pivot moves the vertex again.
+    """
     r = cost - (cost[basis] @ T[:, :-1] if len(basis) else 0.0)
-    for _ in range(max_iter):
-        enter = -1
-        for j in range(ncols):
-            if r[j] > tol:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = np.inf
-        for i in range(T.shape[0]):
-            if T[i, enter] > tol:
-                ratio = T[i, -1] / T[i, enter]
-                if leave < 0 or ratio < best - tol:
-                    best, leave = ratio, i
-                elif ratio <= best + tol and basis[i] < basis[leave]:
-                    best, leave = min(best, ratio), i
+    if r.size == 0:
+        return "optimal", 0
+    degenerate = 0
+    for pivots in range(max_iter):
+        enter = int((r if degenerate < DEGENERATE_RUN else r > tol).argmax())
+        if r[enter] <= tol:
+            return "optimal", pivots
+        leave, step = _leaving_row(T, basis, enter, tol)
         if leave < 0:
-            return "unbounded"
+            return "unbounded", pivots
+        degenerate = degenerate + 1 if step <= tol else 0
         _pivot(T, r, basis, leave, enter)
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
@@ -95,117 +129,82 @@ def _run_simplex(T, basis, cost, tol, max_iter):
 def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     """Solve the program; statuses are explicit and pivoting is deterministic."""
     n = lp.objective.shape[0]
-
-    # shift finite lower bounds to zero and collect rows in shifted space
+    free = np.array([lo is None for lo in lp.lower], dtype=bool)
     shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
-    free = [lo is None for lo in lp.lower]
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        coeffs = np.asarray(coeffs, dtype=float)
-        rows.append((coeffs, rel, float(rhs) - float(coeffs @ shift)))
-    for j in range(n):
-        if lp.upper[j] is not None:
-            cap = np.zeros(n)
-            cap[j] = 1.0
-            rows.append((cap, LESS, float(lp.upper[j]) - shift[j]))
+    capped = [j for j in range(n) if lp.upper[j] is not None]
 
-    # split free variables into positive/negative parts
-    col_plus = np.zeros(n, dtype=int)
-    col_minus = np.full(n, -1, dtype=int)
-    ncols = 0
-    for j in range(n):
-        col_plus[j] = ncols
-        ncols += 1
-        if free[j]:
-            col_minus[j] = ncols
-            ncols += 1
-
-    m = len(rows)
-    A = np.zeros((m, ncols))
-    rel_list = []
+    # constraint rows, then one <= row per finite upper bound, in shifted space
+    k = len(lp.constraints)
+    m = k + len(capped)
+    C = np.zeros((m, n))
     b = np.zeros(m)
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = np.zeros(ncols)
-        row[col_plus] = coeffs
-        for j in range(n):
-            if free[j]:
-                row[col_minus[j]] = -coeffs[j]
-        if rhs < 0.0:
-            row, rhs = -row, -rhs
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-        A[i] = row
-        b[i] = rhs
-        rel_list.append(rel)
+    if k:
+        C[:k] = [coeffs for coeffs, _rel, _rhs in lp.constraints]
+        b[:k] = [float(rhs) for _coeffs, _rel, rhs in lp.constraints]
+    C[np.arange(k, m), capped] = 1.0
+    b[k:] = [float(lp.upper[j]) for j in capped]
+    b -= C @ shift
+    rels = [rel for _coeffs, rel, _rhs in lp.constraints] + [LESS] * len(capped)
+    less = np.array([rel == LESS for rel in rels], dtype=bool)
+    equal = np.array([rel == EQUAL for rel in rels], dtype=bool)
+    # a negative right-hand side flips its row and swaps <= with >=
+    neg = b < 0.0
+    C[neg] = -C[neg]
+    b[neg] = -b[neg]
+    less = np.where(neg, ~less & ~equal, less)
 
-    cost = np.zeros(ncols)
-    cost[col_plus] = lp.objective
-    for j in range(n):
-        if free[j]:
-            cost[col_minus[j]] = -lp.objective[j]
+    # free variables split into a positive part and a negative part next to it
+    col_plus = np.arange(n) + np.cumsum(free) - free
+    col_minus = col_plus[free] + 1
+    ncols = n + int(free.sum())
 
-    # slack / surplus / artificial columns
-    n_slack = sum(1 for rel in rel_list if rel == LESS)
-    n_surplus = sum(1 for rel in rel_list if rel == GREATER)
-    n_art = sum(1 for rel in rel_list if rel != LESS)
-    total = ncols + n_slack + n_surplus + n_art
+    # slack (<=) or surplus (>=) column per inequality, artificial per row not <=
+    art_start = ncols + int(np.count_nonzero(~equal))
+    total = art_start + int(np.count_nonzero(~less))
+    slack = ncols + np.cumsum(~equal) - 1
+    art = art_start + np.cumsum(~less) - 1
+    rows = np.arange(m)
     T = np.zeros((m, total + 1))
-    T[:, :ncols] = A
+    T[:, col_plus] = C
+    T[:, col_minus] = -C[:, free]
     T[:, -1] = b
-    basis = np.zeros(m, dtype=int)
-    si = ncols
-    ai = ncols + n_slack + n_surplus
-    art_start = ai
-    for i, rel in enumerate(rel_list):
-        if rel == LESS:
-            T[i, si] = 1.0
-            basis[i] = si
-            si += 1
-        else:
-            if rel == GREATER:
-                T[i, si] = -1.0
-                si += 1
-            T[i, ai] = 1.0
-            basis[i] = ai
-            ai += 1
+    T[rows[~equal], slack[~equal]] = np.where(less, 1.0, -1.0)[~equal]
+    T[rows[~less], art[~less]] = 1.0
+    basis = np.where(less, slack, art)
 
     max_iter = 10_000 + 200 * (m + total)
+    pivots = 0
 
-    if n_art:
+    if art_start < total:
         cost1 = np.zeros(total)
         cost1[art_start:] = -1.0
-        status = _run_simplex(T, basis, cost1, tol, max_iter)
+        status, pivots = _run_simplex(T, basis, cost1, tol, max_iter)
         if status != "optimal":
             raise NumericalError("phase-1 simplex reported unbounded; program is malformed")
         if float(cost1[basis] @ T[:, -1]) < -tol:
-            return LpResult("infeasible")
+            return LpResult("infeasible", pivots=pivots)
         # drive remaining artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                pivot_col = -1
-                for j in range(art_start):
-                    if abs(T[i, j]) > tol:
-                        pivot_col = j
-                        break
-                if pivot_col < 0:
-                    keep[i] = False
-                else:
-                    dummy = np.zeros(total)
-                    _pivot(T, dummy, basis, i, pivot_col)
-        T = T[keep]
+        for i in np.flatnonzero(basis >= art_start):
+            pivot_cols = np.flatnonzero(np.abs(T[i, :art_start]) > tol)
+            if pivot_cols.size:
+                _pivot(T, np.zeros(total), basis, i, int(pivot_cols[0]))
+                pivots += 1
+            else:
+                keep[i] = False
+        T = np.delete(T[keep], np.s_[art_start:total], axis=1)
         basis = basis[keep]
-        T = np.delete(T, np.s_[art_start:total], axis=1)
 
     cost2 = np.zeros(T.shape[1] - 1)
-    cost2[:ncols] = cost
-    status = _run_simplex(T, basis, cost2, tol, max_iter)
+    cost2[col_plus] = lp.objective
+    cost2[col_minus] = -lp.objective[free]
+    status, phase2 = _run_simplex(T, basis, cost2, tol, max_iter)
+    pivots += phase2
     if status == "unbounded":
-        return LpResult("unbounded")
+        return LpResult("unbounded", pivots=pivots)
 
     full = np.zeros(T.shape[1] - 1)
     full[basis] = T[:, -1]
     x = shift + full[col_plus]
-    for j in range(n):
-        if free[j]:
-            x[j] -= full[col_minus[j]]
-    return LpResult("optimal", x, float(lp.objective @ x))
+    x[free] -= full[col_minus]
+    return LpResult("optimal", x, float(lp.objective @ x), pivots)

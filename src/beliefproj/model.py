@@ -137,7 +137,11 @@ def _names(spec: dict, key: str) -> tuple[str, ...]:
 
 def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) -> np.ndarray:
     """Per-state probability that ``var`` is true next step, from a CPT entry."""
+    if not isinstance(cpt, dict):
+        raise InputError(f"cpt for {var!r} must be an object, got {type(cpt).__name__}")
     parents = cpt.get("parents", [])
+    if not isinstance(parents, list):
+        raise InputError(f"cpt parents for {var!r} must be a list of variable names")
     for p in parents:
         if p not in variables:
             raise InputError(f"cpt for {var!r} references undeclared parent {p!r}")
@@ -221,6 +225,9 @@ def compile_model(spec: dict) -> Pomdp:
             if table.shape != (s, s):
                 raise InputError(f"flat transition for {a!r} has shape {table.shape}, expected {(s, s)}")
         elif "cpts" in entry:
+            if not isinstance(entry["cpts"], dict):
+                raise InputError(f"cpts for {a!r} must be an object keyed by variable name, "
+                                 f"got {type(entry['cpts']).__name__}")
             table = _transition_from_cpts(entry["cpts"], variables)
         else:
             raise InputError(f"transitions for {a!r} need either 'flat' or 'cpts'")

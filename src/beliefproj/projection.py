@@ -153,10 +153,12 @@ def walsh_vector(mask: int, n: int) -> np.ndarray:
     return np.where(parity == 0, scale, -scale)
 
 
-def indicator_vector(mask: int, n: int) -> np.ndarray:
-    """0/1 vector marking states where every variable of the subset is true."""
+def indicator_vector(mask, n: int) -> np.ndarray:
+    """0/1 vector marking states where every variable of the subset is true;
+    given a sequence of masks, one such row per mask."""
     states = np.arange(num_states(n), dtype=np.uint64)
-    return ((states & np.uint64(mask)) == np.uint64(mask)).astype(float)
+    masks = np.asarray(mask, dtype=np.uint64)[..., np.newaxis]
+    return ((states & masks) == masks).astype(float)
 
 
 def build_basis(scheme_or_blocks, n: int | None = None) -> WalshBasis:

@@ -228,8 +228,13 @@ def stages_to_doc(stages: list[AlphaSet]) -> list:
 
 
 def stages_from_doc(doc: list) -> list[AlphaSet]:
+    if not isinstance(doc, list):
+        raise InputError(f"policy 'stages' must be a list of stages, got {type(doc).__name__}")
     stages = []
     for k, entries in enumerate(doc, start=1):
+        if not isinstance(entries, list):
+            raise InputError(f"stage {k} of the policy must be a list of entries, "
+                             f"got {type(entries).__name__}")
         vectors = []
         for e in entries:
             try:

@@ -213,9 +213,15 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     ("reward", ["p"] * 4, "model reward is not a table of numbers"),
     ("variables", 2, "model 'variables' must be a list of names"),
     ("actions", 2, "model 'actions' must be a list of names"),
+    ("transitions", {"a0": {"cpts": {"x0": 3, "x1": 3}}}, "cpt for 'x0' must be an object, got int"),
+    ("transitions", {"a0": {"cpts": {"x0": {"parents": 1, "rows": [[0.5, 0.5]] * 2},
+                                     "x1": {"rows": [[0.5, 0.5]]}}}},
+     "cpt parents for 'x0' must be a list of variable names"),
+    ("transitions", {"a0": {"cpts": []}},
+     "cpts for 'a0' must be an object keyed by variable name, got list"),
 ], ids=["transitions-list", "observation-list", "discount-string", "transition-entry-number",
         "flat-strings", "observation-strings", "reward-strings", "variables-number",
-        "actions-number"])
+        "actions-number", "cpt-entry-number", "cpt-parents-number", "cpts-list"])
 def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
     doc = json.loads(gen_model(tmp_path).read_text())
     doc[key] = value
@@ -254,7 +260,10 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     (lambda doc: doc.__setitem__("horizon", "x"), "policy horizon 'x' is not an integer"),
     (lambda doc: doc["stages"][0][0].__setitem__("values", ["p"] * 4),
      "malformed stage-1 policy entry: could not convert string to float: 'p'"),
-], ids=["horizon-string", "values-strings"])
+    (lambda doc: doc.__setitem__("stages", 3), "policy 'stages' must be a list of stages, got int"),
+    (lambda doc: doc["stages"].__setitem__(0, 3),
+     "stage 1 of the policy must be a list of entries, got int"),
+], ids=["horizon-string", "values-strings", "stages-number", "stage-number"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     doc = json.loads(solve_policy(tmp_path, gen_model(tmp_path)).read_text())
     edit(doc)

@@ -1,15 +1,18 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beliefproj import LinearProgram, solve_lp
+from beliefproj import LinearProgram, NumericalError, lpcore, solve_lp
 
 
 def test_simple_bound():
     result = solve_lp(LinearProgram(np.array([1.0]), [(np.array([1.0]), "<=", 3.0)]))
     assert result.status == "optimal"
     assert result.value == pytest.approx(3.0, abs=1e-9)
+    assert result.pivots == 1
 
 
 def test_infeasible():
@@ -113,3 +116,39 @@ def test_bit_for_bit_determinism():
     r2 = solve_lp(LinearProgram(c, rows))
     assert r1.value == r2.value
     assert r1.x.tobytes() == r2.x.tobytes()
+
+
+def test_beale_cycling_program_terminates(monkeypatch):
+    # Beale (1955): largest-coefficient pricing with lowest-index ratio ties
+    # cycles through degenerate bases here; the lowest-index fallback escapes
+    lp = LinearProgram(np.array([0.75, -20.0, 0.5, -6.0]), [
+        (np.array([0.25, -8.0, -1.0, 9.0]), "<=", 0.0),
+        (np.array([0.5, -12.0, -0.5, 3.0]), "<=", 0.0),
+        (np.array([0.0, 0.0, 1.0, 0.0]), "<=", 1.0),
+    ])
+    result = solve_lp(lp)
+    assert result.status == "optimal"
+    assert result.value == pytest.approx(1.25, abs=1e-9)
+    np.testing.assert_allclose(result.x, [1.0, 0.0, 1.0, 0.0], atol=1e-9)
+    assert result.pivots > lpcore.DEGENERATE_RUN
+
+    monkeypatch.setattr(lpcore, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(NumericalError, match="did not converge"):
+        solve_lp(lp)
+
+
+def test_witness_program_that_once_failed_phase_one():
+    # a 24x65 witness LP from pruning stage 4 of random_pomdp(6, 2, 3, seed 7,
+    # discount 0.9), coefficients 2e-5..1.2; the lowest-index rule reported a
+    # phase-1 "unbounded" on it at tol 1e-9 and 1e-10; HiGHS: 4.9068e-4
+    diffs = np.array(json.loads(
+        (Path(__file__).parent / "data" / "witness_lp_24x65.json").read_text())["diffs"])
+    dim = diffs.shape[1]
+    constraints = [(np.append(row, -1.0), ">=", 0.0) for row in diffs]
+    constraints.append((np.append(np.ones(dim), 0.0), "=", 1.0))
+    objective = np.zeros(dim + 1)
+    objective[-1] = 1.0
+    for tol in (1e-8, 1e-9, 1e-10):
+        result = solve_lp(LinearProgram(objective, constraints, lower=[0.0] * dim + [None]), tol)
+        assert result.status == "optimal"
+        assert result.value == pytest.approx(4.906811737730672e-4, abs=1e-12)

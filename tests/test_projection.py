@@ -250,3 +250,5 @@ def test_mask_helpers():
     assert indices_of(mask_of([0, 3])) == (0, 3)
     np.testing.assert_array_equal(indicator_vector(mask_of([0]), 2),
                                   [0.0, 1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(indicator_vector((0, mask_of([0]), mask_of([0, 1])), 2),
+                                  [[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]])

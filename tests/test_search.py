@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from beliefproj import (InputError, ProjectionScheme, build_basis,
+from beliefproj import (InputError, ProjectionScheme, bounds, build_basis,
                         estimator_max, estimator_sum, incremental_scores,
                         lattice_children, lattice_root, random_pomdp,
-                        residual_sq_length, solve, vs_search, walsh_vector)
+                        residual_sq_length, solve, solve_lp, vs_search, walsh_vector)
 from beliefproj.search import (SearchConfig, _scoped_bound, greedy_bound_search,
                                result_from_doc, run_search)
 from beliefproj.solver import AlphaSet, AlphaVector
@@ -196,3 +196,20 @@ def test_unknown_method_rejected():
         SearchConfig(method="b-oracle")
     with pytest.raises(InputError):
         SearchConfig(method="b-vs", scope="middle")
+
+
+def test_b_lp_switch_lps_take_at_most_half_the_lowest_index_pivots(monkeypatch):
+    # random_pomdp(6, 2, 2, rng 1000) at horizon 3 makes 667 switch LPs under
+    # b-lp; lowest-index pricing took 86,792 pivots over them
+    model = random_pomdp(6, 2, 2, np.random.default_rng(1000))
+    stages = solve(model, 3)
+    pivots = []
+
+    def counted(lp):
+        result = solve_lp(lp)
+        pivots.append(result.pivots)
+        return result
+    monkeypatch.setattr(bounds, "solve_lp", counted)
+    run_search(model, stages, SearchConfig(method="b-lp"))
+    assert len(pivots) == 667
+    assert sum(pivots) <= 86_792 // 2

@@ -184,6 +184,17 @@ def test_solve_agrees_with_expectimax_oracle(rng):
         assert got == pytest.approx(brute_force_value(model, b, 3), abs=1e-8)
 
 
+def test_solve_six_variables_three_observations_matches_expectimax(rng):
+    # `gen --vars 6 --actions 2 --obs 3 --seed 7 --discount 0.9`, `solve --horizon 4`:
+    # one stage-4 witness LP used to end in a false phase-1 "unbounded" (exit 4)
+    model = random_pomdp(6, 2, 3, np.random.default_rng(7), discount=0.9)
+    stages = solve(model, 4)
+    for _ in range(20):
+        b = random_belief(64, rng)
+        got, _ = value_of(b, stages[-1])
+        assert got == pytest.approx(brute_force_value(model, b, 4), abs=1e-9)
+
+
 def test_brute_force_base_cases():
     model = two_state_model()
     b = np.array([0.25, 0.75])
