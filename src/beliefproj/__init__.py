@@ -2,9 +2,8 @@
 
 from .errors import (GuardError, InputError, NumericalError,
                      ZeroProbabilityObservation)
-from .model import (Pomdp, as_belief, belief_update, compile_model,
-                    model_to_spec, observation_probabilities, predicted_belief,
-                    value_of)
+from .model import (Pomdp, belief_update, compile_model, model_to_spec,
+                    observation_probabilities, predicted_belief, value_of)
 from .projection import (ConstraintFamily, ProjectionScheme, WalshBasis,
                          build_basis, constraint_family, displacement,
                          lattice_children, lattice_root, marginal_true, project,

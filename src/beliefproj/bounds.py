@@ -34,7 +34,6 @@ METHODS = ("LP", "VS")
 @dataclass(frozen=True)
 class SwitchDecision:
     switches: bool
-    method: str
     objective: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -89,7 +88,7 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme) -> SwitchDe
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
     switches = result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
-    return SwitchDecision(switches, "LP", float(result.value), witness)
+    return SwitchDecision(switches, float(result.value), witness)
 
 
 def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:
@@ -98,7 +97,7 @@ def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) 
     diff = alpha_i - alpha_j
     residual = residual_sq_length(diff, basis)
     eps_sq = (SWITCH_TOL ** 2) * float(diff @ diff)
-    return SwitchDecision(residual > eps_sq, "VS", residual)
+    return SwitchDecision(residual > eps_sq, residual)
 
 
 def _pre_post_winners(aset: AlphaSet, scheme: ProjectionScheme,
@@ -118,7 +117,7 @@ def oracle_switch_test(i: int, j: int, aset: AlphaSet, scheme: ProjectionScheme,
     evidence. The pairwise variant ignores every other vector in the set.
     """
     if i == j:
-        return SwitchDecision(False, "Oracle", 0.0)
+        return SwitchDecision(False, 0.0)
     if pairwise:
         rng = np.random.default_rng(seed)
         beliefs = sample_beliefs(aset.matrix.shape[1], samples, rng)
@@ -135,13 +134,13 @@ def oracle_switch_test(i: int, j: int, aset: AlphaSet, scheme: ProjectionScheme,
         hits = (pre == i) & (post == j)
     count = int(hits.sum())
     if count == 0:
-        return SwitchDecision(False, "Oracle", 0.0)
+        return SwitchDecision(False, 0.0)
     first = int(np.flatnonzero(hits)[0])
     if pairwise:
         witness = (beliefs[first], projected[first])
     else:
         witness = (beliefs[first], project_batch(beliefs[first:first + 1], scheme)[0])
-    return SwitchDecision(True, "Oracle", count / samples, witness)
+    return SwitchDecision(True, count / samples, witness)
 
 
 def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
@@ -211,15 +210,16 @@ def _minimal_members(members: list[np.ndarray]) -> list[np.ndarray]:
     return [members[i] for i in undominated(-np.stack(members))]
 
 
-def alt_sets(model: Pomdp, stage_sets: list[AlphaSet], switch_sets_per_stage,
-             guard: int = ALT_GUARD) -> list[list[list[np.ndarray]]]:
+def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
+             switch_sets_per_stage) -> list[list[list[np.ndarray]]]:
     """Alternative-plan value vectors per stage per vector.
 
     Stage 1 alternatives are the vector itself plus its switch targets. At
     stage k the plan may first switch at the root, then substitute any
     alternative subplan per observation; every reachable plan's value vector
     is produced by the backup formula. Each set is reduced to its pointwise-
-    minimal members, which leaves the E bound unchanged.
+    minimal members, which leaves the E bound unchanged. A set that would
+    enumerate more than ``ALT_GUARD`` members raises GuardError.
     """
     alts: list[list[list[np.ndarray]]] = []
     for k, aset in enumerate(stage_sets):
@@ -251,9 +251,9 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet], switch_sets_per_stage,
                     combos = 1
                     for lst in per_z:
                         combos *= len(lst)
-                    if len(members) + combos > guard:
-                        raise GuardError(
-                            f"alternative set for stage {k + 1} vector {i} exceeds {guard} members")
+                    if len(members) + combos > ALT_GUARD:
+                        raise GuardError(f"alternative set for stage {k + 1} vector {i} "
+                                         f"exceeds {ALT_GUARD} members")
                     for picks in product(*per_z):
                         acc = picks[0].copy()
                         for extra in picks[1:]:
@@ -287,8 +287,6 @@ class StageBounds:
 
 @dataclass
 class BoundsReport:
-    method: str
-    scheme_source: object
     stages: list[StageBounds]
 
     @property
@@ -299,20 +297,6 @@ class BoundsReport:
     def max_E(self) -> float:
         return max(s.E for s in self.stages)
 
-    def to_doc(self, variables) -> dict:
-        return {
-            "method": self.method,
-            "scheme": scheme_source_doc(self.scheme_source, variables),
-            "per_stage": [
-                {"stage": s.stage, "B": s.B, "E": s.E,
-                 "switch_sets": [list(sw) for sw in s.switch_sets],
-                 "alt_set_sizes": s.alt_set_sizes}
-                for s in self.stages
-            ],
-            "B": self.max_B,
-            "E": self.max_E,
-        }
-
 
 def scheme_source_doc(scheme_source, variables):
     """Names-based JSON form of a global scheme or per-region scheme map."""
@@ -322,19 +306,18 @@ def scheme_source_doc(scheme_source, variables):
             for (stage, idx), scheme in sorted(scheme_source.items())}
 
 
-def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                   method: str = "VS", *, alt_guard: int = ALT_GUARD) -> BoundsReport:
-    """Per-stage switch sets with their B bounds and, through the
+def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet], scheme_source) -> BoundsReport:
+    """Per-stage VS switch sets with their B bounds and, through the
     alternative-set recursion, E bounds."""
     lookup = scheme_lookup(scheme_source)
     basis_cache: dict = {}
     sw_per_stage = [
-        stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), method,
+        stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), "VS",
                           basis_cache=basis_cache)
         for aset in stage_sets]
-    alts = alt_sets(model, stage_sets, sw_per_stage, guard=alt_guard)
+    alts = alt_sets(model, stage_sets, sw_per_stage)
     stages = [StageBounds(aset.stage, bound_from_switch_sets(aset, sw),
                           bound_E_from_alts(aset, stage_alts), sw,
                           [len(members) for members in stage_alts])
               for aset, sw, stage_alts in zip(stage_sets, sw_per_stage, alts)]
-    return BoundsReport(method, scheme_source, stages)
+    return BoundsReport(stages)

@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
 def cmd_search(args) -> int:
     started = time.perf_counter()
     model, stages = _load_policy(args.policy)
-    config = SearchConfig(method=args.method, scope=args.scope, alt_guard=args.alt_guard)
+    config = SearchConfig(method=args.method, scope=args.scope)
     result = run_search(model, stages, config)
     _write_json(args.out, result.to_doc(model.variables))
     if result.scheme is not None:
@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("--method", choices=ALL_METHODS, required=True)
     p.add_argument("--scope", choices=["last", "all"], default="all")
-    p.add_argument("--alt-guard", type=int, default=100_000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 

@@ -40,7 +40,6 @@ EVAL_BLOCK = 64
 @dataclass
 class EvalConfig:
     num_beliefs: int = 5000
-    horizon: int | None = None  # defaults to the number of solved stages
     seed: int = 0
     mode: str = "successive"
 
@@ -56,10 +55,10 @@ class EvalReport:
     method: str
     mode: str
     average_loss: float
-    bound_B: float | None
-    bound_E: float | None
-    per_stage_B: list | None
-    per_stage_E: list | None
+    bound_B: float
+    bound_E: float
+    per_stage_B: list
+    per_stage_E: list
     num_beliefs: int
     seed: int
     horizon: int
@@ -264,18 +263,17 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
 
 
 def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                  cfg: EvalConfig, method: str = "scheme",
-                  include_bounds: bool = True) -> EvalReport:
-    """Mean decision loss over random initial beliefs, with the scheme's B/E
-    bounds (VS switch tests) attached for the same instance.
+                  cfg: EvalConfig, method: str = "scheme") -> EvalReport:
+    """Mean decision loss over random initial beliefs at the full solved
+    horizon, with the scheme's B/E bounds (VS switch tests) attached for the
+    same instance.
 
     The beliefs are drawn ``EVAL_BLOCK`` rows at a time from one generator,
     so they are the same beliefs as ``num_beliefs`` successive
     :func:`random_belief` draws, whatever the block size.
     """
-    horizon = len(stage_sets) if cfg.horizon is None else cfg.horizon
+    horizon = len(stage_sets)
     _check_tree(model, stage_sets, horizon, BRANCH_GUARD)
-    stage_sets = stage_sets[:horizon]
     start = time.perf_counter()
     lookup = scheme_lookup(scheme_source)
     rng = np.random.default_rng(cfg.seed)
@@ -289,15 +287,11 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))
-    bound_b = bound_e = per_b = per_e = None
-    if include_bounds:
-        report = compute_bounds(model, stage_sets, scheme_source, method="VS")
-        bound_b, bound_e = report.max_B, report.max_E
-        per_b = [s.B for s in report.stages]
-        per_e = [s.E for s in report.stages]
+    bounds = compute_bounds(model, stage_sets, scheme_source)
     return EvalReport(
         method=method, mode=cfg.mode, average_loss=avg,
-        bound_B=bound_b, bound_E=bound_e, per_stage_B=per_b, per_stage_E=per_e,
+        bound_B=bounds.max_B, bound_E=bounds.max_E,
+        per_stage_B=[s.B for s in bounds.stages], per_stage_E=[s.E for s in bounds.stages],
         num_beliefs=cfg.num_beliefs, seed=cfg.seed, horizon=horizon,
         n_vars=model.n_vars,
         scheme_doc=scheme_source_doc(scheme_source, model.variables),

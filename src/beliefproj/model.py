@@ -12,13 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ZeroProbabilityObservation
+from .errors import GuardError, InputError, ZeroProbabilityObservation
 
 ROW_SUM_TOL = 1e-9
 CPT_ROW_TOL = 1e-6
 ZERO_OBS_TOL = 1e-12
 
 MAX_VARIABLES = 20
+# entries of the dense transition and observation tables, |A| (4^n + 2^n |Z|);
+# 2^27 float64 entries are 1 GiB
+MAX_TABLE_ENTRIES = 1 << 27
 
 
 def num_states(n_vars: int) -> int:
@@ -28,21 +31,6 @@ def num_states(n_vars: int) -> int:
 def state_bit(states, var: int):
     """Truth value (0/1) of variable ``var`` in each state index."""
     return (np.asarray(states) >> var) & 1
-
-
-def as_belief(probs, dim: int | None = None) -> np.ndarray:
-    """Validate and return a belief vector (entries >= 0, sum 1 within 1e-9)."""
-    b = np.asarray(probs, dtype=float)
-    if b.ndim != 1:
-        raise InputError(f"belief must be a vector, got shape {b.shape}")
-    if dim is not None and b.shape[0] != dim:
-        raise InputError(f"belief has dimension {b.shape[0]}, expected {dim}")
-    if np.any(b < -1e-12):
-        raise InputError("belief has negative entries")
-    total = float(b.sum())
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise InputError(f"belief sums to {total}, expected 1")
-    return b
 
 
 def sample_beliefs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,6 +200,11 @@ def compile_model(spec: dict) -> Pomdp:
     observations = _names(spec, "observations")
     n = len(variables)
     s = num_states(n)
+    entries = len(actions) * (s * s + s * len(observations))
+    if entries > MAX_TABLE_ENTRIES:
+        raise GuardError(f"dense tables of {n} variables, {len(actions)} actions and "
+                         f"{len(observations)} observations need {entries} entries, "
+                         f"above the cap of {MAX_TABLE_ENTRIES}")
 
     trans = np.empty((len(actions), s, s))
     for ai, a in enumerate(actions):

@@ -29,16 +29,6 @@ def mask_of(indices) -> int:
     return m
 
 
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask >> i:
-        if (mask >> i) & 1:
-            out.append(i)
-        i += 1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ProjectionScheme:
     """A partition of variables 0..n-1 into disjoint nonempty blocks."""

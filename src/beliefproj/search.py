@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .bounds import (ALT_GUARD, alt_sets, bound_E_from_alts, bound_from_switch_sets,
+from .bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                      scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, build_basis, lattice_children,
@@ -34,7 +34,6 @@ ALL_METHODS = BOUND_METHODS + ESTIMATOR_METHODS
 class SearchConfig:
     method: str
     scope: str = "all"  # "last" | "all"
-    alt_guard: int = ALT_GUARD
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
@@ -173,33 +172,35 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
 
 
 def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str,
-                  test: str, scope: str, alt_guard: int, basis_cache: dict,
-                  positives=None):
+                  test: str, scope: str, basis_cache: dict, positives=None):
     """Aggregate bound of one lattice node over the stage scope.
 
-    Returns (value, per-stage positive pair sets) so children can retest only
-    pairs still positive at the parent (switch tests are monotone along edges).
+    Returns (value, positive pair sets per tested stage) so children can
+    retest only pairs still positive at the parent (switch tests are monotone
+    along edges). B reads only the switch sets of the stages in scope, so
+    only those are tested; E's alternative sets recurse through every stage.
     """
+    scoped = stage_sets[-1:] if scope == "last" else stage_sets
+    tested = scoped if bound == "B" else stage_sets
     sw_per_stage = []
     new_positives = []
-    for s_idx, aset in enumerate(stage_sets):
+    for s_idx, aset in enumerate(tested):
         cands = positives[s_idx] if positives is not None else None
         sw = stage_switch_sets(aset, scheme, test, candidates=cands,
                                basis_cache=basis_cache)
         sw_per_stage.append(sw)
         new_positives.append({(i, j) for i, s in enumerate(sw) for j in s if i < j})
-    scoped = [len(stage_sets) - 1] if scope == "last" else range(len(stage_sets))
     if bound == "B":
-        value = max(bound_from_switch_sets(stage_sets[k], sw_per_stage[k]) for k in scoped)
+        value = max(bound_from_switch_sets(aset, sw) for aset, sw in zip(tested, sw_per_stage))
     else:
-        alts = alt_sets(model, stage_sets, sw_per_stage, guard=alt_guard)
-        value = max(bound_E_from_alts(stage_sets[k], alts[k]) for k in scoped)
+        alts = alt_sets(model, stage_sets, sw_per_stage)
+        value = max(bound_E_from_alts(aset, stage_alts)
+                    for aset, stage_alts in zip(scoped, alts[-len(scoped):]))
     return value, new_positives
 
 
 def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "B",
-                        test: str = "LP", scope: str = "all",
-                        alt_guard: int = ALT_GUARD) -> SearchResult:
+                        test: str = "LP", scope: str = "all") -> SearchResult:
     """Greedy descent minimizing the chosen loss bound; returns one scheme."""
     if bound not in ("B", "E"):
         raise InputError(f"unknown bound {bound!r}")
@@ -209,8 +210,8 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
     basis_cache: dict = {}
 
     def score(node, mask, positives):
-        return _scoped_bound(model, stage_sets, node, bound, test, scope, alt_guard,
-                             basis_cache, positives)
+        return _scoped_bound(model, stage_sets, node, bound, test, scope, basis_cache,
+                             positives)
 
     value, positives = score(lattice_root(n), None, None)
     node, trace = _descend(n, value, positives, score, "bound")
@@ -227,6 +228,6 @@ def run_search(model: Pomdp, stage_sets: list[AlphaSet],
     else:
         bound, test = config.method.split("-")
         result = greedy_bound_search(model, stage_sets, bound.upper(), test.upper(),
-                                     config.scope, config.alt_guard)
+                                     config.scope)
     result.elapsed_seconds = time.perf_counter() - start
     return result

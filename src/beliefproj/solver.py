@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import GuardError, InputError
-from .lpcore import EQUAL, GREATER, LinearProgram, solve_lp
+from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
 from .model import Pomdp, belief_update, observation_probabilities
 
 BACKUP_CAP = 1_000_000
@@ -98,7 +98,9 @@ def backup(model: Pomdp, prev: AlphaSet, cap: int = BACKUP_CAP) -> AlphaSet:
 def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.ndarray | None:
     """Belief where ``target`` strictly beats every vector in ``others``, or None.
 
-    Solves: max x s.t. b.(target - w) >= x for all w, b on the simplex.
+    Solves: max x s.t. b.(w - target) + x <= 0 for all w, b on the simplex.
+    In this form the slack basis is feasible for every row but ``sum b = 1``,
+    so phase 1 has a single artificial to drive out.
     """
     dim = target.shape[0]
     if not others:
@@ -108,8 +110,8 @@ def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.nda
     objective[-1] = 1.0
     constraints = []
     for w in others:
-        row = np.concatenate([target - w, [-1.0]])
-        constraints.append((row, GREATER, 0.0))
+        row = np.concatenate([w - target, [1.0]])
+        constraints.append((row, LESS, 0.0))
     simplex_row = np.concatenate([np.ones(dim), [0.0]])
     constraints.append((simplex_row, EQUAL, 1.0))
     lower = [0.0] * dim + [None]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from beliefproj import (LpResult, NumericalError, ProjectionScheme, bounds,
+from beliefproj import (GuardError, LpResult, NumericalError, ProjectionScheme, bounds,
                         build_basis, displacement, lattice_root, lp_switch_test,
                         oracle_switch_test, project, random_pomdp, solve,
                         vs_switch_test, walsh_vector)
@@ -264,7 +264,7 @@ def test_bound_B_nonincreasing_along_lattice_edges():
 
 def test_alt_sets_identity_scheme_keeps_only_the_plan_itself():
     model, stages = small_stage_sets(5, horizon=2)
-    report = compute_bounds(model, stages, ProjectionScheme.full(3), method="VS")
+    report = compute_bounds(model, stages, ProjectionScheme.full(3))
     for stage_bounds in report.stages:
         assert all(len(s) == 0 for s in stage_bounds.switch_sets)
         assert all(size == 1 for size in stage_bounds.alt_set_sizes)
@@ -275,7 +275,7 @@ def test_alt_sets_identity_scheme_keeps_only_the_plan_itself():
 def test_alt_sets_one_stage_base_case():
     model, stages = small_stage_sets(6, horizon=1)
     scheme = lattice_root(3)
-    report = compute_bounds(model, stages, scheme, method="VS")
+    report = compute_bounds(model, stages, scheme)
     assert report.stages[0].E == pytest.approx(report.stages[0].B, abs=1e-12)
 
 
@@ -310,10 +310,19 @@ def test_alt_sets_match_exhaustive_plan_enumeration():
         assert got == minimal(expected)
 
 
+def test_alt_sets_guard_fires_above_the_cap(monkeypatch):
+    model, stages = small_stage_sets(8, horizon=2)
+    sw = [stage_switch_sets(aset, lattice_root(3), "VS") for aset in stages]
+    alt_sets(model, stages, sw)
+    monkeypatch.setattr(bounds, "ALT_GUARD", 1)
+    with pytest.raises(GuardError, match="alternative set for stage 2"):
+        alt_sets(model, stages, sw)
+
+
 def test_bound_E_at_least_B():
     for seed in (8, 9):
         model, stages = small_stage_sets(seed, horizon=3)
-        report = compute_bounds(model, stages, lattice_root(3), method="VS")
+        report = compute_bounds(model, stages, lattice_root(3))
         for sb in report.stages:
             assert sb.E >= sb.B - 1e-12
             assert sb.B >= 0.0 and sb.E >= 0.0

@@ -103,6 +103,10 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["search", policy, "--method", "b-oracle", "--out", tmp_path / "s.json"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["search", policy, "--method", "e-vs", "--alt-guard", 5,
+             "--out", tmp_path / "s.json"])
+    assert exc.value.code == 2
 
 
 def test_eval_rejects_mismatched_model(tmp_path):
@@ -133,6 +137,32 @@ def test_guard_error_exits_3(tmp_path):
     model = gen_model(tmp_path, vars=2, seed=6)
     out = tmp_path / "p.json"
     assert run(["solve", model, "--horizon", 4, "--cap", 3, "--out", out]) == 3
+
+
+def test_oversized_dense_tables_exit_3_before_allocating(tmp_path, capsys):
+    # 20 variables pass the variable limit, but one action's transition table
+    # alone would hold 4^20 entries (8 TiB)
+    spec = {"variables": [f"x{i}" for i in range(20)], "actions": ["a"],
+            "observations": ["z"], "transitions": {"a": {"flat": []}},
+            "observation": {"a": []}, "reward": [], "discount": 0.9}
+    model = tmp_path / "big.json"
+    model.write_text(json.dumps(spec))
+    assert run(["solve", model, "--horizon", 1, "--out", tmp_path / "p.json"]) == 3
+    err = capsys.readouterr().err
+    assert "dense tables" in err and "Traceback" not in err
+
+
+def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
+    from beliefproj import bounds
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    monkeypatch.setattr(bounds, "ALT_GUARD", 1)
+    assert run(["search", policy, "--method", "e-vs", "--out", tmp_path / "s.json"]) == 3
+    assert run(["eval", model, policy, scheme, "--mode", "single", "--beliefs", 5,
+                "--seed", 0, "--out", tmp_path / "r.json"]) == 3
+    assert capsys.readouterr().err.count("guard error: alternative set") == 2
 
 
 def test_solved_policy_reloads_to_same_values(tmp_path):

@@ -212,11 +212,11 @@ def test_finer_schemes_help_on_ensemble_average():
         model, stages = solved(seed, n=3, horizon=2)
         root = lattice_root(3)
         cfg = EvalConfig(num_beliefs=120, seed=3, mode="successive")
-        parent = average_error(model, stages, root, cfg, include_bounds=False)
+        parent = average_error(model, stages, root, cfg)
         parent_losses.append(parent.average_loss)
         per_child = []
         for child, _ in lattice_children(root):
-            report = average_error(model, stages, child, cfg, include_bounds=False)
+            report = average_error(model, stages, child, cfg)
             per_child.append(report.average_loss)
         child_losses.append(float(np.mean(per_child)))
     assert np.mean(child_losses) <= np.mean(parent_losses) + 1e-9
@@ -246,8 +246,7 @@ def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
                 want = achieved_value(model, stages, source, b0, mode)
                 assert abs(achieved[row] - want) <= 1e-12, (name, mode, row)
             report = average_error(model, stages, source,
-                                   EvalConfig(num_beliefs=40, seed=seed, mode=mode),
-                                   include_bounds=False)
+                                   EvalConfig(num_beliefs=40, seed=seed, mode=mode))
             assert report.average_loss == pytest.approx(
                 float(np.mean(np.maximum(0.0, optimal - achieved))), abs=1e-12)
 
@@ -294,23 +293,19 @@ def test_restart_path_matches_recursive_and_is_counted():
             want = achieved_value(model, stages, scheme, b0, mode)
             assert abs(achieved[row] - want) <= 1e-12
         report = average_error(model, stages, scheme,
-                               EvalConfig(num_beliefs=num_beliefs, seed=4, mode=mode),
-                               include_bounds=False)
+                               EvalConfig(num_beliefs=num_beliefs, seed=4, mode=mode))
         assert report.approx_restarts == restarts_per_belief * num_beliefs
         assert "approx_restarts" not in report.to_doc()
 
 
-def test_average_error_checks_horizon_and_guard_before_sampling(monkeypatch):
+def test_average_error_checks_guard_before_sampling(monkeypatch):
     model, stages = solved(5, horizon=2)
 
     def no_sampling(*args):
         raise AssertionError("beliefs drawn before the checks")
 
     monkeypatch.setattr(evaluate, "sample_beliefs", no_sampling)
-    with pytest.raises(InputError, match="horizon 3"):
-        average_error(model, stages, lattice_root(2),
-                      EvalConfig(num_beliefs=10, horizon=3), include_bounds=False)
     monkeypatch.setattr(evaluate, "BRANCH_GUARD", 3)
     with pytest.raises(GuardError):
         average_error(model, stages, lattice_root(2),
-                      EvalConfig(num_beliefs=10), include_bounds=False)
+                      EvalConfig(num_beliefs=10))

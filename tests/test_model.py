@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beliefproj import (InputError, Pomdp, ZeroProbabilityObservation, as_belief,
+from beliefproj import (InputError, Pomdp, ZeroProbabilityObservation,
                         belief_update, compile_model, model_to_spec,
                         observation_probabilities, predicted_belief, value_of)
 
@@ -175,14 +175,6 @@ def test_value_of_permutation_invariant_value(rng):
 def test_value_of_dimension_mismatch():
     with pytest.raises(InputError):
         value_of(np.array([0.5, 0.5]), np.zeros((3, 4)))
-
-
-def test_as_belief_validation():
-    as_belief([0.5, 0.5])
-    with pytest.raises(InputError):
-        as_belief([0.5, 0.6])
-    with pytest.raises(InputError):
-        as_belief([1.2, -0.2])
 
 
 def test_compile_rejects_too_many_variables():

@@ -5,7 +5,7 @@ from beliefproj import (InputError, ProjectionScheme, build_basis,
                         constraint_family, displacement, lattice_children,
                         lattice_root, marginal_true, project, project_batch,
                         residual_sq_length, walsh_vector)
-from beliefproj.projection import indicator_vector, indices_of, mask_of
+from beliefproj.projection import indicator_vector, mask_of
 
 from conftest import random_partition
 
@@ -247,7 +247,6 @@ def test_scheme_name_serialization():
 
 
 def test_mask_helpers():
-    assert indices_of(mask_of([0, 3])) == (0, 3)
     np.testing.assert_array_equal(indicator_vector(mask_of([0]), 2),
                                   [0.0, 1.0, 0.0, 1.0])
     np.testing.assert_array_equal(indicator_vector((0, mask_of([0]), mask_of([0, 1])), 2),

@@ -146,12 +146,31 @@ def test_greedy_bound_search_matches_exhaustive_child_bounds():
     node = lattice_root(4)
     for step in result.trace:
         children = lattice_children(node)
-        values = [_scoped_bound(model, stages, child, "B", "VS", "all", 10 ** 5, {})[0]
+        values = [_scoped_bound(model, stages, child, "B", "VS", "all", {})[0]
                   for child, _ in children]
         best = int(np.argmin(values))
         node = children[best][0]
         assert step["bound"] == pytest.approx(values[best], abs=1e-12)
     assert result.scheme == node
+
+
+@pytest.mark.parametrize("test", ["LP", "VS"])
+def test_b_bound_with_scope_last_tests_only_last_stage_rows(monkeypatch, test):
+    """B with scope "last" reads only the last stage's switch sets, so it
+    searches exactly as scope "all" does on the last stage alone."""
+    model, stages = solved_instance(0, n=4, horizon=3)
+    expected = greedy_bound_search(model, stages[-1:], "B", test, "all")
+    last = stages[-1].matrix
+    seen = []
+    for name in ("lp_switch_test", "vs_switch_test"):
+        def spy(alpha_i, alpha_j, scheme, original=getattr(bounds, name)):
+            seen.append(np.shares_memory(alpha_i, last) and np.shares_memory(alpha_j, last))
+            return original(alpha_i, alpha_j, scheme)
+        monkeypatch.setattr(bounds, name, spy)
+    result = greedy_bound_search(model, stages, "B", test, "last")
+    assert seen and all(seen)
+    assert result.trace and result.trace == expected.trace
+    assert result.scheme == expected.scheme
 
 
 def test_bound_search_trace_nonincreasing_and_e_at_least_b():

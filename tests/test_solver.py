@@ -195,6 +195,18 @@ def test_solve_six_variables_three_observations_matches_expectimax(rng):
         assert got == pytest.approx(brute_force_value(model, b, 4), abs=1e-9)
 
 
+def test_solve_four_variables_three_actions_matches_expectimax(rng):
+    # `gen --vars 4 --actions 3 --obs 2 --seed 1005`, `solve --horizon 4`: with
+    # one artificial per kept vector in the witness LP's phase 1, a stage-4 LP
+    # pivoted on an entry of 1e-9 and ended in a false "unbounded" (exit 4)
+    model = random_pomdp(4, 3, 2, np.random.default_rng(1005))
+    stages = solve(model, 4)
+    for _ in range(10):
+        b = random_belief(16, rng)
+        got, _ = value_of(b, stages[-1])
+        assert got == pytest.approx(brute_force_value(model, b, 4), abs=1e-9)
+
+
 def test_brute_force_base_cases():
     model = two_state_model()
     b = np.array([0.25, 0.75])
