@@ -9,8 +9,7 @@ from .projection import (ConstraintFamily, ProjectionScheme, WalshBasis,
                          lattice_children, lattice_root, marginal_true, project,
                          project_batch, residual_sq_length, walsh_vector)
 from .lpcore import LinearProgram, LpResult, solve_lp
-from .solver import (AlphaSet, AlphaVector, backup, brute_force_value, prune,
-                     solve, zero_stage)
+from .solver import AlphaSet, backup, brute_force_value, prune, solve, zero_stage
 from .bounds import (BoundsReport, SwitchDecision, alt_sets, bound_E_from_alts,
                      compute_bounds, lp_switch_test, oracle_switch_test,
                      vs_switch_test)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, GREATER, LinearProgram, solve_lp
 from .model import Pomdp, sample_beliefs
-from .projection import (ProjectionScheme, WalshBasis, build_basis, constraint_family,
+from .projection import (ProjectionScheme, WalshBasis, constraint_family,
                          indicator_vector, project_batch, residual_sq_length)
 from .solver import AlphaSet, undominated
 
@@ -152,7 +152,7 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
 
 
 def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
-                      candidates=None, basis_cache: dict | None = None) -> list[tuple[int, ...]]:
+                      candidates=None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
     ``scheme_for`` is a ProjectionScheme or a callable index -> scheme (each
@@ -168,12 +168,8 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
         schemes = [scheme_for] * m
     else:
         schemes = [scheme_for(i) for i in range(m)]
-    if basis_cache is None:
-        basis_cache = {}
     sets: list[set[int]] = [set() for _ in range(m)]
     for i, scheme in enumerate(schemes):
-        if method == "VS" and scheme not in basis_cache:
-            basis_cache[scheme] = build_basis(scheme)
         for j in range(m):
             if j == i or (candidates is not None and (min(i, j), max(i, j)) not in candidates):
                 continue
@@ -182,8 +178,7 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
                 # decision made at (j, i) stands
                 switches = i in sets[j]
             elif method == "VS":
-                switches = vs_switch_test(aset.matrix[i], aset.matrix[j],
-                                          basis_cache[scheme]).switches
+                switches = vs_switch_test(aset.matrix[i], aset.matrix[j], scheme.basis).switches
             else:
                 switches = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme).switches
             if switches:
@@ -245,9 +240,8 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
             for i in range(len(aset)):
                 members = []
                 for root in (i, *switch_sets_per_stage[k][i]):
-                    vec = aset.vectors[root]
-                    per_z = [branch_values(vec.action, z, vec.strategy[z])
-                             for z in range(model.n_observations)]
+                    per_z = [branch_values(aset.actions[root], z, p)
+                             for z, p in enumerate(aset.strategies[root])]
                     combos = 1
                     for lst in per_z:
                         combos *= len(lst)
@@ -310,11 +304,8 @@ def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet], scheme_source) -> B
     """Per-stage VS switch sets with their B bounds and, through the
     alternative-set recursion, E bounds."""
     lookup = scheme_lookup(scheme_source)
-    basis_cache: dict = {}
-    sw_per_stage = [
-        stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), "VS",
-                          basis_cache=basis_cache)
-        for aset in stage_sets]
+    sw_per_stage = [stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), "VS")
+                    for aset in stage_sets]
     alts = alt_sets(model, stage_sets, sw_per_stage)
     stages = [StageBounds(aset.stage, bound_from_switch_sets(aset, sw),
                           bound_E_from_alts(aset, stage_alts), sw,

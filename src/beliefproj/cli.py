@@ -61,25 +61,29 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
 
 def _load_policy(path: str):
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: policy document must be an object, got {type(doc).__name__}")
     for key in ("model", "horizon", "stages"):
         if key not in doc:
             raise InputError(f"policy document missing key {key!r}")
     try:
         horizon = int(doc["horizon"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"policy horizon {doc['horizon']!r} is not an integer") from None
     model = compile_model(doc["model"])
     stages = stages_from_doc(doc["stages"])
     if len(stages) != horizon:
         raise InputError("policy horizon does not match its stage count")
     for aset in stages:
-        for v in aset.vectors:
-            if v.values.shape[0] != model.n_states:
-                raise InputError("policy vectors do not match the embedded model dimension")
-            if len(v.strategy) != model.n_observations:
-                raise InputError("policy strategies do not cover the observation set")
-            if not (0 <= v.action < model.n_actions):
-                raise InputError("policy references an unknown action")
+        k, m = aset.stage, len(aset)
+        if aset.matrix.shape != (m, model.n_states):
+            raise InputError(f"stage-{k} policy values must be rows of {model.n_states} numbers")
+        if aset.strategies.shape != (m, model.n_observations):
+            raise InputError(f"stage-{k} policy strategies must be lists of "
+                             f"{model.n_observations} indices")
+        actions = aset.actions
+        if actions.shape != (m,) or np.any((actions < 0) | (actions >= model.n_actions)):
+            raise InputError(f"stage-{k} policy actions must be indices below {model.n_actions}")
     return model, stages
 
 

@@ -130,7 +130,7 @@ def random_pomdp(n_vars: int, n_actions: int, n_obs: int, rng: np.random.Generat
 def _achieved(model: Pomdp, stage_sets, lookup, b_exact, b_approx, k, mode):
     aset = stage_sets[k - 1]
     _, istar = value_of(b_approx, aset)
-    action = aset.vectors[istar].action
+    action = aset.actions[istar]
     total = float(model.reward @ b_exact)
     if k == 1:
         return total
@@ -209,7 +209,6 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
     whole block, and recurses once per observation on the rows that reach
     it, so at most one block per level is alive at a time.
     """
-    actions = [np.array([v.action for v in aset.vectors]) for aset in stage_sets]
     restarts = 0
 
     def walk(exact, approx, k):
@@ -218,7 +217,7 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
         if k == 1:
             return total
         idx = np.argmax(approx @ stage_sets[k - 1].matrix.T, axis=1)
-        chosen = actions[k - 1][idx]
+        chosen = stage_sets[k - 1].actions[idx]
         acc = np.zeros(exact.shape[0])
         for a in np.flatnonzero(np.bincount(chosen)):
             rows = np.flatnonzero(chosen == a)

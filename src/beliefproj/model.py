@@ -179,6 +179,8 @@ def compile_model(spec: dict) -> Pomdp:
     "rows": [[p_true, p_false], ...]}}}``), ``observation`` (per action, 2^n x |Z|
     rows over arrival states), ``reward`` (length 2^n), ``discount``.
     """
+    if not isinstance(spec, dict):
+        raise InputError(f"model document must be an object, got {type(spec).__name__}")
     for key in ("variables", "actions", "observations", "transitions",
                 "observation", "reward", "discount"):
         if key not in spec:

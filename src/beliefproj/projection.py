@@ -64,6 +64,12 @@ class ProjectionScheme:
             k.setflags(write=False)
         return keys
 
+    @cached_property
+    def basis(self) -> WalshBasis:
+        """:func:`build_basis` of the scheme, built on first use and kept
+        with it, like ``block_keys``."""
+        return build_basis(self)
+
     @staticmethod
     def singletons(n: int) -> "ProjectionScheme":
         return ProjectionScheme(tuple((i,) for i in range(n)))

@@ -21,8 +21,8 @@ from .errors import InputError
 from .bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                      scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
-from .projection import (ProjectionScheme, build_basis, lattice_children,
-                         lattice_root, residual_sq_length, walsh_vector)
+from .projection import (ProjectionScheme, lattice_children, lattice_root,
+                         residual_sq_length, walsh_vector)
 from .solver import AlphaSet
 
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
@@ -68,13 +68,15 @@ def result_from_doc(doc: dict, variables) -> SearchResult:
     if "per_region" in doc:
         if not isinstance(doc["per_region"], dict):
             raise InputError("search result 'per_region' must be an object keyed by 'stage:index'")
-        per_region = {}
+        per_region, distinct = {}, {}
         for key, names in doc["per_region"].items():
             try:
                 stage, idx = (int(part) for part in key.split(":"))
             except ValueError:
                 raise InputError(f"per-region key {key!r} is not 'stage:index'") from None
-            per_region[(stage, idx)] = ProjectionScheme.from_names(names, variables)
+            # equal schemes share one object, and so one cached basis
+            scheme = ProjectionScheme.from_names(names, variables)
+            per_region[(stage, idx)] = distinct.setdefault(scheme, scheme)
         result.per_region = per_region
     if result.scheme is None and result.per_region is None:
         raise InputError("search result document carries no scheme")
@@ -144,7 +146,7 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
         raise InputError(f"unknown estimator {estimator!r}")
     scoped = stage_sets[-1:] if scope == "last" else stage_sets
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
-    root_basis = build_basis(lattice_root(n))
+    root_basis = lattice_root(n).basis
     per_region: dict = {}
     traces: dict = {}
     for aset in scoped:
@@ -172,7 +174,7 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
 
 
 def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str,
-                  test: str, scope: str, basis_cache: dict, positives=None):
+                  test: str, scope: str, positives=None):
     """Aggregate bound of one lattice node over the stage scope.
 
     Returns (value, positive pair sets per tested stage) so children can
@@ -186,8 +188,7 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
     new_positives = []
     for s_idx, aset in enumerate(tested):
         cands = positives[s_idx] if positives is not None else None
-        sw = stage_switch_sets(aset, scheme, test, candidates=cands,
-                               basis_cache=basis_cache)
+        sw = stage_switch_sets(aset, scheme, test, candidates=cands)
         sw_per_stage.append(sw)
         new_positives.append({(i, j) for i, s in enumerate(sw) for j in s if i < j})
     if bound == "B":
@@ -207,11 +208,9 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
     if test not in ("LP", "VS"):
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
-    basis_cache: dict = {}
 
     def score(node, mask, positives):
-        return _scoped_bound(model, stage_sets, node, bound, test, scope, basis_cache,
-                             positives)
+        return _scoped_bound(model, stage_sets, node, bound, test, scope, positives)
 
     value, positives = score(lattice_root(n), None, None)
     node, trace = _descend(n, value, positives, score, "bound")

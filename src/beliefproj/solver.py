@@ -9,8 +9,7 @@ plan accrues exactly k rewards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,39 +22,38 @@ DOMINANCE_TOL = 1e-9
 DOMINANCE_BLOCK = 1 << 18  # boolean entries per slice of undominated()
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    values: np.ndarray
-    action: int
-    strategy: tuple[int, ...]  # per observation, an index into the previous stage set
+@dataclass(frozen=True, eq=False)
+class AlphaSet:
+    """One stage's plans as read-only arrays, one row per plan: ``matrix``
+    (plans x states) holds the value vectors, ``actions`` the first action,
+    and ``strategies`` (plans x |Z|) per observation an index into the
+    previous stage set, with no columns at stage 0. Arrays have no truthful
+    ``==``, so neither does a set."""
+
     stage: int
+    matrix: np.ndarray
+    actions: np.ndarray
+    strategies: np.ndarray
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("alpha vector has non-finite values")
-        if self.stage == 0 and self.strategy:
+        for arr in (self.matrix, self.actions, self.strategies):
+            arr.setflags(write=False)
+        if not np.all(np.isfinite(self.matrix)):
+            raise InputError(f"stage-{self.stage} alpha vectors have non-finite values")
+        if self.stage == 0 and self.strategies.size:
             raise InputError("stage-0 vectors carry no strategy")
 
-
-@dataclass
-class AlphaSet:
-    stage: int
-    vectors: list[AlphaVector]
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None or self._matrix.shape[0] != len(self.vectors):
-            self._matrix = np.stack([v.values for v in self.vectors])
-        return self._matrix
-
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[0]
+
+    def take(self, idx) -> AlphaSet:
+        """The plans at ``idx``, in that order."""
+        return AlphaSet(self.stage, self.matrix[idx], self.actions[idx], self.strategies[idx])
 
 
 def zero_stage(model: Pomdp) -> AlphaSet:
-    return AlphaSet(0, [AlphaVector(np.zeros(model.n_states), 0, (), 0)])
+    return AlphaSet(0, np.zeros((1, model.n_states)), np.zeros(1, dtype=np.intp),
+                    np.zeros((1, 0), dtype=np.intp))
 
 
 def plan_vector(model: Pomdp, action: int, branch_values: list[np.ndarray]) -> np.ndarray:
@@ -70,29 +68,28 @@ def plan_vector(model: Pomdp, action: int, branch_values: list[np.ndarray]) -> n
 def backup(model: Pomdp, prev: AlphaSet, cap: int = BACKUP_CAP) -> AlphaSet:
     """All stage-(k+1) plan vectors: one per (action, observation strategy) pair.
 
-    Emits |A| * |prev|^|Z| vectors in deterministic (action, strategy) order;
+    Emits |A| * |prev|^|Z| vectors in (action, strategy) order, strategies in
+    the order of ``itertools.product`` (observation 0 most significant);
     aborts with GuardError beyond ``cap``.
     """
-    n_prev = len(prev)
-    count = model.n_actions * n_prev ** model.n_observations
+    n_prev, n_obs = len(prev), model.n_observations
+    count = model.n_actions * n_prev ** n_obs
     if count > cap:
         raise GuardError(
             f"backup would enumerate {count} vectors, above the cap of {cap}")
-    stage = prev.stage + 1
-    vectors = []
+    sigma = np.indices((n_prev,) * n_obs).reshape(n_obs, -1).T
+    blocks = []
     for a in range(model.n_actions):
-        # branch[z][p] = T_a (O_a[:,z] * prev_p), reused across strategies
-        branch = [
-            (model.transition[a] @ (model.observation_fn[a][:, z][:, None] * prev.matrix.T)).T
-            for z in range(model.n_observations)
-        ]
-        for sigma in product(range(n_prev), repeat=model.n_observations):
-            acc = np.zeros(model.n_states)
-            for z, p in enumerate(sigma):
-                acc += branch[z][p]
-            values = model.reward + model.discount * acc
-            vectors.append(AlphaVector(values, a, sigma, stage))
-    return AlphaSet(stage, vectors)
+        acc = np.zeros((sigma.shape[0], model.n_states))
+        for z in range(n_obs):
+            # branch_z[p] = T_a (O_a[:,z] * prev_p)
+            branch_z = (model.transition[a]
+                        @ (model.observation_fn[a][:, z][:, None] * prev.matrix.T)).T
+            acc += branch_z[sigma[:, z]]
+        blocks.append(model.reward + model.discount * acc)
+    return AlphaSet(prev.stage + 1, np.concatenate(blocks),
+                    np.repeat(np.arange(model.n_actions), sigma.shape[0]),
+                    np.tile(sigma, (model.n_actions, 1)))
 
 
 def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.ndarray | None:
@@ -156,9 +153,8 @@ def prune(aset: AlphaSet) -> AlphaSet:
     vectors go in a fast path (:func:`undominated`), and the rest is
     witness-LP filtering. Output preserves the original relative order.
     """
-    vectors = aset.vectors
-    if len(vectors) <= 1:
-        return AlphaSet(aset.stage, list(vectors))
+    if len(aset) <= 1:
+        return aset
 
     mat = aset.matrix
     kept: list[int] = []
@@ -173,9 +169,7 @@ def prune(aset: AlphaSet) -> AlphaSet:
         best = pending[int(np.argmax(scores))]
         kept.append(best)
         pending.remove(best)
-
-    kept.sort()
-    return AlphaSet(aset.stage, [vectors[i] for i in kept])
+    return aset.take(sorted(kept))
 
 
 def solve(model: Pomdp, horizon: int, cap: int = BACKUP_CAP) -> list[AlphaSet]:
@@ -223,13 +217,18 @@ def stages_to_doc(stages: list[AlphaSet]) -> list:
     """JSON form of solved stage sets: per stage, a list of
     {values, action, strategy} entries."""
     return [
-        [{"values": v.values.tolist(), "action": v.action, "strategy": list(v.strategy)}
-         for v in aset.vectors]
+        [{"values": values, "action": action, "strategy": strategy}
+         for values, action, strategy in zip(aset.matrix.tolist(), aset.actions.tolist(),
+                                             aset.strategies.tolist())]
         for aset in stages
     ]
 
 
 def stages_from_doc(doc: list) -> list[AlphaSet]:
+    """Stage sets from their JSON form, each field of a stage's entries
+    stacked into one array. Checks that every strategy index points into the
+    previous stage set; the array shapes are the caller's to check against
+    its model."""
     if not isinstance(doc, list):
         raise InputError(f"policy 'stages' must be a list of stages, got {type(doc).__name__}")
     stages = []
@@ -237,21 +236,20 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
         if not isinstance(entries, list):
             raise InputError(f"stage {k} of the policy must be a list of entries, "
                              f"got {type(entries).__name__}")
-        vectors = []
-        for e in entries:
-            try:
-                vectors.append(AlphaVector(
-                    np.asarray(e["values"], dtype=float), int(e["action"]),
-                    tuple(int(i) for i in e["strategy"]), k))
-            except (KeyError, TypeError, ValueError) as err:
-                raise InputError(f"malformed stage-{k} policy entry: {err}") from None
-        if not vectors:
+        if not entries:
             raise InputError(f"stage {k} of the policy is empty")
-        prev_len = len(stages[-1].vectors) if stages else 1
-        for v in vectors:
-            if len(v.strategy) == 0 or any(not (0 <= i < prev_len) for i in v.strategy):
-                raise InputError(f"stage {k} strategy references an invalid stage-{k-1} vector")
-        stages.append(AlphaSet(k, vectors))
+        fields = []
+        for key, dtype in (("values", float), ("action", np.intp), ("strategy", np.intp)):
+            try:
+                fields.append(np.array([e[key] for e in entries], dtype=dtype))
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
+                raise InputError(f"malformed stage-{k} policy entry: {err} "
+                                 f"(field {key!r})") from None
+        aset = AlphaSet(k, *fields)
+        prev_len = len(stages[-1]) if stages else 1
+        if np.any((aset.strategies < 0) | (aset.strategies >= prev_len)):
+            raise InputError(f"stage {k} strategy references an invalid stage-{k-1} vector")
+        stages.append(aset)
     if not stages:
         raise InputError("policy document has no stages")
     return stages

@@ -9,7 +9,7 @@ from beliefproj import (GuardError, LpResult, NumericalError, ProjectionScheme, 
                         vs_switch_test, walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_from_switch_sets, compute_bounds,
                                oracle_switch_sets, stage_switch_sets)
-from beliefproj.solver import AlphaSet, AlphaVector, plan_vector
+from beliefproj.solver import AlphaSet, plan_vector
 
 from conftest import random_partition
 
@@ -23,8 +23,9 @@ def small_stage_sets(seed=0, n=3, actions=3, obs=2, horizon=3, discount=0.9):
 
 
 def as_set(rows, stage=1):
-    return AlphaSet(stage, [AlphaVector(np.asarray(r, float), 0, (0,), stage)
-                            for r in rows])
+    matrix = np.asarray(rows, float)
+    return AlphaSet(stage, matrix, np.zeros(len(matrix), dtype=np.intp),
+                    np.zeros((len(matrix), 1), dtype=np.intp))
 
 
 def bound_B(aset, scheme, method):
@@ -298,14 +299,14 @@ def test_alt_sets_match_exhaustive_plan_enumeration():
         expected = []
         roots = (i, *sw[1][i])
         for root in roots:
-            vec = stages[1].vectors[root]
+            action, strategy = stages[1].actions[root], stages[1].strategies[root]
             branch_choices = [
-                [stages[0].matrix[vec.strategy[z]]] +
-                [stages[0].matrix[j] for j in sw[0][vec.strategy[z]]]
+                [stages[0].matrix[strategy[z]]] +
+                [stages[0].matrix[j] for j in sw[0][strategy[z]]]
                 for z in range(model.n_observations)
             ]
             for picks in itertools.product(*branch_choices):
-                expected.append(plan_vector(model, vec.action, list(picks)))
+                expected.append(plan_vector(model, action, list(picks)))
         got = {tuple(np.round(w, 12)) for w in alts[1][i]}
         assert got == minimal(expected)
 

@@ -249,12 +249,17 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
      "cpt parents for 'x0' must be a list of variable names"),
     ("transitions", {"a0": {"cpts": []}},
      "cpts for 'a0' must be an object keyed by variable name, got list"),
+    (None, 5, "model document must be an object, got int"),
 ], ids=["transitions-list", "observation-list", "discount-string", "transition-entry-number",
         "flat-strings", "observation-strings", "reward-strings", "variables-number",
-        "actions-number", "cpt-entry-number", "cpt-parents-number", "cpts-list"])
+        "actions-number", "cpt-entry-number", "cpt-parents-number", "cpts-list",
+        "document-number"])
 def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
     doc = json.loads(gen_model(tmp_path).read_text())
-    doc[key] = value
+    if key is None:
+        doc = value
+    else:
+        doc[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -293,13 +298,33 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     (lambda doc: doc.__setitem__("stages", 3), "policy 'stages' must be a list of stages, got int"),
     (lambda doc: doc["stages"].__setitem__(0, 3),
      "stage 1 of the policy must be a list of entries, got int"),
-], ids=["horizon-string", "values-strings", "stages-number", "stage-number"])
+    (lambda doc: doc["stages"][0][0].__setitem__("values", 5),
+     "stage-1 policy values must be rows of 4 numbers"),
+    (lambda doc: doc["stages"][0][0].__setitem__("values", "5"),
+     "stage-1 policy values must be rows of 4 numbers"),
+    (lambda doc: doc["stages"][1][0].__setitem__("values", 5), "(field 'values')"),
+    (lambda doc: [e.__setitem__("values", [[v] for v in e["values"]]) for e in doc["stages"][0]],
+     "stage-1 policy values must be rows of 4 numbers"),
+    (lambda doc: [e.__setitem__("strategy", [0]) for e in doc["stages"][1]],
+     "stage-2 policy strategies must be lists of 2 indices"),
+    (lambda doc: doc["stages"][1][0].__setitem__("action", 2),
+     "stage-2 policy actions must be indices below 2"),
+    (lambda doc: doc.__setitem__("model", 5), "model document must be an object, got int"),
+], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
+        "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
+        "model-number"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
-    doc = json.loads(solve_policy(tmp_path, gen_model(tmp_path)).read_text())
+    model = gen_model(tmp_path)
+    doc = json.loads(solve_policy(tmp_path, model).read_text())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(["search", bad, "--method", "vs-sum", "--out", tmp_path / "s.json"]) == 2
-    err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    for command in (["search", bad, "--method", "vs-sum", "--out", tmp_path / "s.json"],
+                    ["eval", model, bad, scheme, "--mode", "single", "--seed", 0,
+                     "--out", tmp_path / "r.json"]):
+        capsys.readouterr()
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

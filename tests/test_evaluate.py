@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beliefproj import (AlphaSet, AlphaVector, EvalConfig, GuardError, InputError,
+from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         Pomdp, ProjectionScheme, achieved_value, average_error,
                         belief_update, evaluate, lattice_children, lattice_root,
                         observation_probabilities, project, random_belief,
@@ -92,7 +92,7 @@ def _policy_tree_oracle(model, stages, scheme_source, b0, mode):
     def build(b_approx, k):
         aset = stages[k - 1]
         _, idx = value_of(b_approx, aset)
-        action = aset.vectors[idx].action
+        action = aset.actions[idx]
         children = {}
         if k > 1:
             scheme = lookup(k, idx)
@@ -276,7 +276,8 @@ def restart_instance():
     stages, values = [], np.zeros(4)
     for k, action in enumerate((1, 1, 0), start=1):
         values = plan_vector(model, action, [values, values])
-        stages.append(AlphaSet(k, [AlphaVector(values, action, (0, 0), k)]))
+        stages.append(AlphaSet(k, values[np.newaxis], np.array([action]),
+                               np.zeros((1, 2), dtype=np.intp)))
     return model, stages
 
 

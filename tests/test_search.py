@@ -7,14 +7,15 @@ from beliefproj import (InputError, ProjectionScheme, bounds, build_basis,
                         residual_sq_length, solve, solve_lp, vs_search, walsh_vector)
 from beliefproj.search import (SearchConfig, _scoped_bound, greedy_bound_search,
                                result_from_doc, run_search)
-from beliefproj.solver import AlphaSet, AlphaVector
+from beliefproj.solver import AlphaSet
 
 ALL_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs", "vs-sum", "vs-max")
 
 
 def as_set(rows, stage=1):
-    return AlphaSet(stage, [AlphaVector(np.asarray(r, float), 0, (0,), stage)
-                            for r in rows])
+    matrix = np.asarray(rows, float)
+    return AlphaSet(stage, matrix, np.zeros(len(matrix), dtype=np.intp),
+                    np.zeros((len(matrix), 1), dtype=np.intp))
 
 
 def solved_instance(seed=0, n=3, actions=2, obs=2, horizon=2):
@@ -146,7 +147,7 @@ def test_greedy_bound_search_matches_exhaustive_child_bounds():
     node = lattice_root(4)
     for step in result.trace:
         children = lattice_children(node)
-        values = [_scoped_bound(model, stages, child, "B", "VS", "all", {})[0]
+        values = [_scoped_bound(model, stages, child, "B", "VS", "all")[0]
                   for child, _ in children]
         best = int(np.argmin(values))
         node = children[best][0]

@@ -1,26 +1,29 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from beliefproj import (AlphaSet, AlphaVector, GuardError, Pomdp, backup,
+from beliefproj import (AlphaSet, GuardError, InputError, Pomdp, backup,
                         brute_force_value, prune, random_belief, random_pomdp,
                         solve, value_of, zero_stage)
 from beliefproj import solver
-from beliefproj.solver import stages_from_doc, stages_to_doc, undominated
+from beliefproj.solver import plan_vector, stages_from_doc, stages_to_doc, undominated
 
 from conftest import two_state_model
 
 
 def alpha_set(rows, stage=1, strategy=(0, 0)):
-    return AlphaSet(stage, [AlphaVector(np.asarray(r, dtype=float), 0, strategy, stage)
-                            for r in rows])
+    matrix = np.asarray(rows, dtype=float)
+    return AlphaSet(stage, matrix, np.zeros(len(matrix), dtype=np.intp),
+                    np.tile(np.asarray(strategy, dtype=np.intp), (len(matrix), 1)))
 
 
 def test_backup_from_zero_stage_gives_reward_per_action():
     model = random_pomdp(2, 3, 2, np.random.default_rng(1))
     out = backup(model, zero_stage(model))
     assert len(out) == model.n_actions
-    for v in out.vectors:
-        np.testing.assert_allclose(v.values, model.reward, atol=1e-12)
+    for values in out.matrix:
+        np.testing.assert_allclose(values, model.reward, atol=1e-12)
 
 
 def test_backup_becomes_myopic_as_discount_vanishes():
@@ -29,8 +32,8 @@ def test_backup_becomes_myopic_as_discount_vanishes():
     stages = solve(model, 2)
     prev = stages[0]
     out = backup(model, prev)
-    for v in out.vectors:
-        np.testing.assert_allclose(v.values, model.reward, atol=1e-10)
+    for values in out.matrix:
+        np.testing.assert_allclose(values, model.reward, atol=1e-10)
 
 
 def test_backup_matches_nested_loop_oracle():
@@ -38,16 +41,41 @@ def test_backup_matches_nested_loop_oracle():
     prev = alpha_set([[1.0, 0.0], [0.2, 0.7]], stage=1)
     out = backup(model, prev)
     assert len(out) == 1 * len(prev) ** 2
-    for v in out.vectors:
-        a = v.action
+    for values, a, strategy in zip(out.matrix, out.actions, out.strategies):
         for s in range(2):
             expected = model.reward[s]
             for s2 in range(2):
                 for z in range(2):
                     expected += (model.discount * model.transition[a, s, s2]
                                  * model.observation_fn[a, s2, z]
-                                 * prev.vectors[v.strategy[z]].values[s2])
-            assert v.values[s] == pytest.approx(expected, abs=1e-12)
+                                 * prev.matrix[strategy[z], s2])
+            assert values[s] == pytest.approx(expected, abs=1e-12)
+
+
+def test_backup_orders_plans_by_action_then_product_strategy(rng):
+    # prune keeps the first of any duplicates, so this order decides which
+    # plan of a duplicate group survives into the policy document
+    model = random_pomdp(2, 2, 3, np.random.default_rng(14))
+    prev = alpha_set(rng.normal(size=(3, 4)), strategy=(0, 0, 0))
+    out = backup(model, prev)
+    expected = [(a, s) for a in range(2) for s in itertools.product(range(3), repeat=3)]
+    assert list(zip(out.actions.tolist(), map(tuple, out.strategies.tolist()))) == expected
+    for values, a, strategy in zip(out.matrix, out.actions, out.strategies):
+        np.testing.assert_allclose(
+            values, plan_vector(model, a, [prev.matrix[p] for p in strategy]),
+            rtol=0, atol=1e-12)
+
+
+def test_alpha_set_arrays_are_read_only_and_finite():
+    model = random_pomdp(2, 2, 2, np.random.default_rng(15))
+    for aset in [zero_stage(model), *solve(model, 2)]:
+        for arr in (aset.matrix, aset.actions, aset.strategies):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+    with pytest.raises(InputError, match="non-finite"):
+        alpha_set([[1.0, np.nan]])
+    with pytest.raises(InputError, match="stage-0 vectors carry no strategy"):
+        alpha_set([[1.0, 0.0]], stage=0, strategy=(0,))
 
 
 def test_backup_guard():
@@ -60,13 +88,13 @@ def test_backup_guard():
 def test_prune_pointwise_dominance():
     out = prune(alpha_set([[1.0, 1.0], [0.0, 0.0]]))
     assert len(out) == 1
-    np.testing.assert_array_equal(out.vectors[0].values, [1.0, 1.0])
+    np.testing.assert_array_equal(out.matrix[0], [1.0, 1.0])
 
 
 def test_prune_drops_interior_vector():
     # (0.4, 0.4) is below max(b.(1,0), b.(0,1)) everywhere on the simplex
     out = prune(alpha_set([[1.0, 0.0], [0.0, 1.0], [0.4, 0.4]]))
-    surviving = {tuple(v.values) for v in out.vectors}
+    surviving = {tuple(values) for values in out.matrix.tolist()}
     assert surviving == {(1.0, 0.0), (0.0, 1.0)}
     # grid oracle: the dropped vector is never maximal
     for t in np.linspace(0.0, 1.0, 201):
@@ -78,13 +106,12 @@ def test_prune_idempotent_on_parsimonious_set():
     parsimonious = alpha_set([[1.0, 0.0], [0.0, 1.0], [0.6, 0.6]])
     once = prune(parsimonious)
     twice = prune(once)
-    assert [tuple(v.values) for v in twice.vectors] == \
-        [tuple(v.values) for v in once.vectors]
+    assert twice.matrix.tolist() == once.matrix.tolist()
 
 
 def test_prune_keeps_first_duplicate_and_corner_winners():
     out = prune(alpha_set([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert [tuple(v.values) for v in out.vectors] == [(1.0, 0.0), (0.0, 1.0)]
+    assert out.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("block", [solver.DOMINANCE_BLOCK, 7])
@@ -135,8 +162,8 @@ def test_prune_fixed_point_definition(rng):
     mat = np.round(rng.normal(size=(25, 3)), 2)  # rounding forces some ties
     aset = alpha_set(mat, strategy=(0,))
     kept = prune(aset)
-    kept_rows = [v.values for v in kept.vectors]
-    kept_keys = {v.values.tobytes() for v in kept.vectors}
+    kept_rows = list(kept.matrix)
+    kept_keys = {values.tobytes() for values in kept.matrix}
     for i in range(25):
         others = [w for w in kept_rows if not np.array_equal(w, mat[i])]
         witness = _witness(mat[i], others, 1e-9)
@@ -152,7 +179,7 @@ def test_solve_one_stage_is_reward():
     model = random_pomdp(2, 2, 2, np.random.default_rng(4))
     stages = solve(model, 1)
     assert len(stages[0]) == 1  # reward does not depend on the action
-    np.testing.assert_allclose(stages[0].vectors[0].values, model.reward)
+    np.testing.assert_allclose(stages[0].matrix[0], model.reward)
 
 
 def test_solve_perfect_observation_matches_mdp_value_iteration():
@@ -235,9 +262,8 @@ def test_strategies_reference_previous_stage():
     stages = solve(model, 3)
     prev_len = 1
     for aset in stages:
-        for v in aset.vectors:
-            assert len(v.strategy) == model.n_observations
-            assert all(0 <= s < prev_len for s in v.strategy)
+        assert aset.strategies.shape == (len(aset), model.n_observations)
+        assert np.all((0 <= aset.strategies) & (aset.strategies < prev_len))
         prev_len = len(aset)
 
 
