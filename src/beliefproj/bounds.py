@@ -12,13 +12,13 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .errors import GuardError, InputError, NumericalError
-from .lpcore import EQUAL, GREATER, LinearProgram, solve_lp
+from .lpcore import EQUAL, GREATER, LinearProgram, LpResult, solve_lp
 from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, constraint_family,
                          indicator_vector, project_batch, residual_sq_length)
@@ -36,6 +36,7 @@ class SwitchDecision:
     switches: bool
     objective: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
+    lp: LpResult | None = field(default=None, repr=False, compare=False)  # LP test only
 
 
 def scheme_lookup(scheme_source):
@@ -58,12 +59,18 @@ def scheme_lookup(scheme_source):
     raise InputError(f"unsupported scheme source {type(scheme_source).__name__}")
 
 
-def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme) -> SwitchDecision:
+def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
+                   warm: LpResult | None = None) -> SwitchDecision:
     """Linear switch test: is there a pair (b, b') agreeing on every preserved
     marginal with b favoring i and b' favoring j by a common positive margin?
 
     Variables are [b, b', x] with x free; the empty-set marginal constraint
     makes b' sum to one automatically.
+
+    ``warm`` is optionally the ``lp`` of this pair's decision under a coarser
+    scheme. The program then lists that program's rows unchanged, followed
+    by the rows of the preserved subsets it lacks, and the solve starts from
+    its optimal tableau; without it the rows follow the subsets in order.
     """
     dim = alpha_i.shape[0]
     if alpha_j.shape[0] != dim:
@@ -82,13 +89,21 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme) -> SwitchDe
     objective = np.zeros(2 * dim + 1)
     objective[-1] = 1.0
     constraints = list(zip(rows, [GREATER] * 2 + [EQUAL] * (k + 1), [0.0] * (k + 2) + [1.0]))
+    if warm is not None:
+        keys = [row.tobytes() for row in rows]
+        known = {coeffs.tobytes() for coeffs, _rel, _rhs in warm.program.constraints}
+        if not known.issubset(keys):
+            raise InputError("warm start is not this pair's switch LP under a coarser scheme")
+        # copies, since a row view would keep this program's whole row array alive
+        constraints = warm.program.constraints + [
+            (c[0].copy(), c[1], c[2]) for c, key in zip(constraints, keys) if key not in known]
     lower = [0.0] * (2 * dim) + [None]
-    result = solve_lp(LinearProgram(objective, constraints, lower=lower))
+    result = solve_lp(LinearProgram(objective, constraints, lower=lower, warm=warm))
     if result.status != "optimal":
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
     switches = result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
-    return SwitchDecision(switches, float(result.value), witness)
+    return SwitchDecision(switches, float(result.value), witness, result)
 
 
 def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:
@@ -152,14 +167,17 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
 
 
 def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
-                      candidates=None) -> list[tuple[int, ...]]:
+                      candidates=None, decisions: dict | None = None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
     ``scheme_for`` is a ProjectionScheme or a callable index -> scheme (each
     vector's own scheme governs its switch set). ``candidates`` optionally
     restricts which pairs (i, j), i < j, are tested (everything else is
     reported negative), which search callers use to exploit monotonicity
-    along lattice edges.
+    along lattice edges. When ``candidates`` is a dict, the LP test of pair
+    (i, j) starts from the ``LpResult`` it maps to (``lp_switch_test``'s
+    ``warm``). ``decisions``, when given, receives the SwitchDecision of each
+    pair tested, keyed (i, j) as tested.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
@@ -177,10 +195,15 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
                 # both tests are symmetric in (i, j) under one scheme, so the
                 # decision made at (j, i) stands
                 switches = i in sets[j]
-            elif method == "VS":
-                switches = vs_switch_test(aset.matrix[i], aset.matrix[j], scheme.basis).switches
             else:
-                switches = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme).switches
+                if method == "VS":
+                    decision = vs_switch_test(aset.matrix[i], aset.matrix[j], scheme.basis)
+                else:
+                    warm = candidates.get((i, j)) if isinstance(candidates, dict) else None
+                    decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme, warm)
+                if decisions is not None:
+                    decisions[(i, j)] = decision
+                switches = decision.switches
             if switches:
                 sets[i].add(j)
     return [tuple(sorted(s)) for s in sets]

@@ -25,6 +25,8 @@ from .projection import ProjectionScheme
 from .search import ALL_METHODS, SearchConfig, result_from_doc, run_search
 from .solver import solve, stages_from_doc, stages_to_doc
 
+VALUE_SLACK = 1e-9  # relative rounding allowance on the largest value a policy may hold
+
 
 def _read_json(path: str):
     try:
@@ -37,9 +39,14 @@ def _read_json(path: str):
 
 
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except ValueError:
+        # NaN and the infinities have no JSON form; drop the partial file
+        Path(path).unlink(missing_ok=True)
+        raise NumericalError(f"{path}: result holds a non-finite number") from None
 
 
 def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
@@ -84,6 +91,11 @@ def _load_policy(path: str):
         actions = aset.actions
         if actions.shape != (m,) or np.any((actions < 0) | (actions >= model.n_actions)):
             raise InputError(f"stage-{k} policy actions must be indices below {model.n_actions}")
+        # a k-step plan collects k rewards, discounted by gamma^t at step t
+        limit = float(np.abs(model.reward).max()) * sum(model.discount ** t for t in range(k))
+        if np.abs(aset.matrix).max() > limit * (1.0 + VALUE_SLACK):
+            raise InputError(f"stage-{k} policy values exceed {limit:.6g}, the largest sum of "
+                             f"{k} discounted rewards of the model (field 'values')")
     return model, stages
 
 

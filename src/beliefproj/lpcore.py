@@ -9,11 +9,18 @@ takes far fewer pivots than the lowest-index rule on these programs. The
 lowest-index rule (Bland's) is kept as the anti-cycling fallback: it takes
 over after a run of degenerate pivots and cannot cycle, so every solve
 terminates.
+
+A program that extends a solved one by equality rows can start from that
+solution (``LinearProgram.warm``). The new rows are appended to the solved
+program's final tableau and written in its nonbasic columns, each with one
+artificial column; phase 1 then drives out only those artificials and phase
+2 resumes from the basis it leaves. Both phases run the same simplex as a
+cold solve, with the same pricing, fallback and tie-breaks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +40,18 @@ class LinearProgram:
     ``constraints`` is a list of (coefficients, relation, rhs) with relation
     one of "<=", "=", ">=". Bounds default to [0, +inf) per variable; a lower
     bound of None makes the variable free, a finite upper adds a cap.
+
+    ``warm`` optionally holds the optimal :class:`LpResult` of a program with
+    the same objective and bounds whose constraints are a prefix of these;
+    every constraint past that prefix must be an equality. The solve then
+    starts from that result's final tableau.
     """
 
     objective: np.ndarray
     constraints: list
     lower: list | None = None
     upper: list | None = None
+    warm: LpResult | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -62,6 +75,10 @@ class LpResult:
     x: np.ndarray | None = None
     value: float | None = None
     pivots: int = 0  # basis changes made, over both phases
+    # when optimal: the program solved and its final (tableau, basis), read-only
+    program: LinearProgram | None = field(default=None, repr=False, compare=False)
+    tableau: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
+                                                          compare=False)
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -126,11 +143,10 @@ def _run_simplex(T, basis, cost, tol, max_iter):
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
 
-def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
-    """Solve the program; statuses are explicit and pivoting is deterministic."""
+def _cold_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
+    """Initial tableau, basis and first artificial column of a solve from
+    scratch: a slack basis plus one artificial per row that is not <=."""
     n = lp.objective.shape[0]
-    free = np.array([lo is None for lo in lp.lower], dtype=bool)
-    shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
     capped = [j for j in range(n) if lp.upper[j] is not None]
 
     # constraint rows, then one <= row per finite upper bound, in shifted space
@@ -153,12 +169,8 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     b[neg] = -b[neg]
     less = np.where(neg, ~less & ~equal, less)
 
-    # free variables split into a positive part and a negative part next to it
-    col_plus = np.arange(n) + np.cumsum(free) - free
-    col_minus = col_plus[free] + 1
-    ncols = n + int(free.sum())
-
     # slack (<=) or surplus (>=) column per inequality, artificial per row not <=
+    ncols = n + int(free.sum())
     art_start = ncols + int(np.count_nonzero(~equal))
     total = art_start + int(np.count_nonzero(~less))
     slack = ncols + np.cumsum(~equal) - 1
@@ -171,6 +183,75 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     T[rows[~equal], slack[~equal]] = np.where(less, 1.0, -1.0)[~equal]
     T[rows[~less], art[~less]] = 1.0
     basis = np.where(less, slack, art)
+    return T, basis, art_start
+
+
+def _same_row(got, want) -> bool:
+    return got is want or (got[1] == want[1] and float(got[2]) == float(want[2])
+                           and np.array_equal(got[0], want[0]))
+
+
+def _warm_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
+    """Initial tableau, basis and first artificial column of a solve that
+    starts from ``lp.warm``: its final tableau with the new equality rows
+    below, each written in the nonbasic columns and given an artificial."""
+    warm = lp.warm
+    if warm.tableau is None:
+        raise InputError(f"a warm start must be an optimal solve, not {warm.status!r}")
+    base = warm.program
+    k = len(base.constraints)
+    if len(lp.constraints) < k or not all(map(_same_row, lp.constraints, base.constraints)):
+        raise InputError("the warm start's constraints are not a prefix of the program's")
+    if not (np.array_equal(lp.objective, base.objective) and list(lp.lower) == list(base.lower)
+            and list(lp.upper) == list(base.upper)):
+        raise InputError("the warm start solved a program with another objective or bounds")
+    extra = lp.constraints[k:]
+    if any(rel != EQUAL for _coeffs, rel, _rhs in extra):
+        raise InputError("a warm start can only be extended by equality rows")
+
+    T0, basis0 = warm.tableau
+    m0, width = T0.shape[0], T0.shape[1] - 1
+    e = len(extra)
+    C = np.array([coeffs for coeffs, _rel, _rhs in extra], dtype=float).reshape(e, len(free))
+    A = np.zeros((e, width))
+    A[:, col_plus] = C
+    A[:, col_minus] = -C[:, free]
+    b = np.array([float(rhs) for _coeffs, _rel, rhs in extra]) - C @ shift
+    # subtract the basic columns' multiples of their rows; pivoting keeps
+    # those columns exact unit vectors, so their entries cancel exactly
+    coef = A[:, basis0]
+    A -= coef @ T0[:, :-1]
+    b -= coef @ T0[:, -1]
+    neg = b < 0.0
+    A[neg] = -A[neg]
+    b[neg] = -b[neg]
+
+    T = np.zeros((m0 + e, width + e + 1))
+    T[:m0, :width] = T0[:, :-1]
+    T[:m0, -1] = T0[:, -1]
+    T[m0:, :width] = A
+    T[m0:, width:-1] = np.eye(e)
+    T[m0:, -1] = b
+    basis = np.concatenate([basis0, width + np.arange(e)])
+    return T, basis, width
+
+
+def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
+    """Solve the program; statuses are explicit and pivoting is deterministic.
+
+    Phase 1 maximizes minus the sum of the artificial columns, phase 2 the
+    objective. With ``lp.warm`` set, only the appended rows carry
+    artificials, and the solved program's basis is where pivoting starts.
+    """
+    n = lp.objective.shape[0]
+    free = np.array([lo is None for lo in lp.lower], dtype=bool)
+    shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
+    # free variables split into a positive part and a negative part next to it
+    col_plus = np.arange(n) + np.cumsum(free) - free
+    col_minus = col_plus[free] + 1
+    build = _cold_tableau if lp.warm is None else _warm_tableau
+    T, basis, art_start = build(lp, free, shift, col_plus, col_minus)
+    m, total = T.shape[0], T.shape[1] - 1
 
     max_iter = 10_000 + 200 * (m + total)
     pivots = 0
@@ -207,4 +288,6 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     full[basis] = T[:, -1]
     x = shift + full[col_plus]
     x[free] -= full[col_minus]
-    return LpResult("optimal", x, float(lp.objective @ x), pivots)
+    T.setflags(write=False)
+    basis.setflags(write=False)
+    return LpResult("optimal", x, float(lp.objective @ x), pivots, lp, (T, basis))

@@ -86,6 +86,11 @@ class Pomdp:
             raise InputError(f"reward shape {self.reward.shape} != {(s,)}")
         if not (0.0 < self.discount <= 1.0):
             raise InputError(f"discount {self.discount} not in (0, 1]")
+        for table, what in ((self.transition, "transition table"),
+                            (self.observation_fn, "observation table"),
+                            (self.reward, "reward")):
+            if not np.all(np.isfinite(table)):
+                raise InputError(f"model {what} has non-finite entries")
         _check_stochastic(self.transition, "transition table")
         _check_stochastic(self.observation_fn, "observation table")
         for arr in (self.transition, self.observation_fn, self.reward):

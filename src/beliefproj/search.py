@@ -61,8 +61,11 @@ class SearchResult:
 
 
 def result_from_doc(doc: dict, variables) -> SearchResult:
-    result = SearchResult(doc.get("method", "scheme"), doc.get("scope", "all"),
-                          trace=doc.get("trace", []))
+    method, scope = doc.get("method", "scheme"), doc.get("scope", "all")
+    for key, value in (("method", method), ("scope", scope)):
+        if not isinstance(value, str):
+            raise InputError(f"search result {key!r} must be a string, got {value!r}")
+    result = SearchResult(method, scope, trace=doc.get("trace", []))
     if "scheme" in doc:
         result.scheme = ProjectionScheme.from_names(doc["scheme"], variables)
     if "per_region" in doc:
@@ -177,10 +180,12 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
                   test: str, scope: str, positives=None):
     """Aggregate bound of one lattice node over the stage scope.
 
-    Returns (value, positive pair sets per tested stage) so children can
-    retest only pairs still positive at the parent (switch tests are monotone
-    along edges). B reads only the switch sets of the stages in scope, so
-    only those are tested; E's alternative sets recurse through every stage.
+    Returns (value, positive pairs per tested stage) so children can retest
+    only pairs still positive at the parent (switch tests are monotone along
+    edges). Each positive pair (i, j), i < j, maps to its decision's LP
+    result (None under the VS test), from which the child's LP test starts.
+    B reads only the switch sets of the stages in scope, so only those are
+    tested; E's alternative sets recurse through every stage.
     """
     scoped = stage_sets[-1:] if scope == "last" else stage_sets
     tested = scoped if bound == "B" else stage_sets
@@ -188,9 +193,11 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
     new_positives = []
     for s_idx, aset in enumerate(tested):
         cands = positives[s_idx] if positives is not None else None
-        sw = stage_switch_sets(aset, scheme, test, candidates=cands)
+        decisions = {}
+        sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions)
         sw_per_stage.append(sw)
-        new_positives.append({(i, j) for i, s in enumerate(sw) for j in s if i < j})
+        new_positives.append({pair: decision.lp for pair, decision in decisions.items()
+                              if decision.switches})
     if bound == "B":
         value = max(bound_from_switch_sets(aset, sw) for aset, sw in zip(tested, sw_per_stage))
     else:

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from beliefproj import (GuardError, LpResult, NumericalError, ProjectionScheme, bounds,
-                        build_basis, displacement, lattice_root, lp_switch_test,
-                        oracle_switch_test, project, random_pomdp, solve,
+from beliefproj import (GuardError, InputError, LpResult, NumericalError, ProjectionScheme,
+                        bounds, build_basis, displacement, lattice_children, lattice_root,
+                        lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
                         vs_switch_test, walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_from_switch_sets, compute_bounds,
                                oracle_switch_sets, stage_switch_sets)
@@ -50,6 +50,25 @@ def test_lp_switch_identity_scheme_never_switches():
     decision = lp_switch_test(CORRELATED, FLAT, ProjectionScheme.full(2))
     assert not decision.switches
     assert decision.objective <= 1e-9
+
+
+def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
+    """Under a child scheme, the warm-started program is the parent's rows
+    followed by the child's new marginal row, and it decides as a cold solve."""
+    alpha_i, alpha_j = rng.normal(size=8), rng.normal(size=8)
+    parent = lp_switch_test(alpha_i, alpha_j, lattice_root(3))
+    assert parent.lp is not None and parent.lp.status == "optimal"
+    for child, _mask in lattice_children(lattice_root(3)):
+        warm = lp_switch_test(alpha_i, alpha_j, child, parent.lp)
+        cold = lp_switch_test(alpha_i, alpha_j, child)
+        rows = parent.lp.program.constraints
+        assert all(a is b for a, b in zip(warm.lp.program.constraints, rows))
+        assert len(warm.lp.program.constraints) == len(cold.lp.program.constraints) == len(rows) + 1
+        assert warm.switches == cold.switches
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    other = lp_switch_test(alpha_j, alpha_i, lattice_root(3))
+    with pytest.raises(InputError, match="coarser scheme"):
+        lp_switch_test(alpha_i, alpha_j, child, other.lp)
 
 
 def test_lp_switch_correlation_example_confirmed_by_oracle():

@@ -277,8 +277,10 @@ def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value
     ({"method": "vs-sum", "per_region": {"1:0": 5}},
      "scheme 5 is not a list of blocks of variable names"),
     ([[["x0"]], ["x1"]], "scheme [[['x0']], ['x1']] is not a list of blocks of variable names"),
+    ({"method": float("nan"), "scheme": [["x0"], ["x1"]]},
+     "search result 'method' must be a string, got nan"),
 ], ids=["per-region-key", "partial-scheme", "per-region-list", "per-region-number",
-        "nested-names"])
+        "nested-names", "method-nan"])
 def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, message):
     model = gen_model(tmp_path)
     policy = solve_policy(tmp_path, model)
@@ -328,3 +330,58 @@ def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, mes
         assert run(command) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("table,edit", [
+    ("transition table", lambda doc: doc["transitions"]["a0"]["flat"][0].__setitem__(0, "NaN")),
+    ("observation table", lambda doc: doc["observation"]["a1"][3].__setitem__(1, "NaN")),
+    ("reward", lambda doc: doc["reward"].__setitem__(2, "NaN")),
+], ids=["transition", "observation", "reward"])
+def test_nan_model_entry_exits_2_naming_the_table(tmp_path, capsys, table, edit):
+    doc = json.loads(gen_model(tmp_path).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"NaN"', "NaN"))
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 2, "--out", tmp_path / "p.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"model {table} has non-finite entries" in err and "Traceback" not in err
+
+
+def test_policy_values_beyond_the_reward_bound_exit_2(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    doc["stages"][1][0]["values"][:2] = [1e308, -1e308]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    for command in (["search", bad, "--method", "b-vs", "--out", tmp_path / "s.json"],
+                    ["eval", model, bad, scheme, "--mode", "single", "--seed", 0,
+                     "--out", tmp_path / "r.json"]):
+        capsys.readouterr()
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert "stage-2 policy values exceed" in err and "(field 'values')" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "r.json").exists()
+
+
+def test_non_finite_result_exits_4_without_writing_it(tmp_path, monkeypatch, capsys):
+    from beliefproj import cli
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    original = cli.average_error
+
+    def infinite_loss(*args, **kwargs):
+        report = original(*args, **kwargs)
+        report.average_loss = float("inf")
+        return report
+    monkeypatch.setattr(cli, "average_error", infinite_loss)
+    capsys.readouterr()
+    assert run(["eval", model, policy, scheme, "--mode", "single", "--seed", 0,
+                "--beliefs", 20, "--out", tmp_path / "r.json"]) == 4
+    assert "non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

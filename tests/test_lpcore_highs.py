@@ -1,4 +1,5 @@
-"""Differential test of solve_lp against HiGHS on witness- and switch-shaped programs."""
+"""Differential test of solve_lp against HiGHS on witness- and switch-shaped
+programs, solved from scratch and warm-started from a solved program."""
 
 from unittest import mock
 
@@ -11,7 +12,10 @@ optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from beliefproj import LinearProgram, bounds, lp_switch_test, solve_lp, solver  # noqa: E402
+from beliefproj import (InputError, LinearProgram, bounds, lp_switch_test,  # noqa: E402
+                        solve_lp, solver)
+from beliefproj.lpcore import EQUAL, GREATER  # noqa: E402
+from beliefproj.projection import indicator_vector  # noqa: E402
 
 from conftest import random_partition  # noqa: E402
 
@@ -76,3 +80,54 @@ def test_switch_programs_match_highs(case):
     n, alpha_i, alpha_j, seed = case
     blocks = random_partition(n, np.random.default_rng(seed))
     assert_agrees(captured_lp(bounds, lambda: lp_switch_test(alpha_i, alpha_j, blocks)))
+
+
+def extra_row(n, dim, rng, kind):
+    """An equality row over [b, b', x]: a switch LP's marginal row for a
+    random subset, or random coefficients with a random right-hand side
+    (which may make the program infeasible)."""
+    row = np.zeros(2 * dim + 1)
+    if kind == "marginal":
+        ind = indicator_vector(int(rng.integers(0, 1 << n)), n)
+        row[:dim], row[dim:2 * dim] = ind, -ind
+        return row, EQUAL, 0.0
+    row[:] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=row.size)
+    return row, EQUAL, float(rng.choice([0.0, 0.25, 1.0]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), arrays(float, 1 << n, elements=entries), arrays(float, 1 << n, elements=entries),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["marginal", "random"]), min_size=1, max_size=2))))
+def test_warm_started_switch_programs_match_highs_and_cold(case):
+    n, alpha_i, alpha_j, seed, kinds = case
+    rng = np.random.default_rng(seed)
+    parent_lp = captured_lp(bounds, lambda: lp_switch_test(
+        alpha_i, alpha_j, random_partition(n, rng)))
+    parent = solve_lp(parent_lp)
+    assert parent.status == "optimal"
+    extra = [extra_row(n, 1 << n, rng, kind) for kind in kinds]
+    rows = parent_lp.constraints + extra
+    warm = solve_lp(LinearProgram(parent_lp.objective, rows, parent_lp.lower, warm=parent))
+    cold = solve_lp(LinearProgram(parent_lp.objective, rows, parent_lp.lower))
+    status, value = highs(LinearProgram(parent_lp.objective, rows, parent_lp.lower))
+    assert warm.status == cold.status == status
+    if status == "optimal":
+        assert warm.value == pytest.approx(value, abs=1e-7)
+        assert warm.value == pytest.approx(cold.value, abs=1e-7)
+        for coeffs, _rel, rhs in rows[2:]:
+            assert coeffs @ warm.x == pytest.approx(rhs, abs=1e-7)
+        assert np.all(warm.x[:-1] >= -1e-7)
+
+    # the start must be a solved prefix of the program, extended by equalities
+    with pytest.raises(InputError, match="not a prefix"):
+        solve_lp(LinearProgram(parent_lp.objective, extra + parent_lp.constraints,
+                               parent_lp.lower, warm=parent))
+    moved = [(coeffs + 1.0, rel, rhs) if k == 0 else (coeffs, rel, rhs)
+             for k, (coeffs, rel, rhs) in enumerate(rows)]
+    with pytest.raises(InputError, match="not a prefix"):
+        solve_lp(LinearProgram(parent_lp.objective, moved, parent_lp.lower, warm=parent))
+    with pytest.raises(InputError, match="equality rows"):
+        solve_lp(LinearProgram(parent_lp.objective, parent_lp.constraints
+                               + [(extra[0][0], GREATER, 0.0)], parent_lp.lower, warm=parent))

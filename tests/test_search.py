@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beliefproj import (InputError, ProjectionScheme, bounds, build_basis,
+from beliefproj import (InputError, LinearProgram, ProjectionScheme, bounds, build_basis,
                         estimator_max, estimator_sum, incremental_scores,
                         lattice_children, lattice_root, random_pomdp,
                         residual_sq_length, solve, solve_lp, vs_search, walsh_vector)
@@ -164,9 +164,9 @@ def test_b_bound_with_scope_last_tests_only_last_stage_rows(monkeypatch, test):
     last = stages[-1].matrix
     seen = []
     for name in ("lp_switch_test", "vs_switch_test"):
-        def spy(alpha_i, alpha_j, scheme, original=getattr(bounds, name)):
+        def spy(alpha_i, alpha_j, *args, original=getattr(bounds, name)):
             seen.append(np.shares_memory(alpha_i, last) and np.shares_memory(alpha_j, last))
-            return original(alpha_i, alpha_j, scheme)
+            return original(alpha_i, alpha_j, *args)
         monkeypatch.setattr(bounds, name, spy)
     result = greedy_bound_search(model, stages, "B", test, "last")
     assert seen and all(seen)
@@ -233,3 +233,24 @@ def test_b_lp_switch_lps_take_at_most_half_the_lowest_index_pivots(monkeypatch):
     run_search(model, stages, SearchConfig(method="b-lp"))
     assert len(pivots) == 667
     assert sum(pivots) <= 86_792 // 2
+
+
+def test_b_lp_warm_started_switch_lps_take_under_a_third_of_the_cold_pivots(monkeypatch):
+    # each child LP along a lattice edge starts from its parent's optimal
+    # tableau; solved cold, the same 667 LPs took 28,115 pivots
+    model = random_pomdp(6, 2, 2, np.random.default_rng(1000))
+    stages = solve(model, 3)
+    pivots, gaps = [], []
+
+    def counted(lp):
+        result = solve_lp(lp)
+        pivots.append(result.pivots)
+        if lp.warm is not None:
+            cold = solve_lp(LinearProgram(lp.objective, lp.constraints, lp.lower, lp.upper))
+            gaps.append(abs(result.value - cold.value))
+        return result
+    monkeypatch.setattr(bounds, "solve_lp", counted)
+    run_search(model, stages, SearchConfig(method="b-lp"))
+    assert len(pivots) == 667
+    assert sum(pivots) <= 28_115 // 3
+    assert gaps and max(gaps) <= 1e-9
