@@ -2,7 +2,10 @@
 
 Every artifact file is byte-reproducible given the same inputs, flags, and
 seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json``
-run log, never into artifacts. Exit codes: 0 ok, 2 input error, 3 guard or
+run log, never into artifacts. Every JSON artifact and manifest goes through
+one writer, ``_write_json``, whose bytes are those of ``json.dump(doc, fh,
+indent=2, sort_keys=True)`` plus a newline; it hands each list of numbers to
+the C encoder in one call. Exit codes: 0 ok, 2 input error, 3 guard or
 resource error, 4 numerical failure.
 """
 
@@ -34,14 +37,88 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
 
 
-def _write_json(path: str, doc) -> None:
+def _open_output(path: str, newline: str | None = None):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
+
+
+INDENT = "  "
+
+
+def _json_chunks(doc):
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
+    in pieces, raising what it raises.
+
+    Dicts and lists are walked the way the stdlib's indented encoder walks
+    them, in Python. A list of scalars instead goes to the C encoder in one
+    call, with the item separator of its depth, and is wrapped in brackets.
+    Only a container that is not empty encodes differently there, and its
+    text holds a brace or a bracket, so a list whose text holds neither past
+    its opening bracket qualifies. One list's text is held at a time.
+    """
+    encoders = []
+
+    def encoder(depth):
+        while len(encoders) <= depth:
+            encoders.append(json.JSONEncoder(
+                sort_keys=True, allow_nan=False,
+                separators=(",\n" + INDENT * len(encoders), ": ")).encode)
+        return encoders[depth]
+
+    def walk(o, depth):
+        inner = "\n" + INDENT * (depth + 1)
+        if isinstance(o, dict):
+            if not o:
+                yield "{}"
+                return
+            encode, sep = encoder(0), "{" + inner
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    if key is not None and not isinstance(key, (int, float)):
+                        raise TypeError("keys must be str, int, float, bool or None, "
+                                        f"not {key.__class__.__name__}")
+                    key = encode(key)
+                yield sep + encode(key) + ": "
+                sep = "," + inner
+                yield from walk(value, depth + 1)
+            yield "\n" + INDENT * depth + "}"
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                yield "[]"
+                return
+            # a list that starts with a container would mostly fail the test
+            if not isinstance(o[0], (list, tuple, dict)):
+                text = encoder(depth + 1)(o)
+                if "{" not in text and text.find("[", 1) < 0:
+                    yield "[" + inner + text[1:-1] + "\n" + INDENT * depth + "]"
+                    return
+            sep = "[" + inner
+            for value in o:
+                yield sep
+                sep = "," + inner
+                yield from walk(value, depth + 1)
+            yield "\n" + INDENT * depth + "]"
+        else:
+            yield encoder(0)(o)
+
+    return walk(doc, 0)
+
+
+def _write_json(path: str, doc) -> None:
+    fh = _open_output(path)
+    try:
+        with fh:
+            fh.writelines(_json_chunks(doc))
             fh.write("\n")
     except ValueError:
         # NaN and the infinities have no JSON form; drop the partial file
@@ -176,7 +253,7 @@ def cmd_eval(args) -> int:
     report = average_error(model, stages, source, cfg, method=method)
     _write_json(args.out, report.to_doc())
     csv_path = str(Path(args.out).with_suffix(".csv"))
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mode", "average_loss", "B", "E", "seconds"])
         # wall clock is environment noise; it lives in the manifest so that
@@ -191,6 +268,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _int_from(low: int):
+    """argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefproj",
@@ -198,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random model file")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--actions", type=int, required=True)
-    p.add_argument("--obs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--vars", type=_int_from(1), required=True)
+    p.add_argument("--actions", type=_int_from(1), required=True)
+    p.add_argument("--obs", type=_int_from(1), required=True)
+    p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--sparsity", type=float, default=0.0)
     p.add_argument("--discount", type=float, default=0.95)
     p.add_argument("--out", required=True)
@@ -227,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scheme", help="scheme JSON or search-result JSON")
     p.add_argument("--mode", choices=["single", "successive"], required=True)
     p.add_argument("--beliefs", type=int, default=5000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
     return parser

@@ -29,6 +29,7 @@ from .errors import InputError, NumericalError
 FEAS_TOL = 1e-9
 DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule takes over
 PIVOT_REL = 1e-3  # smallest tied pivot entry kept, relative to the largest
+PIVOT_FLOOR = 1e-6  # smallest pivot entry, relative to its column's largest |entry|
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -82,42 +83,61 @@ class LpResult:
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    others = T[:, col].nonzero()[0]
-    others = others[others != row]
-    T[others] -= T[others, col][:, np.newaxis] * T[row]
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    others = factors.nonzero()[0]
+    T[others] -= factors[others, np.newaxis] * pivot_row
     if r[col] != 0.0:
-        r -= r[col] * T[row, :-1]
+        r -= r[col] * pivot_row[:-1]
     basis[row] = col
 
 
-def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int, tol: float) -> tuple[int, float]:
-    """Minimum-ratio row for the entering column and its ratio, or (-1, inf)
-    when the column has no entry above ``tol``.
+def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
+                 tol: float) -> tuple[int, float, bool]:
+    """Minimum-ratio row for the entering column, its ratio, and whether its
+    entry is under ``PIVOT_FLOOR`` times the column's largest |entry|; or
+    (-1, inf, False) when the column has no entry above ``tol``.
 
-    Ratios within ``tol`` of the best tie, and a tie goes to the row whose
-    basic column has the lowest index, unless that row's entry is below
-    ``PIVOT_REL`` times the largest tied entry: then the tie goes to the
-    lowest basic column among the tied rows whose entries are not. Dividing
-    by an entry that small next to a usable one blows the tableau up.
+    Rows tie when stepping to their ratio leaves every row's value above
+    ``-tol`` (Harris's bound, so a tie never costs more than ``tol`` of
+    feasibility, however large the column's entries). A tie goes to the row
+    whose basic column has the lowest index, unless that row's entry is
+    below ``PIVOT_REL`` times the largest tied entry: then the tie goes to
+    the lowest basic column among the tied rows whose entries are not.
+    Dividing by an entry that small next to a usable one blows the tableau up.
     """
-    rows = (T[:, enter] > tol).nonzero()[0]
-    entries = T[rows, enter]
-    ratios = T[rows, -1] / entries
-    leave, leave_col, best = -1, -1, np.inf
-    for i, col, ratio in zip(rows.tolist(), basis[rows].tolist(), ratios.tolist()):
-        if leave < 0 or ratio < best - tol:
-            leave, leave_col, best = i, col, ratio
-        elif ratio <= best + tol and col < leave_col:
-            leave, leave_col, best = i, col, min(best, ratio)
-    if leave >= 0:
-        tied = ratios <= best + tol
-        floor = PIVOT_REL * entries[tied].max()
-        if T[leave, enter] < floor:
-            stable = np.flatnonzero(tied & (entries >= floor))
-            k = stable[np.argmin(basis[rows[stable]])]
-            leave, best = int(rows[k]), float(ratios[k])
-    return leave, best
+    column = T[:, enter]
+    rows = (column > tol).nonzero()[0]
+    if rows.size == 0:
+        return -1, np.inf, False
+    entries = column[rows]
+    rhs = T[rows, -1]
+    ratios = rhs / entries
+    tied = (ratios <= ((rhs + tol) / entries).min()).nonzero()[0]
+    if tied.size > 1:
+        tied = tied[entries[tied] >= PIVOT_REL * entries[tied].max()]
+    k = tied[basis[rows[tied]].argmin()] if tied.size > 1 else tied[0]
+    tiny = entries[k] < PIVOT_FLOOR * np.abs(column).max()
+    return int(rows[k]), float(ratios[k]), tiny
+
+
+def _next_stable_column(T, basis, r, tol, bland, first):
+    """Entering column, leaving row and step once the pricing's ``first``
+    choice would pivot under ``PIVOT_FLOOR``: the next improving column in
+    pricing order whose pivot is not, or ``first`` when there is none.
+    Dividing a row by a pivot that small next to the column's other
+    entries floods the tableau with its inverse (Harris 1973)."""
+    improving = np.flatnonzero(r > tol)
+    if not bland:
+        improving = improving[np.argsort(-r[improving], kind="stable")]
+    for enter in improving.tolist():
+        if enter != first[0]:
+            leave, step, tiny = _leaving_row(T, basis, enter, tol)
+            if not tiny:
+                return enter, leave, step
+    return first
 
 
 def _run_simplex(T, basis, cost, tol, max_iter):
@@ -126,16 +146,22 @@ def _run_simplex(T, basis, cost, tol, max_iter):
     Enters the column of largest reduced cost, lowest index on ties. After
     ``DEGENERATE_RUN`` consecutive degenerate pivots it enters the lowest-index
     improving column (Bland's rule) until a pivot moves the vertex again.
+    A column whose pivot entry is under ``PIVOT_FLOOR`` of its largest entry
+    gives way to the next improving column in that order.
     """
     r = cost - (cost[basis] @ T[:, :-1] if len(basis) else 0.0)
     if r.size == 0:
         return "optimal", 0
     degenerate = 0
     for pivots in range(max_iter):
-        enter = int((r if degenerate < DEGENERATE_RUN else r > tol).argmax())
+        bland = degenerate >= DEGENERATE_RUN
+        enter = int((r > tol if bland else r).argmax())
         if r[enter] <= tol:
             return "optimal", pivots
-        leave, step = _leaving_row(T, basis, enter, tol)
+        leave, step, tiny = _leaving_row(T, basis, enter, tol)
+        if tiny:
+            enter, leave, step = _next_stable_column(T, basis, r, tol, bland,
+                                                     (enter, leave, step))
         if leave < 0:
             return "unbounded", pivots
         degenerate = degenerate + 1 if step <= tol else 0

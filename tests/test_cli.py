@@ -385,3 +385,76 @@ def test_non_finite_result_exits_4_without_writing_it(tmp_path, monkeypatch, cap
                 "--beliefs", 20, "--out", tmp_path / "r.json"]) == 4
     assert "non-finite number" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["gen", "--vars", -1, "--actions", 2, "--obs", 2, "--seed", 1], "--vars"),
+    (["gen", "--vars", 2, "--actions", -1, "--obs", 2, "--seed", 1], "--actions"),
+    (["gen", "--vars", 2, "--actions", 2, "--obs", -3, "--seed", 1], "--obs"),
+    (["gen", "--vars", 2, "--actions", 2, "--obs", 2, "--seed", -1], "--seed"),
+    (["eval", "{model}", "{policy}", "{scheme}", "--mode", "single", "--seed", -1], "--seed"),
+], ids=["gen-vars", "gen-actions", "gen-obs", "gen-seed", "eval-seed"])
+def test_negative_count_or_seed_exits_2_naming_the_flag(tmp_path, capsys, command, flag):
+    model = gen_model(tmp_path)
+    paths = {"model": model, "policy": solve_policy(tmp_path, model),
+             "scheme": tmp_path / "scheme.json"}
+    paths["scheme"].write_text(json.dumps([["x0"], ["x1"]]))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(**paths) for a in command] + ["--out", tmp_path / "x.json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err and "Traceback" not in err
+
+
+def pipeline_commands(tmp_path):
+    """One command per subcommand, each missing only its --out."""
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    return {"gen": ["gen", "--vars", 2, "--actions", 2, "--obs", 2, "--seed", 1],
+            "solve": ["solve", model, "--horizon", 2],
+            "search": ["search", policy, "--method", "b-vs"],
+            "eval": ["eval", model, policy, scheme, "--mode", "single", "--beliefs", 5,
+                     "--seed", 0]}
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "search", "eval"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command, where):
+    argv = pipeline_commands(tmp_path)[command]
+    out = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+
+
+def test_eval_csv_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    argv = pipeline_commands(tmp_path)["eval"]
+    (tmp_path / "r.csv").mkdir()
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / 'r.csv'}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,position", [
+    ("solve", 1), ("search", 1), ("eval", 1), ("eval", 2), ("eval", 3)],
+    ids=["solve-model", "search-policy", "eval-model", "eval-policy", "eval-scheme"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, position, kind):
+    argv = pipeline_commands(tmp_path)[command]
+    bad = tmp_path / "bad"
+    if kind == "directory":
+        bad.mkdir()
+        message = f"cannot read {bad}: Is a directory"
+    else:
+        bad.write_bytes(b'{"variables": ["\xff"]}')
+        message = f"{bad}: not UTF-8 text"
+    argv[position] = bad
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 optimize = pytest.importorskip("scipy.optimize")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from beliefproj import (InputError, LinearProgram, bounds, lp_switch_test,  # noqa: E402
@@ -76,6 +76,11 @@ def test_witness_programs_match_highs(case):
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n), arrays(float, 1 << n, elements=entries), arrays(float, 1 << n, elements=entries),
     st.integers(0, 2**32 - 1))))
+# pricing's first column pivots on the 1e-9 entry of a column whose largest
+# entry is 1, then on 8e-8 in a column grown to 5e8, and phase 1 ends
+# "unbounded" unless another column enters; HiGHS finds the optimum 0
+@example(case=(4, np.array([-1.0] + [0.0] * 15),
+               np.array([0.0] + [-0.5] * 6 + [1e-9, -1.0] + [-0.5] * 7), 4))
 def test_switch_programs_match_highs(case):
     n, alpha_i, alpha_j, seed = case
     blocks = random_partition(n, np.random.default_rng(seed))
@@ -100,6 +105,13 @@ def extra_row(n, dim, rng, kind):
     st.just(n), arrays(float, 1 << n, elements=entries), arrays(float, 1 << n, elements=entries),
     st.integers(0, 2**32 - 1),
     st.lists(st.sampled_from(["marginal", "random"]), min_size=1, max_size=2))))
+# a forced pivot on a 2e-9 entry leaves entries near 1e9 in the next column;
+# tying its ratios within an absolute 1e-9 would step another row to -0.5 and
+# report 0.5 (cold in the first, warm in the second) for an optimum of 8e-10
+@example(case=(2, np.array([-1.0, 0.0, -0.5, 0.0]), np.array([-1.0, -1.0, -1.0, 1e-9]), 2,
+               ["random"]))
+@example(case=(2, np.array([-1.0, -0.5, 0.0, 0.0]), np.array([-1.0, -1.0, -1.0, 1e-9]), 2,
+               ["random"]))
 def test_warm_started_switch_programs_match_highs_and_cold(case):
     n, alpha_i, alpha_j, seed, kinds = case
     rng = np.random.default_rng(seed)
