@@ -13,7 +13,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -221,62 +221,63 @@ def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
     return best
 
 
-def _minimal_members(members: list[np.ndarray]) -> list[np.ndarray]:
-    """Drop duplicates and every member that pointwise-dominates another;
+def _minimal_members(members: np.ndarray) -> np.ndarray:
+    """Drop duplicate rows and every row that pointwise-dominates another;
     the survivors attain the same max of (alpha - member). Negation is exact,
     so :func:`undominated` on the negated rows makes exactly these cuts."""
-    return [members[i] for i in undominated(-np.stack(members))]
+    return members[undominated(-members)]
 
 
 def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
-             switch_sets_per_stage) -> list[list[list[np.ndarray]]]:
-    """Alternative-plan value vectors per stage per vector.
+             switch_sets_per_stage) -> list[list[np.ndarray]]:
+    """Alternative-plan value vectors per stage per vector, one row per member.
 
     Stage 1 alternatives are the vector itself plus its switch targets. At
     stage k the plan may first switch at the root, then substitute any
     alternative subplan per observation; every reachable plan's value vector
-    is produced by the backup formula. Each set is reduced to its pointwise-
-    minimal members, which leaves the E bound unchanged. A set that would
-    enumerate more than ``ALT_GUARD`` members raises GuardError.
+    is produced by the backup formula. A root's members are one broadcast
+    cross-sum of its per-observation branch values, observation 0 most
+    significant, so they come in ``itertools.product`` order and each is
+    summed in observation order. Each set is reduced to its pointwise-minimal
+    members, which leaves the E bound unchanged. A set that would enumerate
+    more than ``ALT_GUARD`` members raises GuardError before it is built.
     """
-    alts: list[list[list[np.ndarray]]] = []
+    alts: list[list[np.ndarray]] = []
     for k, aset in enumerate(stage_sets):
-        stage_alts = []
+        switch_sets = switch_sets_per_stage[k]
         if k == 0:
-            for i in range(len(aset)):
-                members = [aset.matrix[i]]
-                members += [aset.matrix[j] for j in switch_sets_per_stage[0][i]]
-                stage_alts.append(_minimal_members(members))
-        else:
-            prev_alts = alts[-1]
-            transformed: dict[tuple[int, int, int], list[np.ndarray]] = {}
+            alts.append([_minimal_members(aset.matrix[[i, *switch_sets[i]]])
+                         for i in range(len(aset))])
+            continue
+        prev_alts = alts[-1]
+        transformed: dict[tuple[int, int, int], np.ndarray] = {}
 
-            def branch_values(a, z, p):
-                key = (a, z, p)
-                got = transformed.get(key)
-                if got is None:
-                    obs_col = model.observation_fn[a][:, z]
-                    got = [model.transition[a] @ (obs_col * w) for w in prev_alts[p]]
-                    transformed[key] = got
-                return got
+        def branch_values(a, z, p):
+            key = (a, z, p)
+            got = transformed.get(key)
+            if got is None:
+                # one product per member: a single matrix product over all
+                # members may round differently
+                column = model.observation_fn[a][:, z]
+                got = np.stack([model.transition[a] @ (column * w) for w in prev_alts[p]])
+                transformed[key] = got
+            return got
 
-            for i in range(len(aset)):
-                members = []
-                for root in (i, *switch_sets_per_stage[k][i]):
-                    per_z = [branch_values(aset.actions[root], z, p)
-                             for z, p in enumerate(aset.strategies[root])]
-                    combos = 1
-                    for lst in per_z:
-                        combos *= len(lst)
-                    if len(members) + combos > ALT_GUARD:
-                        raise GuardError(f"alternative set for stage {k + 1} vector {i} "
-                                         f"exceeds {ALT_GUARD} members")
-                    for picks in product(*per_z):
-                        acc = picks[0].copy()
-                        for extra in picks[1:]:
-                            acc += extra
-                        members.append(model.reward + model.discount * acc)
-                stage_alts.append(_minimal_members(members))
+        stage_alts = []
+        for i in range(len(aset)):
+            blocks, count = [], 0
+            for root in (i, *switch_sets[i]):
+                per_z = [branch_values(aset.actions[root], z, p)
+                         for z, p in enumerate(aset.strategies[root])]
+                count += prod(len(values) for values in per_z)
+                if count > ALT_GUARD:
+                    raise GuardError(f"alternative set for stage {k + 1} vector {i} "
+                                     f"exceeds {ALT_GUARD} members")
+                acc = per_z[0]
+                for values in per_z[1:]:
+                    acc = (acc[:, np.newaxis] + values).reshape(-1, acc.shape[1])
+                blocks.append(model.reward + model.discount * acc)
+            stage_alts.append(_minimal_members(np.concatenate(blocks)))
         alts.append(stage_alts)
     return alts
 
@@ -285,11 +286,10 @@ def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:
     """max over vectors and their alternatives of the componentwise maximum of
     (alpha - alternative), clamped at zero."""
     best = 0.0
-    for i, members in enumerate(stage_alts):
-        for w in members:
-            gap = float(np.max(aset.matrix[i] - w))
-            if gap > best:
-                best = gap
+    for alpha, members in zip(aset.matrix, stage_alts):
+        gap = float(np.max(alpha - members))
+        if gap > best:
+            best = gap
     return best
 
 

@@ -253,7 +253,13 @@ def cmd_eval(args) -> int:
     report = average_error(model, stages, source, cfg, method=method)
     _write_json(args.out, report.to_doc())
     csv_path = str(Path(args.out).with_suffix(".csv"))
-    with _open_output(csv_path, newline="") as fh:
+    try:
+        fh = _open_output(csv_path, newline="")
+    except InputError:
+        # a failed eval leaves no report behind
+        Path(args.out).unlink(missing_ok=True)
+        raise
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mode", "average_loss", "B", "E", "seconds"])
         # wall clock is environment noise; it lives in the manifest so that
@@ -300,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a model into stage alpha-vector sets")
     p.add_argument("model")
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_int_from(1), default=1_000_000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 

@@ -207,7 +207,9 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
 
     Each call of ``walk`` handles one level of the observation tree for a
     whole block, and recurses once per observation on the rows that reach
-    it, so at most one block per level is alive at a time.
+    it, so at most one block per level is alive at a time. The last level
+    reads only the exact track, so the approximate track is never normalized
+    or projected into it; its norm is still taken to count restarts.
     """
     restarts = 0
 
@@ -238,16 +240,20 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
                 next_approx = pred_approx[live] * column
                 norm = next_approx.sum(axis=1)
                 ok = norm >= ZERO_OBS_TOL
-                np.divide(next_approx, norm[:, np.newaxis], out=next_approx,
-                          where=ok[:, np.newaxis])
-                if mode == "successive" and ok.any():
-                    next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
-                                                    lambda i: lookup(k, i))
-                # a branch with positive true probability that the approximate
-                # track finds impossible restarts that track from the exact
-                # posterior, unprojected
-                next_approx[~ok] = next_exact[~ok]
                 restarts += int(ok.size - np.count_nonzero(ok))
+                if k == 2:
+                    # the leaves read only the exact track
+                    next_approx = None
+                else:
+                    np.divide(next_approx, norm[:, np.newaxis], out=next_approx,
+                              where=ok[:, np.newaxis])
+                    if mode == "successive" and ok.any():
+                        next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
+                                                        lambda i: lookup(k, i))
+                    # a branch with positive true probability that the
+                    # approximate track finds impossible restarts that track
+                    # from the exact posterior, unprojected
+                    next_approx[~ok] = next_exact[~ok]
                 child = walk(next_exact, next_approx, k - 1)
                 acc[rows[live]] += pz[live, z] * child
         return total + model.discount * acc
@@ -256,7 +262,7 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
     values = beliefs @ stage_sets[-1].matrix.T
     top = np.argmax(values, axis=1)
     optimal = values[np.arange(beliefs.shape[0]), top]
-    approx = _project_rows(beliefs, top, lambda i: lookup(horizon, i))
+    approx = _project_rows(beliefs, top, lambda i: lookup(horizon, i)) if horizon > 1 else None
     achieved = walk(beliefs, approx, horizon)
     return optimal, achieved, restarts
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,35 +177,47 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
     return SearchResult(f"vs-{estimator}", scope, per_region=per_region, trace=traces)
 
 
+class NodeBound(NamedTuple):
+    """What a lattice node's bound leaves for its children: the bound, the
+    positive pairs and the switch sets of each tested stage."""
+    value: float
+    positives: list
+    switch_sets: list
+
+
 def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str,
-                  test: str, scope: str, positives=None):
+                  test: str, scope: str, parent: NodeBound | None = None) -> NodeBound:
     """Aggregate bound of one lattice node over the stage scope.
 
-    Returns (value, positive pairs per tested stage) so children can retest
-    only pairs still positive at the parent (switch tests are monotone along
-    edges). Each positive pair (i, j), i < j, maps to its decision's LP
-    result (None under the VS test), from which the child's LP test starts.
     B reads only the switch sets of the stages in scope, so only those are
-    tested; E's alternative sets recurse through every stage.
+    tested; E's alternative sets recurse through every stage. With the
+    accepted ``parent`` node, only pairs still positive there are retested
+    (switch tests are monotone along edges), an LP test starting from the
+    parent's LP result for its pair (``positives`` maps each positive pair
+    (i, j), i < j, to it; None under the VS test). B and E are functions of
+    the switch sets alone, so a node whose switch sets equal its parent's
+    takes the parent's value without rebuilding alternative sets or bounds.
     """
     scoped = stage_sets[-1:] if scope == "last" else stage_sets
     tested = scoped if bound == "B" else stage_sets
     sw_per_stage = []
     new_positives = []
     for s_idx, aset in enumerate(tested):
-        cands = positives[s_idx] if positives is not None else None
+        cands = parent.positives[s_idx] if parent is not None else None
         decisions = {}
         sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions)
         sw_per_stage.append(sw)
         new_positives.append({pair: decision.lp for pair, decision in decisions.items()
                               if decision.switches})
-    if bound == "B":
+    if parent is not None and sw_per_stage == parent.switch_sets:
+        value = parent.value
+    elif bound == "B":
         value = max(bound_from_switch_sets(aset, sw) for aset, sw in zip(tested, sw_per_stage))
     else:
         alts = alt_sets(model, stage_sets, sw_per_stage)
         value = max(bound_E_from_alts(aset, stage_alts)
                     for aset, stage_alts in zip(scoped, alts[-len(scoped):]))
-    return value, new_positives
+    return NodeBound(value, new_positives, sw_per_stage)
 
 
 def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "B",
@@ -216,11 +229,12 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
 
-    def score(node, mask, positives):
-        return _scoped_bound(model, stage_sets, node, bound, test, scope, positives)
+    def score(node, mask, parent):
+        got = _scoped_bound(model, stage_sets, node, bound, test, scope, parent)
+        return got.value, got
 
-    value, positives = score(lattice_root(n), None, None)
-    node, trace = _descend(n, value, positives, score, "bound")
+    root = _scoped_bound(model, stage_sets, lattice_root(n), bound, test, scope)
+    node, trace = _descend(n, root.value, root, score, "bound")
     return SearchResult(f"{bound.lower()}-{test.lower()}", scope, scheme=node, trace=trace)
 
 

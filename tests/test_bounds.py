@@ -7,8 +7,8 @@ from beliefproj import (GuardError, InputError, LpResult, NumericalError, Projec
                         bounds, build_basis, displacement, lattice_children, lattice_root,
                         lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
                         vs_switch_test, walsh_vector)
-from beliefproj.bounds import (alt_sets, bound_from_switch_sets, compute_bounds,
-                               oracle_switch_sets, stage_switch_sets)
+from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
+                               compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
 
 from conftest import random_partition
@@ -328,6 +328,65 @@ def test_alt_sets_match_exhaustive_plan_enumeration():
                 expected.append(plan_vector(model, action, list(picks)))
         got = {tuple(np.round(w, 12)) for w in alts[1][i]}
         assert got == minimal(expected)
+
+
+def product_alt_sets(model, stage_sets, switch_sets_per_stage):
+    """Alternative sets as lists, one member at a time: ``itertools.product``
+    over per-observation branch values, each member summed in observation
+    order, then the first of any byte-identical duplicates kept and every
+    member that is >= another everywhere dropped."""
+    alts = []
+    for k, aset in enumerate(stage_sets):
+        stage_alts = []
+        for i in range(len(aset)):
+            roots = (i, *switch_sets_per_stage[k][i])
+            if k == 0:
+                members = [aset.matrix[j] for j in roots]
+            else:
+                members = []
+                for root in roots:
+                    a = aset.actions[root]
+                    per_z = [[model.transition[a] @ (model.observation_fn[a][:, z] * w)
+                              for w in alts[-1][p]]
+                             for z, p in enumerate(aset.strategies[root])]
+                    for picks in itertools.product(*per_z):
+                        acc = picks[0].copy()
+                        for extra in picks[1:]:
+                            acc += extra
+                        members.append(model.reward + model.discount * acc)
+            unique, seen = [], set()
+            for w in members:
+                if w.tobytes() not in seen:
+                    seen.add(w.tobytes())
+                    unique.append(w)
+            stage_alts.append([w for r, w in enumerate(unique)
+                               if not any(np.all(w >= o) for q, o in enumerate(unique) if q != r)])
+        alts.append(stage_alts)
+    return alts
+
+
+def product_bound_E(aset, stage_alts):
+    best = 0.0
+    for i, members in enumerate(stage_alts):
+        for w in members:
+            best = max(best, float(np.max(aset.matrix[i] - w)))
+    return best
+
+
+@pytest.mark.parametrize("seed,n,obs", [(10, 3, 2), (11, 2, 3), (12, 4, 2)])
+def test_alt_sets_arrays_equal_product_enumeration_bit_for_bit(seed, n, obs):
+    model, stages = small_stage_sets(seed, n=n, actions=2, obs=obs, horizon=3)
+    root = lattice_root(n)
+    members = 0
+    for scheme in (root, *(child for child, _ in lattice_children(root)[:2])):
+        sw = [stage_switch_sets(aset, scheme, "VS") for aset in stages]
+        got, want = alt_sets(model, stages, sw), product_alt_sets(model, stages, sw)
+        for aset, got_stage, want_stage in zip(stages, got, want):
+            for got_members, want_members in zip(got_stage, want_stage, strict=True):
+                assert got_members.tobytes() == np.stack(want_members).tobytes()
+                members += len(want_members)
+            assert bound_E_from_alts(aset, got_stage) == product_bound_E(aset, want_stage)
+    assert members > 3 * sum(len(aset) for aset in stages)
 
 
 def test_alt_sets_guard_fires_above_the_cap(monkeypatch):

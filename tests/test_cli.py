@@ -393,7 +393,10 @@ def test_non_finite_result_exits_4_without_writing_it(tmp_path, monkeypatch, cap
     (["gen", "--vars", 2, "--actions", 2, "--obs", -3, "--seed", 1], "--obs"),
     (["gen", "--vars", 2, "--actions", 2, "--obs", 2, "--seed", -1], "--seed"),
     (["eval", "{model}", "{policy}", "{scheme}", "--mode", "single", "--seed", -1], "--seed"),
-], ids=["gen-vars", "gen-actions", "gen-obs", "gen-seed", "eval-seed"])
+    (["solve", "{model}", "--horizon", 2, "--cap", 0], "--cap"),
+    (["solve", "{model}", "--horizon", 2, "--cap", -5], "--cap"),
+], ids=["gen-vars", "gen-actions", "gen-obs", "gen-seed", "eval-seed", "solve-cap-0",
+        "solve-cap-negative"])
 def test_negative_count_or_seed_exits_2_naming_the_flag(tmp_path, capsys, command, flag):
     model = gen_model(tmp_path)
     paths = {"model": model, "policy": solve_policy(tmp_path, model),
@@ -438,6 +441,7 @@ def test_eval_csv_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert run(argv + ["--out", tmp_path / "r.json"]) == 2
     err = capsys.readouterr().err
     assert f"cannot write {tmp_path / 'r.csv'}" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command,position", [

@@ -310,3 +310,37 @@ def test_average_error_checks_guard_before_sampling(monkeypatch):
     with pytest.raises(GuardError):
         average_error(model, stages, lattice_root(2),
                       EvalConfig(num_beliefs=10))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["single", "successive"])
+def test_only_levels_above_the_leaves_project_the_approximate_track(monkeypatch, mode,
+                                                                    horizon):
+    """The leaves read only the exact track, so each belief's approximate
+    track is projected once per level above the last in successive mode
+    (once in all, at the root, in single mode), and the values are those of
+    the recursion, which projects at every level."""
+    model, stages = solved(31, n=3, actions=3, obs=2, horizon=horizon)
+    beliefs = sample_beliefs(model.n_states, 20, np.random.default_rng(31))
+    projected = []
+
+    def spy(rows, scheme):
+        projected.append(rows.shape[0])
+        return project_batch(rows, scheme)
+
+    project_batch = evaluate.project_batch
+    monkeypatch.setattr(evaluate, "project_batch", spy)
+    sources = {"global": lattice_root(3),
+               "per-region": vs_search(stages, "sum", scope="all").per_region}
+    levels = horizon - 1 if mode == "successive" else min(horizon - 1, 1)
+    for source in sources.values():
+        projected.clear()
+        _, achieved, restarts = _block_values(model, stages, scheme_lookup(source),
+                                              beliefs, mode)
+        # a dense model reaches every observation at every level
+        assert sum(projected) == 20 * sum(model.n_observations ** level
+                                          for level in range(levels))
+        assert restarts == 0
+        for row, b0 in enumerate(beliefs):
+            want = achieved_value(model, stages, source, b0, mode)
+            assert abs(achieved[row] - want) <= 1e-12

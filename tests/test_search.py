@@ -5,6 +5,7 @@ from beliefproj import (InputError, LinearProgram, ProjectionScheme, bounds, bui
                         estimator_max, estimator_sum, incremental_scores,
                         lattice_children, lattice_root, random_pomdp,
                         residual_sq_length, solve, solve_lp, vs_search, walsh_vector)
+from beliefproj import search
 from beliefproj.search import (SearchConfig, _scoped_bound, greedy_bound_search,
                                result_from_doc, run_search)
 from beliefproj.solver import AlphaSet
@@ -153,6 +154,80 @@ def test_greedy_bound_search_matches_exhaustive_child_bounds():
         node = children[best][0]
         assert step["bound"] == pytest.approx(values[best], abs=1e-12)
     assert result.scheme == node
+
+
+def structured_instance():
+    """Two stages over four variables whose value gradients are sums of a few
+    parity vectors: merging {0,1}, {2,3}, {1,2} or {0,3} turns some switch
+    pairs negative, and merging {0,2} or {1,3} turns none."""
+    n = 4
+    model = random_pomdp(n, 2, 2, np.random.default_rng(3), discount=0.9)
+    w = {mask: 4.0 * walsh_vector(mask, n) for mask in (0b0001, 0b0010, 0b0011, 0b0100,
+                                                         0b0110, 0b1001, 0b1100)}
+    base = 5.0 + 0.5 * w[0b0001]
+    first = np.stack([base, base + w[0b0011] + 0.3 * w[0b0100], base + 2.0 * w[0b1100],
+                      base + w[0b0011] + 2.0 * w[0b1100]])
+    second = np.stack([10.0 + w[0b0010], 10.0 + 1.5 * w[0b0110], 10.0 + 0.7 * w[0b1001]])
+    stages = [AlphaSet(1, first, np.zeros(4, dtype=np.intp), np.zeros((4, 0), dtype=np.intp)),
+              AlphaSet(2, second, np.array([0, 1, 0]), np.array([[0, 1], [2, 3], [1, 2]]))]
+    return model, stages
+
+
+def scratch_descent(model, stages, bound, test, scope):
+    """The greedy bound descent with every node scored from scratch.
+
+    Returns the final scheme, the trace, and the switch sets of every node
+    scored whose switch sets differ from its accepted parent's (the root's
+    included), in scoring order."""
+    n = stages[-1].matrix.shape[1].bit_length() - 1
+    node = lattice_root(n)
+    parent = _scoped_bound(model, stages, node, bound, test, scope, parent=None)
+    changed, trace = [parent.switch_sets], []
+    while parent.value > 0.0 and lattice_children(node):
+        best = None
+        for child, mask in lattice_children(node):
+            got = _scoped_bound(model, stages, child, bound, test, scope, parent=None)
+            if got.switch_sets != parent.switch_sets:
+                changed.append(got.switch_sets)
+            if best is None or got.value < best[0].value:
+                best = (got, child, mask)
+        parent, node, mask = best
+        trace.append({"merge": [b for b in range(n) if mask >> b & 1], "bound": parent.value})
+    return node, trace, changed
+
+
+@pytest.mark.parametrize("bound,test", [("E", "VS"), ("E", "LP"), ("B", "VS")])
+def test_bound_search_rebuilds_bounds_once_per_switch_set_change(monkeypatch, bound, test):
+    """A node whose switch sets equal its accepted parent's takes the parent's
+    bound; every other node builds its bound once, and the descent equals one
+    that scores every node from scratch."""
+    model, stages = structured_instance()
+    scheme, trace, changed = scratch_descent(model, stages, bound, test, "all")
+    nodes = 1 + 6 + 1  # root, its six children, one grandchild
+    assert len(trace) == 2 and 1 < len(changed) < nodes
+    assert len({repr(sw) for sw in changed}) == len(changed)
+    seen = {"alt_sets": [], "bound_from_switch_sets": [], "bound_E_from_alts": 0}
+
+    def record(name, original):
+        def spy(*args):
+            if name == "bound_E_from_alts":
+                seen[name] += 1
+            else:
+                seen[name].append(args[-1])
+            return original(*args)
+        monkeypatch.setattr(search, name, spy)
+
+    for name in seen:
+        record(name, getattr(search, name))
+    result = greedy_bound_search(model, stages, bound, test, "all")
+    assert result.scheme == scheme and result.trace == trace
+    if bound == "E":
+        assert seen["alt_sets"] == changed
+        assert seen["bound_E_from_alts"] == len(changed) * len(stages)
+        assert seen["bound_from_switch_sets"] == []
+    else:
+        assert seen["bound_from_switch_sets"] == [sw for node in changed for sw in node]
+        assert seen["alt_sets"] == [] and seen["bound_E_from_alts"] == 0
 
 
 @pytest.mark.parametrize("test", ["LP", "VS"])
