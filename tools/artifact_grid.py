@@ -1,6 +1,6 @@
 """Run the seven-instance gen -> solve -> search -> eval artifact grid.
 
-    python tools/artifact_grid.py --out DIR [--instances 0,4]
+    python tools/artifact_grid.py --out DIR
 
 Each instance is generated, solved, searched with all six methods under
 scopes ``all`` and ``last``, and every search result is evaluated in
@@ -70,29 +70,17 @@ def run(argv: list[str]) -> int:
         return cli.main(argv)
 
 
-def _indices(text: str) -> list[int]:
-    try:
-        picked = [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated indices, got {text!r}") from None
-    if not all(0 <= i < len(INSTANCES) for i in picked):
-        raise argparse.ArgumentTypeError(f"instance indices run from 0 to {len(INSTANCES) - 1}")
-    return picked
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="a directory that is empty or absent")
-    parser.add_argument("--instances", type=_indices, default=list(range(len(INSTANCES))),
-                        help="comma-separated indices into the grid (default: all seven)")
     args = parser.parse_args(argv)
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         parser.error(f"{out} is not an empty directory")
     out.mkdir(parents=True, exist_ok=True)
     commands = artifacts = 0
-    for index in args.instances:
-        for command, paths in instance_commands(index, INSTANCES[index], out):
+    for index, instance in enumerate(INSTANCES):
+        for command, paths in instance_commands(index, instance, out):
             code = run(command)
             commands += 1
             for path in paths:
