@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -239,15 +240,10 @@ def _load_scheme_source(path: str, model):
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    model = compile_model(_read_json(args.model))
-    policy_model, stages = _load_policy(args.policy)
-    if policy_model.n_states != model.n_states:
-        raise InputError(
-            f"model has {model.n_states} states but the policy was solved for "
-            f"{policy_model.n_states}")
-    if (policy_model.actions != model.actions
-            or policy_model.observations != model.observations):
-        raise InputError("model and policy disagree on actions or observations")
+    model, stages = _load_policy(args.policy)
+    # the loss is measured against the values solved for the policy's own model
+    if model_to_spec(compile_model(_read_json(args.model))) != model_to_spec(model):
+        raise InputError(f"{args.model} is not the model {args.policy} was solved for")
     source, method = _load_scheme_source(args.scheme, model)
     cfg = EvalConfig(num_beliefs=args.beliefs, seed=args.seed, mode=args.mode)
     report = average_error(model, stages, source, cfg, method=method)
@@ -287,7 +283,9 @@ def _int_from(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="beliefproj",
         description="Value-directed belief projection analysis for POMDPs")
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a model into stage alpha-vector sets")
     p.add_argument("model")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_int_from(1), required=True)
     p.add_argument("--cap", type=_int_from(1), default=1_000_000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("scheme", help="scheme JSON or search-result JSON")
     p.add_argument("--mode", choices=["single", "successive"], required=True)
-    p.add_argument("--beliefs", type=int, default=5000)
+    p.add_argument("--beliefs", type=_int_from(1), default=5000)
     p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

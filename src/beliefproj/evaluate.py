@@ -154,16 +154,16 @@ def _achieved(model: Pomdp, stage_sets, lookup, b_exact, b_approx, k, mode):
     return total + model.discount * acc
 
 
-def _check_tree(model: Pomdp, stage_sets, horizon: int, guard: int) -> None:
-    if not (1 <= horizon <= len(stage_sets)):
-        raise InputError(f"horizon {horizon} outside the solved range")
-    if model.n_observations ** horizon > guard:
+def _check_tree(model: Pomdp, stage_sets, guard: int) -> None:
+    if not stage_sets:
+        raise InputError("no solved stages to evaluate")
+    if model.n_observations ** len(stage_sets) > guard:
         raise GuardError(f"evaluation branching exceeds the cap of {guard}")
 
 
 def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
                    b0: np.ndarray, mode: str = "successive",
-                   horizon: int | None = None, guard: int = BRANCH_GUARD) -> float:
+                   guard: int = BRANCH_GUARD) -> float:
     """Expected value actually collected by monitoring through the scheme.
 
     Both modes project the initial belief before the first decision (with a
@@ -172,10 +172,10 @@ def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    horizon = len(stage_sets) if horizon is None else horizon
-    _check_tree(model, stage_sets, horizon, guard)
+    horizon = len(stage_sets)
+    _check_tree(model, stage_sets, guard)
     lookup = scheme_lookup(scheme_source)
-    _, top = value_of(b0, stage_sets[horizon - 1])
+    _, top = value_of(b0, stage_sets[-1])
     b_approx = project(b0, lookup(horizon, top))
     return _achieved(model, stage_sets, lookup, b0, b_approx, horizon, mode)
 
@@ -278,7 +278,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     :func:`random_belief` draws, whatever the block size.
     """
     horizon = len(stage_sets)
-    _check_tree(model, stage_sets, horizon, BRANCH_GUARD)
+    _check_tree(model, stage_sets, BRANCH_GUARD)
     start = time.perf_counter()
     lookup = scheme_lookup(scheme_source)
     rng = np.random.default_rng(cfg.seed)

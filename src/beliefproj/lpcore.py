@@ -39,8 +39,8 @@ class LinearProgram:
     """maximize objective . x subject to constraints and variable bounds.
 
     ``constraints`` is a list of (coefficients, relation, rhs) with relation
-    one of "<=", "=", ">=". Bounds default to [0, +inf) per variable; a lower
-    bound of None makes the variable free, a finite upper adds a cap.
+    one of "<=", "=", ">=". Each variable is bounded below by 0, or is free
+    where ``lower`` holds None; a finite ``upper`` entry adds a cap.
 
     ``warm`` optionally holds the optimal :class:`LpResult` of a program with
     the same objective and bounds whose constraints are a prefix of these;
@@ -63,6 +63,8 @@ class LinearProgram:
             self.upper = [None] * n
         if len(self.lower) != n or len(self.upper) != n:
             raise InputError("bounds length does not match objective dimension")
+        if any(lo not in (0.0, None) for lo in self.lower):
+            raise InputError("a lower bound must be 0 or None (free)")
         for coeffs, rel, _rhs in self.constraints:
             if np.asarray(coeffs).shape != (n,):
                 raise InputError("constraint dimension does not match objective")
@@ -169,13 +171,13 @@ def _run_simplex(T, basis, cost, tol, max_iter):
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
 
-def _cold_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
+def _cold_tableau(lp: LinearProgram, free, col_plus, col_minus):
     """Initial tableau, basis and first artificial column of a solve from
     scratch: a slack basis plus one artificial per row that is not <=."""
     n = lp.objective.shape[0]
     capped = [j for j in range(n) if lp.upper[j] is not None]
 
-    # constraint rows, then one <= row per finite upper bound, in shifted space
+    # constraint rows, then one <= row per finite upper bound
     k = len(lp.constraints)
     m = k + len(capped)
     C = np.zeros((m, n))
@@ -185,7 +187,6 @@ def _cold_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
         b[:k] = [float(rhs) for _coeffs, _rel, rhs in lp.constraints]
     C[np.arange(k, m), capped] = 1.0
     b[k:] = [float(lp.upper[j]) for j in capped]
-    b -= C @ shift
     rels = [rel for _coeffs, rel, _rhs in lp.constraints] + [LESS] * len(capped)
     less = np.array([rel == LESS for rel in rels], dtype=bool)
     equal = np.array([rel == EQUAL for rel in rels], dtype=bool)
@@ -217,7 +218,7 @@ def _same_row(got, want) -> bool:
                            and np.array_equal(got[0], want[0]))
 
 
-def _warm_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
+def _warm_tableau(lp: LinearProgram, free, col_plus, col_minus):
     """Initial tableau, basis and first artificial column of a solve that
     starts from ``lp.warm``: its final tableau with the new equality rows
     below, each written in the nonbasic columns and given an artificial."""
@@ -242,7 +243,7 @@ def _warm_tableau(lp: LinearProgram, free, shift, col_plus, col_minus):
     A = np.zeros((e, width))
     A[:, col_plus] = C
     A[:, col_minus] = -C[:, free]
-    b = np.array([float(rhs) for _coeffs, _rel, rhs in extra]) - C @ shift
+    b = np.array([float(rhs) for _coeffs, _rel, rhs in extra])
     # subtract the basic columns' multiples of their rows; pivoting keeps
     # those columns exact unit vectors, so their entries cancel exactly
     coef = A[:, basis0]
@@ -271,12 +272,11 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     """
     n = lp.objective.shape[0]
     free = np.array([lo is None for lo in lp.lower], dtype=bool)
-    shift = np.array([0.0 if lo is None else float(lo) for lo in lp.lower])
     # free variables split into a positive part and a negative part next to it
     col_plus = np.arange(n) + np.cumsum(free) - free
     col_minus = col_plus[free] + 1
     build = _cold_tableau if lp.warm is None else _warm_tableau
-    T, basis, art_start = build(lp, free, shift, col_plus, col_minus)
+    T, basis, art_start = build(lp, free, col_plus, col_minus)
     m, total = T.shape[0], T.shape[1] - 1
 
     max_iter = 10_000 + 200 * (m + total)
@@ -312,7 +312,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
 
     full = np.zeros(T.shape[1] - 1)
     full[basis] = T[:, -1]
-    x = shift + full[col_plus]
+    x = full[col_plus]
     x[free] -= full[col_minus]
     T.setflags(write=False)
     basis.setflags(write=False)

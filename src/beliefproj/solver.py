@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardError, InputError
+from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
 from .model import Pomdp, belief_update, observation_probabilities
 
@@ -113,9 +113,10 @@ def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.nda
     constraints.append((simplex_row, EQUAL, 1.0))
     lower = [0.0] * dim + [None]
     result = solve_lp(LinearProgram(objective, constraints, lower=lower))
+    # the program is always feasible and bounded: any other status is a failure
     if result.status != "optimal":
-        return None
-    if result.value is None or result.value <= tol:
+        raise NumericalError(f"witness LP unexpectedly {result.status}")
+    if result.value <= tol:
         return None
     return result.x[:dim]
 

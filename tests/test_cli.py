@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -109,13 +110,55 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
-def test_eval_rejects_mismatched_model(tmp_path):
+def test_eval_rejects_mismatched_model(tmp_path, capsys):
     model2 = gen_model(tmp_path, "m2.json", vars=2, seed=1)
     model3 = gen_model(tmp_path, "m3.json", vars=3, seed=1)
     policy = solve_policy(tmp_path, model2)
+    capsys.readouterr()
     assert run(["eval", model3, policy, tmp_path / "missing.json",
                 "--mode", "single", "--seed", 0,
                 "--out", tmp_path / "r.json"]) == 2
+    assert f"{model3} is not the model {policy} was solved for" in capsys.readouterr().err
+
+
+def _rename_first_action(doc):
+    old = doc["actions"][0]
+    doc["actions"][0] = "renamed"
+    for table in ("transitions", "observation"):
+        doc[table]["renamed"] = doc[table].pop(old)
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tmp_path, doc: json.loads(gen_model(tmp_path, "m4.json", seed=4).read_text()),
+    lambda tmp_path, doc: _rename_first_action(doc),
+], ids=["other-seed", "action-renamed"])
+def test_eval_with_a_model_other_than_the_policys_exits_2(tmp_path, capsys, edit):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(edit(tmp_path, json.loads(model.read_text()))))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    capsys.readouterr()
+    assert run(["eval", other, policy, scheme, "--mode", "single", "--seed", 0,
+                "--beliefs", 20, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"{other} is not the model {policy} was solved for" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    model = gen_model(tmp_path)
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+    solve_policy(tmp_path, model)
+    assert built == []
 
 
 def test_eval_accepts_literal_scheme_file(tmp_path):
@@ -222,6 +265,15 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
     assert float(row[4]) == oracle.max_E
 
 
+def test_witness_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
+    from beliefproj import LpResult, solver
+    model = gen_model(tmp_path)
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: LpResult("infeasible"))
+    assert run(["solve", model, "--horizon", 2, "--out", tmp_path / "p.json"]) == 4
+    assert "witness LP unexpectedly infeasible" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     from beliefproj import LpResult, bounds
     model = gen_model(tmp_path)
@@ -312,9 +364,16 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     (lambda doc: doc["stages"][1][0].__setitem__("action", 2),
      "stage-2 policy actions must be indices below 2"),
     (lambda doc: doc.__setitem__("model", 5), "model document must be an object, got int"),
+    (lambda doc: doc.pop("horizon"), "policy document missing key 'horizon'"),
+    (lambda doc: doc.__setitem__("horizon", 3), "policy horizon does not match its stage count"),
+    (lambda doc: doc["stages"].__setitem__(1, []), "stage 2 of the policy is empty"),
+    (lambda doc: doc.__setitem__("stages", []), "policy document has no stages"),
+    (lambda doc: doc["stages"][1][0].__setitem__("strategy", [0, 99]),
+     "stage 2 strategy references an invalid stage-1 vector"),
 ], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
         "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
-        "model-number"])
+        "model-number", "missing-key", "horizon-mismatch", "stage-empty", "stages-empty",
+        "strategy-range"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     model = gen_model(tmp_path)
     doc = json.loads(solve_policy(tmp_path, model).read_text())
@@ -395,8 +454,11 @@ def test_non_finite_result_exits_4_without_writing_it(tmp_path, monkeypatch, cap
     (["eval", "{model}", "{policy}", "{scheme}", "--mode", "single", "--seed", -1], "--seed"),
     (["solve", "{model}", "--horizon", 2, "--cap", 0], "--cap"),
     (["solve", "{model}", "--horizon", 2, "--cap", -5], "--cap"),
+    (["solve", "{model}", "--horizon", 0], "--horizon"),
+    (["eval", "{model}", "{policy}", "{scheme}", "--mode", "single", "--seed", 0,
+      "--beliefs", 0], "--beliefs"),
 ], ids=["gen-vars", "gen-actions", "gen-obs", "gen-seed", "eval-seed", "solve-cap-0",
-        "solve-cap-negative"])
+        "solve-cap-negative", "solve-horizon-0", "eval-beliefs-0"])
 def test_negative_count_or_seed_exits_2_naming_the_flag(tmp_path, capsys, command, flag):
     model = gen_model(tmp_path)
     paths = {"model": model, "policy": solve_policy(tmp_path, model),

@@ -150,6 +150,8 @@ def test_achieved_value_guard():
     with pytest.raises(GuardError):
         achieved_value(model, stages, lattice_root(2), np.full(4, 0.25),
                        "single", guard=1)
+    with pytest.raises(InputError):
+        achieved_value(model, [], lattice_root(2), np.full(4, 0.25))
 
 
 def test_average_error_identity_scheme_is_zero():

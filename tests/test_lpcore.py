@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefproj import LinearProgram, NumericalError, lpcore, solve_lp
+from beliefproj import InputError, LinearProgram, NumericalError, lpcore, solve_lp
 
 
 def test_simple_bound():
@@ -38,14 +38,18 @@ def test_equality_and_free_variable():
 
 
 def test_upper_and_shifted_lower_bounds():
-    # max x + y with 1 <= x <= 2, y <= 4, x + y <= 5
+    # max x + y with 1 <= x <= 2, y <= 4, x + y <= 5; x >= 1 is a row, since
+    # lower bounds are 0 or free
     lp = LinearProgram(np.array([1.0, 1.0]),
-                       [(np.array([1.0, 1.0]), "<=", 5.0)],
-                       lower=[1.0, 0.0], upper=[2.0, 4.0])
+                       [(np.array([1.0, 1.0]), "<=", 5.0),
+                        (np.array([1.0, 0.0]), ">=", 1.0)],
+                       upper=[2.0, 4.0])
     result = solve_lp(lp)
     assert result.status == "optimal"
     assert result.value == pytest.approx(5.0, abs=1e-9)
     assert 1.0 - 1e-9 <= result.x[0] <= 2.0 + 1e-9
+    with pytest.raises(InputError, match="lower bound must be 0 or None"):
+        LinearProgram(lp.objective, lp.constraints, lower=[1.0, 0.0])
 
 
 def _enumerate_vertices(A_eq, b_eq, objective):
