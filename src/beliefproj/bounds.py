@@ -34,6 +34,8 @@ METHODS = ("LP", "VS")
 @dataclass(frozen=True)
 class SwitchDecision:
     switches: bool
+    # the LP test's margin where its solve stopped: the optimum when
+    # negative, any value above SWITCH_TOL when positive; the VS residual
     objective: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
     lp: LpResult | None = field(default=None, repr=False, compare=False)  # LP test only
@@ -70,7 +72,11 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     ``warm`` is optionally the ``lp`` of this pair's decision under a coarser
     scheme. The program then lists that program's rows unchanged, followed
     by the rows of the preserved subsets it lacks, and the solve starts from
-    its optimal tableau; without it the rows follow the subsets in order.
+    its final tableau; without it the rows follow the subsets in order.
+
+    The solve stops at the first vertex whose margin is above ``SWITCH_TOL``
+    (status "stopped"), which decides a switch; only a pair that does not
+    switch is solved to the optimum.
     """
     dim = alpha_i.shape[0]
     if alpha_j.shape[0] != dim:
@@ -97,11 +103,14 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
         # copies, since a row view would keep this program's whole row array alive
         constraints = warm.program.constraints + [
             (c[0].copy(), c[1], c[2]) for c, key in zip(constraints, keys) if key not in known]
-    lower = [0.0] * (2 * dim) + [None]
-    result = solve_lp(LinearProgram(objective, constraints, lower=lower, warm=warm))
-    if result.status != "optimal":
+    # the warm start's bounds are this program's; sharing them skips their check
+    lower = warm.program.lower if warm is not None else [0.0] * (2 * dim) + [None]
+    result = solve_lp(LinearProgram(objective, constraints, lower=lower, warm=warm,
+                                    stop_above=SWITCH_TOL))
+    if result.status not in ("optimal", "stopped"):
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
-    switches = result.value > SWITCH_TOL
+    # the tableau's objective decided the stop, so rounding in value cannot flip it
+    switches = result.status == "stopped" or result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
     return SwitchDecision(switches, float(result.value), witness, result)
 

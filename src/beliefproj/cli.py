@@ -46,6 +46,16 @@ def _read_json(path: str):
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
 
 
+def _decode(path: str, decode):
+    """``decode`` of the JSON document at ``path``; an InputError it raises
+    is raised again with ``path`` in front."""
+    doc = _read_json(path)
+    try:
+        return decode(doc)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def _open_output(path: str, newline: str | None = None):
     try:
         return open(path, "w", encoding="utf-8", newline=newline)
@@ -145,9 +155,12 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
 
 
 def _load_policy(path: str):
-    doc = _read_json(path)
+    return _decode(path, _policy_from_doc)
+
+
+def _policy_from_doc(doc):
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: policy document must be an object, got {type(doc).__name__}")
+        raise InputError(f"policy document must be an object, got {type(doc).__name__}")
     for key in ("model", "horizon", "stages"):
         if key not in doc:
             raise InputError(f"policy document missing key {key!r}")
@@ -192,8 +205,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    spec = _read_json(args.model)
-    model = compile_model(spec)
+    model = _decode(args.model, compile_model)
     solve_start = time.perf_counter()
     stages = solve(model, args.horizon, cap=args.cap)
     solve_seconds = time.perf_counter() - solve_start
@@ -227,24 +239,23 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _load_scheme_source(path: str, model):
-    doc = _read_json(path)
+def _scheme_source_from_doc(doc, model):
     if isinstance(doc, list):
         return ProjectionScheme.from_names(doc, model.variables), "scheme"
     if isinstance(doc, dict):
         result = result_from_doc(doc, model.variables)
         source = result.scheme if result.scheme is not None else result.per_region
         return source, result.method
-    raise InputError(f"{path}: expected a scheme array or a search-result object")
+    raise InputError("expected a scheme array or a search-result object")
 
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
     model, stages = _load_policy(args.policy)
     # the loss is measured against the values solved for the policy's own model
-    if model_to_spec(compile_model(_read_json(args.model))) != model_to_spec(model):
+    if model_to_spec(_decode(args.model, compile_model)) != model_to_spec(model):
         raise InputError(f"{args.model} is not the model {args.policy} was solved for")
-    source, method = _load_scheme_source(args.scheme, model)
+    source, method = _decode(args.scheme, lambda doc: _scheme_source_from_doc(doc, model))
     cfg = EvalConfig(num_beliefs=args.beliefs, seed=args.seed, mode=args.mode)
     report = average_error(model, stages, source, cfg, method=method)
     _write_json(args.out, report.to_doc())

@@ -16,11 +16,19 @@ program's final tableau and written in its nonbasic columns, each with one
 artificial column; phase 1 then drives out only those artificials and phase
 2 resumes from the basis it leaves. Both phases run the same simplex as a
 cold solve, with the same pricing, fallback and tie-breaks.
+
+A program that only asks whether its optimum is above a threshold
+(``LinearProgram.stop_above``) ends phase 2 at the first vertex whose
+objective is above it, with status "stopped". A feasible point above the
+threshold proves that the optimum is too; a program whose optimum is not
+above it still runs to the optimum.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -42,10 +50,18 @@ class LinearProgram:
     one of "<=", "=", ">=". Each variable is bounded below by 0, or is free
     where ``lower`` holds None; a finite ``upper`` entry adds a cap.
 
-    ``warm`` optionally holds the optimal :class:`LpResult` of a program with
-    the same objective and bounds whose constraints are a prefix of these;
-    every constraint past that prefix must be an equality. The solve then
-    starts from that result's final tableau.
+    ``warm`` optionally holds an :class:`LpResult` with a final tableau
+    ("optimal" or "stopped") of a program with the same objective and bounds
+    whose constraints are a prefix of these; every constraint past that
+    prefix must be an equality. The solve then starts from that tableau: a
+    feasible basis is all the primal warm start needs, not an optimal one.
+    The bounds and the prefix rows that are the very objects of that
+    program's were checked when it was built and are not checked again.
+
+    ``stop_above``, when set, ends phase 2 at the first vertex whose
+    objective is above it, with status "stopped".
+
+    ``free`` marks the variables whose lower bound is None.
     """
 
     objective: np.ndarray
@@ -53,6 +69,9 @@ class LinearProgram:
     lower: list | None = None
     upper: list | None = None
     warm: LpResult | None = field(default=None, repr=False)
+    stop_above: float | None = None
+
+    free: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -63,9 +82,25 @@ class LinearProgram:
             self.upper = [None] * n
         if len(self.lower) != n or len(self.upper) != n:
             raise InputError("bounds length does not match objective dimension")
-        if any(lo not in (0.0, None) for lo in self.lower):
-            raise InputError("a lower bound must be 0 or None (free)")
-        for coeffs, rel, _rhs in self.constraints:
+        # the warm start's program was checked when it was built, so what
+        # this one shares with it, object for object, is not checked again
+        base = self.warm.program if self.warm is not None else None
+        if base is not None and base.free.shape != (n,):
+            base = None
+        if base is not None and self.lower is base.lower:
+            self.free = base.free
+        else:
+            self.free = np.fromiter(map(operator.is_, self.lower, repeat(None)), bool, n)
+            self.free.setflags(write=False)
+            if np.count_nonzero(self.free) + operator.countOf(self.lower, 0.0) != n:
+                raise InputError("a lower bound must be 0 or None (free)")
+        checked = 0
+        if base is not None:
+            prefix = base.constraints
+            if len(self.constraints) >= len(prefix) and all(
+                    map(operator.is_, self.constraints, prefix)):
+                checked = len(prefix)
+        for coeffs, rel, _rhs in self.constraints[checked:]:
             if np.asarray(coeffs).shape != (n,):
                 raise InputError("constraint dimension does not match objective")
             if rel not in (LESS, EQUAL, GREATER):
@@ -74,11 +109,15 @@ class LinearProgram:
 
 @dataclass
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    # "optimal" | "infeasible" | "unbounded", or "stopped": phase 2 reached a
+    # vertex whose objective is above the program's ``stop_above``, which x
+    # is; its value may be below the optimum
+    status: str
     x: np.ndarray | None = None
     value: float | None = None
     pivots: int = 0  # basis changes made, over both phases
-    # when optimal: the program solved and its final (tableau, basis), read-only
+    # when optimal or stopped: the program solved and its final (tableau,
+    # basis), read-only
     program: LinearProgram | None = field(default=None, repr=False, compare=False)
     tableau: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
                                                           compare=False)
@@ -142,20 +181,25 @@ def _next_stable_column(T, basis, r, tol, bland, first):
     return first
 
 
-def _run_simplex(T, basis, cost, tol, max_iter):
-    """Simplex on a canonical tableau; returns ("optimal" | "unbounded", pivots).
+def _run_simplex(T, basis, cost, tol, max_iter, stop_above=None):
+    """Simplex on a canonical tableau; returns ("optimal" | "unbounded" |
+    "stopped", pivots).
 
     Enters the column of largest reduced cost, lowest index on ties. After
     ``DEGENERATE_RUN`` consecutive degenerate pivots it enters the lowest-index
     improving column (Bland's rule) until a pivot moves the vertex again.
     A column whose pivot entry is under ``PIVOT_FLOOR`` of its largest entry
-    gives way to the next improving column in that order.
+    gives way to the next improving column in that order. With ``stop_above``
+    set, it returns "stopped" at the first vertex, the starting one included,
+    whose objective in the tableau is above that threshold.
     """
     r = cost - (cost[basis] @ T[:, :-1] if len(basis) else 0.0)
     if r.size == 0:
         return "optimal", 0
     degenerate = 0
     for pivots in range(max_iter):
+        if stop_above is not None and cost[basis] @ T[:, -1] > stop_above:
+            return "stopped", pivots
         bland = degenerate >= DEGENERATE_RUN
         enter = int((r > tol if bland else r).argmax())
         if r[enter] <= tol:
@@ -224,7 +268,8 @@ def _warm_tableau(lp: LinearProgram, free, col_plus, col_minus):
     below, each written in the nonbasic columns and given an artificial."""
     warm = lp.warm
     if warm.tableau is None:
-        raise InputError(f"a warm start must be an optimal solve, not {warm.status!r}")
+        raise InputError("a warm start must carry a final tableau (an 'optimal' or "
+                         f"'stopped' solve), not {warm.status!r}")
     base = warm.program
     k = len(base.constraints)
     if len(lp.constraints) < k or not all(map(_same_row, lp.constraints, base.constraints)):
@@ -271,7 +316,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     artificials, and the solved program's basis is where pivoting starts.
     """
     n = lp.objective.shape[0]
-    free = np.array([lo is None for lo in lp.lower], dtype=bool)
+    free = lp.free
     # free variables split into a positive part and a negative part next to it
     col_plus = np.arange(n) + np.cumsum(free) - free
     col_minus = col_plus[free] + 1
@@ -305,7 +350,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     cost2 = np.zeros(T.shape[1] - 1)
     cost2[col_plus] = lp.objective
     cost2[col_minus] = -lp.objective[free]
-    status, phase2 = _run_simplex(T, basis, cost2, tol, max_iter)
+    status, phase2 = _run_simplex(T, basis, cost2, tol, max_iter, lp.stop_above)
     pivots += phase2
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)
@@ -316,4 +361,4 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     x[free] -= full[col_minus]
     T.setflags(write=False)
     basis.setflags(write=False)
-    return LpResult("optimal", x, float(lp.objective @ x), pivots, lp, (T, basis))
+    return LpResult(status, x, float(lp.objective @ x), pivots, lp, (T, basis))

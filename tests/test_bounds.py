@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from beliefproj import (GuardError, InputError, LpResult, NumericalError, ProjectionScheme,
                         bounds, build_basis, displacement, lattice_children, lattice_root,
                         lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
-                        vs_switch_test, walsh_vector)
+                        solve_lp, vs_switch_test, walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                                compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
@@ -54,10 +55,11 @@ def test_lp_switch_identity_scheme_never_switches():
 
 def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
     """Under a child scheme, the warm-started program is the parent's rows
-    followed by the child's new marginal row, and it decides as a cold solve."""
+    followed by the child's new marginal row, and it decides as a cold solve;
+    solved to the optimum, the two programs have the same value."""
     alpha_i, alpha_j = rng.normal(size=8), rng.normal(size=8)
     parent = lp_switch_test(alpha_i, alpha_j, lattice_root(3))
-    assert parent.lp is not None and parent.lp.status == "optimal"
+    assert parent.lp is not None and parent.lp.status in ("optimal", "stopped")
     for child, _mask in lattice_children(lattice_root(3)):
         warm = lp_switch_test(alpha_i, alpha_j, child, parent.lp)
         cold = lp_switch_test(alpha_i, alpha_j, child)
@@ -65,7 +67,12 @@ def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
         assert all(a is b for a, b in zip(warm.lp.program.constraints, rows))
         assert len(warm.lp.program.constraints) == len(cold.lp.program.constraints) == len(rows) + 1
         assert warm.switches == cold.switches
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        if warm.lp.status == cold.lp.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        warm_full, cold_full = (solve_lp(replace(d.lp.program, stop_above=None))
+                                for d in (warm, cold))
+        assert warm_full.status == cold_full.status == "optimal"
+        assert warm_full.value == pytest.approx(cold_full.value, abs=1e-12)
     other = lp_switch_test(alpha_j, alpha_i, lattice_root(3))
     with pytest.raises(InputError, match="coarser scheme"):
         lp_switch_test(alpha_i, alpha_j, child, other.lp)

@@ -524,3 +524,29 @@ def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys, command, pos
     assert run(argv + ["--out", tmp_path / "x.json"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _policy_discount_2(doc):
+    doc["model"]["discount"] = 2.0
+
+
+@pytest.mark.parametrize("command,position,edit,message", [
+    ("solve", 1, lambda doc: doc.__setitem__("discount", 2.0), "discount 2.0 not in (0, 1]"),
+    ("search", 1, _policy_discount_2, "discount 2.0 not in (0, 1]"),
+    ("search", 1, lambda doc: doc.pop("horizon"), "policy document missing key 'horizon'"),
+    ("eval", 1, lambda doc: doc.__setitem__("discount", 2.0), "discount 2.0 not in (0, 1]"),
+    ("eval", 2, _policy_discount_2, "discount 2.0 not in (0, 1]"),
+    ("eval", 3, lambda doc: doc.append(["x0"]), "projection scheme blocks overlap"),
+], ids=["solve-model", "search-policy-model", "search-policy-key", "eval-model",
+        "eval-policy-model", "eval-scheme"])
+def test_document_error_names_the_file_once(tmp_path, capsys, command, position, edit, message):
+    argv = pipeline_commands(tmp_path)[command]
+    doc = json.loads(argv[position].read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv[position] = bad
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "x.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}") and err.count(str(bad)) == 1

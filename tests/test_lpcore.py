@@ -156,3 +156,30 @@ def test_witness_program_that_once_failed_phase_one():
         result = solve_lp(LinearProgram(objective, constraints, lower=[0.0] * dim + [None]), tol)
         assert result.status == "optimal"
         assert result.value == pytest.approx(4.906811737730672e-4, abs=1e-12)
+
+
+def test_a_warm_started_program_checks_what_it_does_not_share_with_its_start():
+    # max x + y with x + y <= 2, x >= 0 and y free; the rows and bounds that
+    # are the start's own objects are not checked again, all others are
+    objective = np.array([1.0, 1.0])
+    start = solve_lp(LinearProgram(objective, [(np.array([1.0, 1.0]), "<=", 2.0)],
+                                   lower=[0.0, None]))
+    assert start.status == "optimal" and start.program.free.tolist() == [False, True]
+    rows, lower = start.program.constraints, start.program.lower
+    new_row = (np.array([1.0, -1.0]), "=", 0.0)
+    child = LinearProgram(objective, rows + [new_row], lower=lower, warm=start)
+    assert child.free is start.program.free
+    result = solve_lp(child)
+    assert result.status == "optimal"
+    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-9)
+
+    for constraints, bounds, message in [
+            (rows + [(np.array([1.0]), "=", 0.0)], lower, "constraint dimension"),
+            (rows + [(np.array([1.0, -1.0]), "~", 0.0)], lower, "unknown relation"),
+            ([(np.array([1.0]), "<=", 2.0)] + [new_row], lower, "constraint dimension"),
+            (rows + [new_row], [1.0, None], "lower bound must be 0 or None"),
+            (rows + [new_row], [0.0], "bounds length")]:
+        with pytest.raises(InputError, match=message):
+            LinearProgram(objective, constraints, lower=bounds, warm=start)
+    with pytest.raises(InputError, match="bounds length"):
+        LinearProgram(np.ones(3), rows, lower=lower, warm=start)

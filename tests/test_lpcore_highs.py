@@ -1,6 +1,7 @@
 """Differential test of solve_lp against HiGHS on witness- and switch-shaped
 programs, solved from scratch and warm-started from a solved program."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,9 @@ optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from beliefproj import (InputError, LinearProgram, bounds, lp_switch_test,  # noqa: E402
-                        solve_lp, solver)
+from beliefproj import (InputError, LinearProgram, LpResult, bounds,  # noqa: E402
+                        lp_switch_test, solve_lp, solver)
+from beliefproj.bounds import SWITCH_TOL  # noqa: E402
 from beliefproj.lpcore import EQUAL, GREATER  # noqa: E402
 from beliefproj.projection import indicator_vector  # noqa: E402
 
@@ -63,6 +65,33 @@ def assert_agrees(lp: LinearProgram) -> None:
         assert ours.value == pytest.approx(value, abs=1e-7)
 
 
+def assert_feasible(lp: LinearProgram, x: np.ndarray) -> None:
+    for coeffs, rel, rhs in lp.constraints:
+        slack = float(coeffs @ x) - rhs
+        assert {"=": abs(slack), ">=": -slack, "<=": slack}[rel] <= 1e-7
+    assert np.all(x[~lp.free] >= -1e-7)
+
+
+def assert_switch_agrees(lp: LinearProgram) -> LpResult:
+    """A switch program, which stops at the first vertex whose margin is
+    above SWITCH_TOL, decides as HiGHS's optimum does, and its x is a
+    feasible point with that margin when the decision is positive; the same
+    program solved to the optimum agrees with HiGHS. Returns that optimum."""
+    assert lp.stop_above == SWITCH_TOL
+    ours = solve_lp(lp)
+    full = solve_lp(replace(lp, stop_above=None))
+    status, value = highs(lp)
+    assert full.status == status
+    assert ours.status == status or (status, ours.status) == ("optimal", "stopped")
+    if status == "optimal":
+        assert full.value == pytest.approx(value, abs=1e-7)
+        assert (ours.status == "stopped" or ours.value > SWITCH_TOL) == (value > SWITCH_TOL)
+        assert_feasible(lp, ours.x)
+        if ours.status == "stopped":
+            assert ours.value > SWITCH_TOL
+    return full
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     arrays(float, 1 << n, elements=entries),
@@ -84,7 +113,7 @@ def test_witness_programs_match_highs(case):
 def test_switch_programs_match_highs(case):
     n, alpha_i, alpha_j, seed = case
     blocks = random_partition(n, np.random.default_rng(seed))
-    assert_agrees(captured_lp(bounds, lambda: lp_switch_test(alpha_i, alpha_j, blocks)))
+    assert_switch_agrees(captured_lp(bounds, lambda: lp_switch_test(alpha_i, alpha_j, blocks)))
 
 
 def extra_row(n, dim, rng, kind):
@@ -118,15 +147,15 @@ def test_warm_started_switch_programs_match_highs_and_cold(case):
     parent_lp = captured_lp(bounds, lambda: lp_switch_test(
         alpha_i, alpha_j, random_partition(n, rng)))
     parent = solve_lp(parent_lp)
-    assert parent.status == "optimal"
+    assert parent.status in ("optimal", "stopped")
     extra = [extra_row(n, 1 << n, rng, kind) for kind in kinds]
     rows = parent_lp.constraints + extra
-    warm = solve_lp(LinearProgram(parent_lp.objective, rows, parent_lp.lower, warm=parent))
+    # the parent's final tableau, stopped or optimal, starts both solves
+    warm = assert_switch_agrees(LinearProgram(parent_lp.objective, rows, parent_lp.lower,
+                                              warm=parent, stop_above=SWITCH_TOL))
     cold = solve_lp(LinearProgram(parent_lp.objective, rows, parent_lp.lower))
-    status, value = highs(LinearProgram(parent_lp.objective, rows, parent_lp.lower))
-    assert warm.status == cold.status == status
-    if status == "optimal":
-        assert warm.value == pytest.approx(value, abs=1e-7)
+    assert warm.status == cold.status
+    if cold.status == "optimal":
         assert warm.value == pytest.approx(cold.value, abs=1e-7)
         for coeffs, _rel, rhs in rows[2:]:
             assert coeffs @ warm.x == pytest.approx(rhs, abs=1e-7)
@@ -143,3 +172,32 @@ def test_warm_started_switch_programs_match_highs_and_cold(case):
     with pytest.raises(InputError, match="equality rows"):
         solve_lp(LinearProgram(parent_lp.objective, parent_lp.constraints
                                + [(extra[0][0], GREATER, 0.0)], parent_lp.lower, warm=parent))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), arrays(float, 1 << n, elements=entries), arrays(float, 1 << n, elements=entries),
+    st.integers(0, 2**32 - 1))))
+@example(case=(4, np.array([-1.0] + [0.0] * 15),
+               np.array([0.0] + [-0.5] * 6 + [1e-9, -1.0] + [-0.5] * 7), 4))
+@example(case=(2, np.array([-1.0, 0.0, -0.5, 0.0]), np.array([-1.0, -1.0, -1.0, 1e-9]), 2))
+@example(case=(2, np.array([-1.0, -0.5, 0.0, 0.0]), np.array([-1.0, -1.0, -1.0, 1e-9]), 2))
+# the difference is a function of x0 alone, so preserving x0 leaves no switch
+@example(case=(2, np.array([1.0, 0.0, 1.0, 0.0]), np.zeros(4), 0))
+def test_sign_only_switch_decisions_equal_the_full_optimum_decisions(case):
+    """Cold at a random partition, then warm-started along merges of its
+    blocks down to one block, each from the coarser scheme's result: a
+    positive decision stops as soon as it is proved, a negative one runs to
+    the optimum, and either way the decision is the optimum's."""
+    n, alpha_i, alpha_j, seed = case
+    blocks = random_partition(n, np.random.default_rng(seed))
+    decision = None
+    while True:
+        decision = lp_switch_test(alpha_i, alpha_j, blocks,
+                                  decision.lp if decision is not None else None)
+        full = solve_lp(replace(decision.lp.program, stop_above=None))
+        assert decision.switches == (full.value > SWITCH_TOL)
+        assert decision.lp.status == ("stopped" if decision.switches else "optimal")
+        if len(blocks) == 1:
+            break
+        blocks = (blocks[0] + blocks[1],) + blocks[2:]
