@@ -38,7 +38,9 @@ class SwitchDecision:
     # negative, any value above SWITCH_TOL when positive; the VS residual
     objective: float
     witness: tuple[np.ndarray, np.ndarray] | None = None
-    lp: LpResult | None = field(default=None, repr=False, compare=False)  # LP test only
+    # LP test only: its solve, and the preserved subsets its program holds
+    lp: LpResult | None = field(default=None, repr=False, compare=False)
+    subsets: frozenset = field(default=frozenset(), repr=False, compare=False)
 
 
 def scheme_lookup(scheme_source):
@@ -62,17 +64,18 @@ def scheme_lookup(scheme_source):
 
 
 def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
-                   warm: LpResult | None = None) -> SwitchDecision:
+                   warm: SwitchDecision | None = None) -> SwitchDecision:
     """Linear switch test: is there a pair (b, b') agreeing on every preserved
     marginal with b favoring i and b' favoring j by a common positive margin?
 
     Variables are [b, b', x] with x free; the empty-set marginal constraint
-    makes b' sum to one automatically.
+    makes b' sum to one automatically. The rows are the two margins, one
+    marginal row per preserved subset in family order, and the sum of b.
 
-    ``warm`` is optionally the ``lp`` of this pair's decision under a coarser
-    scheme. The program then lists that program's rows unchanged, followed
-    by the rows of the preserved subsets it lacks, and the solve starts from
-    its final tableau; without it the rows follow the subsets in order.
+    ``warm`` is optionally this pair's LP decision under a coarser scheme.
+    The program is then that decision's program extended by the marginal
+    rows of the preserved subsets it lacks, in family order, and the solve
+    starts from its final tableau.
 
     The solve stops at the first vertex whose margin is above ``SWITCH_TOL``
     (status "stopped"), which decides a switch; only a pair that does not
@@ -83,36 +86,34 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
         raise InputError("alpha vectors differ in dimension")
     n = dim.bit_length() - 1
     diff = alpha_i - alpha_j
-    ind = indicator_vector(constraint_family(scheme).subsets, n)
-    k = ind.shape[0]
-    rows = np.zeros((k + 3, 2 * dim + 1))
-    rows[0, :dim] = diff
-    rows[1, dim:2 * dim] = -diff
-    rows[:2, -1] = -1.0
-    rows[2:k + 2, :dim] = ind
-    rows[2:k + 2, dim:2 * dim] = -ind
-    rows[-1, :dim] = 1.0
-    objective = np.zeros(2 * dim + 1)
-    objective[-1] = 1.0
-    constraints = list(zip(rows, [GREATER] * 2 + [EQUAL] * (k + 1), [0.0] * (k + 2) + [1.0]))
+    subsets = constraint_family(scheme).subsets
+    margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
+    if warm is not None and (warm.lp is None or not warm.subsets.issubset(subsets)
+                             or not np.array_equal(warm.lp.program.constraints[0][0], margin)):
+        raise InputError("warm start is not this pair's switch LP under a coarser scheme")
+    known = warm.subsets if warm is not None else frozenset()
+    ind = indicator_vector([mask for mask in subsets if mask not in known], n)
+    marginals = np.zeros((ind.shape[0], 2 * dim + 1))
+    marginals[:, :dim] = ind
+    marginals[:, dim:2 * dim] = -ind
     if warm is not None:
-        keys = [row.tobytes() for row in rows]
-        known = {coeffs.tobytes() for coeffs, _rel, _rhs in warm.program.constraints}
-        if not known.issubset(keys):
-            raise InputError("warm start is not this pair's switch LP under a coarser scheme")
-        # copies, since a row view would keep this program's whole row array alive
-        constraints = warm.program.constraints + [
-            (c[0].copy(), c[1], c[2]) for c, key in zip(constraints, keys) if key not in known]
-    # the warm start's bounds are this program's; sharing them skips their check
-    lower = warm.program.lower if warm is not None else [0.0] * (2 * dim) + [None]
-    result = solve_lp(LinearProgram(objective, constraints, lower=lower, warm=warm,
-                                    stop_above=SWITCH_TOL))
+        lp = warm.lp.extend([(row, 0.0) for row in marginals])
+    else:
+        objective = np.zeros(2 * dim + 1)
+        objective[-1] = 1.0
+        mirror = np.concatenate([np.zeros(dim), -diff, [-1.0]])
+        total = np.concatenate([np.ones(dim), np.zeros(dim + 1)])
+        constraints = ([(margin, GREATER, 0.0), (mirror, GREATER, 0.0)]
+                       + [(row, EQUAL, 0.0) for row in marginals] + [(total, EQUAL, 1.0)])
+        lp = LinearProgram(objective, constraints, lower=[0.0] * (2 * dim) + [None],
+                           stop_above=SWITCH_TOL)
+    result = solve_lp(lp)
     if result.status not in ("optimal", "stopped"):
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
     # the tableau's objective decided the stop, so rounding in value cannot flip it
     switches = result.status == "stopped" or result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
-    return SwitchDecision(switches, float(result.value), witness, result)
+    return SwitchDecision(switches, float(result.value), witness, result, frozenset(subsets))
 
 
 def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:
@@ -183,8 +184,8 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
     vector's own scheme governs its switch set). ``candidates`` optionally
     restricts which pairs (i, j), i < j, are tested (everything else is
     reported negative), which search callers use to exploit monotonicity
-    along lattice edges. When ``candidates`` is a dict, the LP test of pair
-    (i, j) starts from the ``LpResult`` it maps to (``lp_switch_test``'s
+    along lattice edges; it maps each pair to its decision under a coarser
+    scheme, or None, which its LP test starts from (``lp_switch_test``'s
     ``warm``). ``decisions``, when given, receives the SwitchDecision of each
     pair tested, keyed (i, j) as tested.
     """
@@ -208,7 +209,7 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
                 if method == "VS":
                     decision = vs_switch_test(aset.matrix[i], aset.matrix[j], scheme.basis)
                 else:
-                    warm = candidates.get((i, j)) if isinstance(candidates, dict) else None
+                    warm = candidates.get((i, j)) if candidates is not None else None
                     decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme, warm)
                 if decisions is not None:
                     decisions[(i, j)] = decision

@@ -22,13 +22,14 @@ import numpy as np
 
 from .errors import GuardError, InputError, ZeroProbabilityObservation
 from .bounds import compute_bounds, scheme_lookup, scheme_source_doc
-from .model import (ZERO_OBS_TOL, Pomdp, belief_update, num_states,
+from .model import (ZERO_OBS_TOL, Pomdp, belief_update, check_table_size, num_states,
                     observation_probabilities, sample_beliefs, value_of)
 from .projection import project, project_batch
 from .solver import AlphaSet
 
 MODES = ("single", "successive")
 BRANCH_GUARD = 1_000_000
+BELIEF_GUARD = 1_000_000  # initial beliefs per evaluation
 # strictly above the belief-update impossibility threshold (1e-12), so the
 # exact track never trips on last-ulp drift between the two computations
 BRANCH_TOL = 1e-11
@@ -116,6 +117,7 @@ def random_pomdp(n_vars: int, n_actions: int, n_obs: int, rng: np.random.Generat
         raise InputError("random instances are limited to 10 variables")
     if not (0.0 <= sparsity < 1.0):
         raise InputError("sparsity must be in [0, 1)")
+    check_table_size(n_vars, n_actions, n_obs)
     s = num_states(n_vars)
     transition = _stochastic_rows((n_actions, s, s), rng, sparsity)
     observation = _stochastic_rows((n_actions, s, n_obs), rng, sparsity)
@@ -275,10 +277,13 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
 
     The beliefs are drawn ``EVAL_BLOCK`` rows at a time from one generator,
     so they are the same beliefs as ``num_beliefs`` successive
-    :func:`random_belief` draws, whatever the block size.
+    :func:`random_belief` draws, whatever the block size, and at most
+    ``BELIEF_GUARD`` of them (GuardError).
     """
     horizon = len(stage_sets)
     _check_tree(model, stage_sets, BRANCH_GUARD)
+    if cfg.num_beliefs > BELIEF_GUARD:
+        raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
     lookup = scheme_lookup(scheme_source)
     rng = np.random.default_rng(cfg.seed)

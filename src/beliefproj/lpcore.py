@@ -10,12 +10,13 @@ lowest-index rule (Bland's) is kept as the anti-cycling fallback: it takes
 over after a run of degenerate pivots and cannot cycle, so every solve
 terminates.
 
-A program that extends a solved one by equality rows can start from that
-solution (``LinearProgram.warm``). The new rows are appended to the solved
-program's final tableau and written in its nonbasic columns, each with one
-artificial column; phase 1 then drives out only those artificials and phase
-2 resumes from the basis it leaves. Both phases run the same simplex as a
-cold solve, with the same pricing, fallback and tie-breaks.
+A program that extends a solved one by equality rows is made from that
+solution (``LpResult.extend``) and starts from it. The new rows are appended
+to the solved program's final tableau and written in its nonbasic columns,
+each with one artificial column; phase 1 then drives out only those
+artificials and phase 2 resumes from the basis it leaves. Both phases run
+the same simplex as a cold solve, with the same pricing, fallback and
+tie-breaks.
 
 A program that only asks whether its optimum is above a threshold
 (``LinearProgram.stop_above``) ends phase 2 at the first vertex whose
@@ -26,6 +27,7 @@ above it still runs to the optimum.
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -50,13 +52,9 @@ class LinearProgram:
     one of "<=", "=", ">=". Each variable is bounded below by 0, or is free
     where ``lower`` holds None; a finite ``upper`` entry adds a cap.
 
-    ``warm`` optionally holds an :class:`LpResult` with a final tableau
-    ("optimal" or "stopped") of a program with the same objective and bounds
-    whose constraints are a prefix of these; every constraint past that
-    prefix must be an equality. The solve then starts from that tableau: a
-    feasible basis is all the primal warm start needs, not an optimal one.
-    The bounds and the prefix rows that are the very objects of that
-    program's were checked when it was built and are not checked again.
+    ``warm`` is set only by :meth:`LpResult.extend`, on a program that is
+    the solved program plus equality rows; the solve then starts from that
+    result's final tableau.
 
     ``stop_above``, when set, ends phase 2 at the first vertex whose
     objective is above it, with status "stopped".
@@ -68,9 +66,9 @@ class LinearProgram:
     constraints: list
     lower: list | None = None
     upper: list | None = None
-    warm: LpResult | None = field(default=None, repr=False)
     stop_above: float | None = None
 
+    warm: LpResult | None = field(default=None, init=False, repr=False)
     free: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,25 +80,11 @@ class LinearProgram:
             self.upper = [None] * n
         if len(self.lower) != n or len(self.upper) != n:
             raise InputError("bounds length does not match objective dimension")
-        # the warm start's program was checked when it was built, so what
-        # this one shares with it, object for object, is not checked again
-        base = self.warm.program if self.warm is not None else None
-        if base is not None and base.free.shape != (n,):
-            base = None
-        if base is not None and self.lower is base.lower:
-            self.free = base.free
-        else:
-            self.free = np.fromiter(map(operator.is_, self.lower, repeat(None)), bool, n)
-            self.free.setflags(write=False)
-            if np.count_nonzero(self.free) + operator.countOf(self.lower, 0.0) != n:
-                raise InputError("a lower bound must be 0 or None (free)")
-        checked = 0
-        if base is not None:
-            prefix = base.constraints
-            if len(self.constraints) >= len(prefix) and all(
-                    map(operator.is_, self.constraints, prefix)):
-                checked = len(prefix)
-        for coeffs, rel, _rhs in self.constraints[checked:]:
+        self.free = np.fromiter(map(operator.is_, self.lower, repeat(None)), bool, n)
+        self.free.setflags(write=False)
+        if np.count_nonzero(self.free) + operator.countOf(self.lower, 0.0) != n:
+            raise InputError("a lower bound must be 0 or None (free)")
+        for coeffs, rel, _rhs in self.constraints:
             if np.asarray(coeffs).shape != (n,):
                 raise InputError("constraint dimension does not match objective")
             if rel not in (LESS, EQUAL, GREATER):
@@ -121,6 +105,22 @@ class LpResult:
     program: LinearProgram | None = field(default=None, repr=False, compare=False)
     tableau: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False,
                                                           compare=False)
+
+    def extend(self, rows) -> LinearProgram:
+        """The solved program plus the list of equality rows ``(coefficients,
+        rhs)``, whose solve starts from this result's final tableau. It shares
+        this program's objective, bounds and threshold, which were checked
+        when it was built."""
+        if self.tableau is None:
+            raise InputError("a warm start must carry a final tableau (an 'optimal' or "
+                             f"'stopped' solve), not {self.status!r}")
+        n = self.program.objective.shape[0]
+        if any(np.asarray(coeffs).shape != (n,) for coeffs, _rhs in rows):
+            raise InputError("constraint dimension does not match objective")
+        lp = copy.copy(self.program)
+        lp.constraints = lp.constraints + [(coeffs, EQUAL, rhs) for coeffs, rhs in rows]
+        lp.warm = self
+        return lp
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -257,31 +257,12 @@ def _cold_tableau(lp: LinearProgram, free, col_plus, col_minus):
     return T, basis, art_start
 
 
-def _same_row(got, want) -> bool:
-    return got is want or (got[1] == want[1] and float(got[2]) == float(want[2])
-                           and np.array_equal(got[0], want[0]))
-
-
 def _warm_tableau(lp: LinearProgram, free, col_plus, col_minus):
     """Initial tableau, basis and first artificial column of a solve that
     starts from ``lp.warm``: its final tableau with the new equality rows
     below, each written in the nonbasic columns and given an artificial."""
-    warm = lp.warm
-    if warm.tableau is None:
-        raise InputError("a warm start must carry a final tableau (an 'optimal' or "
-                         f"'stopped' solve), not {warm.status!r}")
-    base = warm.program
-    k = len(base.constraints)
-    if len(lp.constraints) < k or not all(map(_same_row, lp.constraints, base.constraints)):
-        raise InputError("the warm start's constraints are not a prefix of the program's")
-    if not (np.array_equal(lp.objective, base.objective) and list(lp.lower) == list(base.lower)
-            and list(lp.upper) == list(base.upper)):
-        raise InputError("the warm start solved a program with another objective or bounds")
-    extra = lp.constraints[k:]
-    if any(rel != EQUAL for _coeffs, rel, _rhs in extra):
-        raise InputError("a warm start can only be extended by equality rows")
-
-    T0, basis0 = warm.tableau
+    extra = lp.constraints[len(lp.warm.program.constraints):]
+    T0, basis0 = lp.warm.tableau
     m0, width = T0.shape[0], T0.shape[1] - 1
     e = len(extra)
     C = np.array([coeffs for coeffs, _rel, _rhs in extra], dtype=float).reshape(e, len(free))
@@ -312,8 +293,9 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     """Solve the program; statuses are explicit and pivoting is deterministic.
 
     Phase 1 maximizes minus the sum of the artificial columns, phase 2 the
-    objective. With ``lp.warm`` set, only the appended rows carry
-    artificials, and the solved program's basis is where pivoting starts.
+    objective. On a program made by :meth:`LpResult.extend`, only the
+    appended rows carry artificials, and the solved program's basis is where
+    pivoting starts.
     """
     n = lp.objective.shape[0]
     free = lp.free

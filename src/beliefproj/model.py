@@ -43,14 +43,28 @@ def sample_beliefs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def _check_stochastic(table: np.ndarray, what: str) -> None:
-    if np.any(table < -1e-12) or np.any(table > 1 + 1e-12):
-        raise InputError(f"{what} has entries outside [0, 1]")
+def check_table_size(n_vars: int, n_actions: int, n_obs: int) -> None:
+    """GuardError when the dense transition and observation tables would hold
+    more than ``MAX_TABLE_ENTRIES`` entries; call it before allocating them."""
+    s = num_states(n_vars)
+    entries = n_actions * (s * s + s * n_obs)
+    if entries > MAX_TABLE_ENTRIES:
+        raise GuardError(f"dense tables of {n_vars} variables, {n_actions} actions and "
+                         f"{n_obs} observations need {entries} entries, "
+                         f"above the cap of {MAX_TABLE_ENTRIES}")
+
+
+def _check_stochastic(table: np.ndarray, what: str, actions) -> None:
+    outside = (table.min(axis=(1, 2)) < -1e-12) | (table.max(axis=(1, 2)) > 1 + 1e-12)
+    if np.any(outside):
+        a = int(np.flatnonzero(outside)[0])
+        raise InputError(f"{what} for action {actions[a]!r} has entries outside [0, 1]")
     sums = table.sum(axis=-1)
     bad = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(bad):
-        row = int(np.argwhere(bad)[0][-1])
-        raise InputError(f"{what} row {row} sums to {sums.flat[int(np.flatnonzero(bad)[0])]}, expected 1")
+        a, row = (int(k) for k in np.argwhere(bad)[0])
+        raise InputError(f"{what} for action {actions[a]!r} row {row} sums to "
+                         f"{sums[a, row]}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,8 @@ class Pomdp:
                             (self.reward, "reward")):
             if not np.all(np.isfinite(table)):
                 raise InputError(f"model {what} has non-finite entries")
-        _check_stochastic(self.transition, "transition table")
-        _check_stochastic(self.observation_fn, "observation table")
+        _check_stochastic(self.transition, "transition table", self.actions)
+        _check_stochastic(self.observation_fn, "observation table", self.actions)
         for arr in (self.transition, self.observation_fn, self.reward):
             arr.setflags(write=False)
 
@@ -205,13 +219,8 @@ def compile_model(spec: dict) -> Pomdp:
         raise InputError(f"{len(variables)} variables exceeds the {MAX_VARIABLES}-variable limit")
     actions = _names(spec, "actions")
     observations = _names(spec, "observations")
-    n = len(variables)
-    s = num_states(n)
-    entries = len(actions) * (s * s + s * len(observations))
-    if entries > MAX_TABLE_ENTRIES:
-        raise GuardError(f"dense tables of {n} variables, {len(actions)} actions and "
-                         f"{len(observations)} observations need {entries} entries, "
-                         f"above the cap of {MAX_TABLE_ENTRIES}")
+    check_table_size(len(variables), len(actions), len(observations))
+    s = num_states(len(variables))
 
     trans = np.empty((len(actions), s, s))
     for ai, a in enumerate(actions):

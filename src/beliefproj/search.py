@@ -193,10 +193,10 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
     tested; E's alternative sets recurse through every stage. With the
     accepted ``parent`` node, only pairs still positive there are retested
     (switch tests are monotone along edges), an LP test starting from the
-    parent's LP result for its pair (``positives`` maps each positive pair
-    (i, j), i < j, to it; None under the VS test). B and E are functions of
-    the switch sets alone, so a node whose switch sets equal its parent's
-    takes the parent's value without rebuilding alternative sets or bounds.
+    parent's LP decision for its pair (``positives`` maps each positive pair
+    (i, j), i < j, to its decision). B and E are functions of the switch
+    sets alone, so a node whose switch sets equal its parent's takes the
+    parent's value without rebuilding alternative sets or bounds.
     """
     scoped = stage_sets[-1:] if scope == "last" else stage_sets
     tested = scoped if bound == "B" else stage_sets
@@ -207,7 +207,7 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
         decisions = {}
         sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions)
         sw_per_stage.append(sw)
-        new_positives.append({pair: decision.lp for pair, decision in decisions.items()
+        new_positives.append({pair: decision for pair, decision in decisions.items()
                               if decision.switches})
     if parent is not None and sw_per_stage == parent.switch_sets:
         value = parent.value

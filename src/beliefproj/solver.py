@@ -92,8 +92,9 @@ def backup(model: Pomdp, prev: AlphaSet, cap: int = BACKUP_CAP) -> AlphaSet:
                     np.tile(sigma, (model.n_actions, 1)))
 
 
-def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.ndarray | None:
-    """Belief where ``target`` strictly beats every vector in ``others``, or None.
+def _witness(target: np.ndarray, others: list[np.ndarray]) -> np.ndarray | None:
+    """Belief where ``target`` beats every vector in ``others`` by more than
+    ``DOMINANCE_TOL``, or None.
 
     Solves: max x s.t. b.(w - target) + x <= 0 for all w, b on the simplex.
     In this form the slack basis is feasible for every row but ``sum b = 1``,
@@ -116,7 +117,7 @@ def _witness(target: np.ndarray, others: list[np.ndarray], tol: float) -> np.nda
     # the program is always feasible and bounded: any other status is a failure
     if result.status != "optimal":
         raise NumericalError(f"witness LP unexpectedly {result.status}")
-    if result.value <= tol:
+    if result.value <= DOMINANCE_TOL:
         return None
     return result.x[:dim]
 
@@ -162,7 +163,7 @@ def prune(aset: AlphaSet) -> AlphaSet:
     pending = undominated(mat).tolist()
     while pending:
         i = pending[0]
-        b = _witness(mat[i], [mat[j] for j in kept], DOMINANCE_TOL)
+        b = _witness(mat[i], [mat[j] for j in kept])
         if b is None:
             pending.pop(0)
             continue

@@ -1,7 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
-from beliefproj import Pomdp, random_pomdp
+from beliefproj import Pomdp, random_pomdp, solve_lp
 
 
 def random_partition(n, rng):
@@ -13,6 +15,14 @@ def random_partition(n, rng):
         blocks.append(tuple(order[:size]))
         order = order[size:]
     return tuple(blocks)
+
+
+def solve_to_optimum(lp):
+    """Solve ``lp`` without its stop threshold, from the same start: a
+    shallow copy keeps a warm start, which ``dataclasses.replace`` drops."""
+    full = copy.copy(lp)
+    full.stop_above = None
+    return solve_lp(full)
 
 
 def two_state_model(discount=0.9):

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_se
                                compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
 
-from conftest import random_partition
+from conftest import random_partition, solve_to_optimum
 
 CORRELATED = np.array([1.0, 0.0, 0.0, 1.0])  # high at !x!y and xy
 FLAT = np.full(4, 0.5)
@@ -53,6 +52,10 @@ def test_lp_switch_identity_scheme_never_switches():
     assert decision.objective <= 1e-9
 
 
+def row_keys(lp):
+    return sorted((coeffs.tobytes(), rel, rhs) for coeffs, rel, rhs in lp.constraints)
+
+
 def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
     """Under a child scheme, the warm-started program is the parent's rows
     followed by the child's new marginal row, and it decides as a cold solve;
@@ -60,22 +63,31 @@ def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
     alpha_i, alpha_j = rng.normal(size=8), rng.normal(size=8)
     parent = lp_switch_test(alpha_i, alpha_j, lattice_root(3))
     assert parent.lp is not None and parent.lp.status in ("optimal", "stopped")
-    for child, _mask in lattice_children(lattice_root(3)):
-        warm = lp_switch_test(alpha_i, alpha_j, child, parent.lp)
+    for child, mask in lattice_children(lattice_root(3)):
+        warm = lp_switch_test(alpha_i, alpha_j, child, parent)
         cold = lp_switch_test(alpha_i, alpha_j, child)
         rows = parent.lp.program.constraints
+        assert warm.lp.program.warm is parent.lp and cold.lp.program.warm is None
         assert all(a is b for a, b in zip(warm.lp.program.constraints, rows))
         assert len(warm.lp.program.constraints) == len(cold.lp.program.constraints) == len(rows) + 1
+        assert warm.subsets == cold.subsets == parent.subsets | {mask}
+        # the same rows as the cold program, the new one appended
+        assert row_keys(warm.lp.program) == row_keys(cold.lp.program)
         assert warm.switches == cold.switches
         if warm.lp.status == cold.lp.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-        warm_full, cold_full = (solve_lp(replace(d.lp.program, stop_above=None))
-                                for d in (warm, cold))
+        warm_full, cold_full = (solve_to_optimum(d.lp.program) for d in (warm, cold))
         assert warm_full.status == cold_full.status == "optimal"
         assert warm_full.value == pytest.approx(cold_full.value, abs=1e-12)
     other = lp_switch_test(alpha_j, alpha_i, lattice_root(3))
     with pytest.raises(InputError, match="coarser scheme"):
-        lp_switch_test(alpha_i, alpha_j, child, other.lp)
+        lp_switch_test(alpha_i, alpha_j, child, other)
+    finer = lp_switch_test(alpha_i, alpha_j, child)
+    with pytest.raises(InputError, match="coarser scheme"):
+        lp_switch_test(alpha_i, alpha_j, lattice_root(3), finer)
+    algebraic = vs_switch_test(alpha_i, alpha_j, build_basis(lattice_root(3)))
+    with pytest.raises(InputError, match="coarser scheme"):
+        lp_switch_test(alpha_i, alpha_j, child, algebraic)
 
 
 def test_lp_switch_correlation_example_confirmed_by_oracle():
@@ -223,8 +235,8 @@ def test_per_vector_source_tests_only_candidate_pairs(monkeypatch, method):
     schemes = alternating_schemes(len(aset))
     full = reference_sets(aset, schemes, method)
     positive = sorted({(min(i, j), max(i, j)) for i, sw in enumerate(full) for j in sw})
-    candidates = set(positive[::2])
-    assert set(positive) - candidates
+    candidates = dict.fromkeys(positive[::2])
+    assert set(positive) - set(candidates)
     calls = record_tests(monkeypatch, aset)
     got = stage_switch_sets(aset, schemes.__getitem__, method, candidates=candidates)
     assert got == [tuple(j for j in sw if (min(i, j), max(i, j)) in candidates)

@@ -195,6 +195,33 @@ def test_oversized_dense_tables_exit_3_before_allocating(tmp_path, capsys):
     assert "dense tables" in err and "Traceback" not in err
 
 
+def test_gen_of_oversized_dense_tables_exits_3_before_drawing(tmp_path, monkeypatch, capsys):
+    from beliefproj import model
+    # 2 variables, 2 actions and 2 observations need 2 * (16 + 8) = 48 entries
+    monkeypatch.setattr(model, "MAX_TABLE_ENTRIES", 47)
+    out = tmp_path / "m.json"
+    assert run(["gen", "--vars", 2, "--actions", 2, "--obs", 2, "--seed", 0,
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "need 48 entries, above the cap of 47" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_of_too_many_beliefs_exits_3_before_allocating(tmp_path, capsys):
+    from beliefproj.evaluate import BELIEF_GUARD
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    report = tmp_path / "r.json"
+    args = ["--mode", "single", "--seed", 0, "--out", report]
+    assert run(["eval", model, policy, scheme, "--beliefs", 100_000_000_000_000, *args]) == 3
+    err = capsys.readouterr().err
+    assert f"above the cap of {BELIEF_GUARD}" in err and "Traceback" not in err
+    assert not report.exists()
+    assert run(["eval", model, policy, scheme, "--beliefs", BELIEF_GUARD + 1, *args]) == 3
+
+
 def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
     from beliefproj import bounds
     model = gen_model(tmp_path)

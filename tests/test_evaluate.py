@@ -63,6 +63,17 @@ def test_random_pomdp_determinism_and_validity():
         random_pomdp(11, 2, 2, np.random.default_rng(0))
 
 
+def test_random_pomdp_checks_its_table_size_before_drawing(monkeypatch):
+    from beliefproj import model
+    monkeypatch.setattr(model, "MAX_TABLE_ENTRIES", 47)  # (2, 2, 2) needs 48
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(GuardError, match="need 48 entries"):
+        random_pomdp(2, 2, 2, rng)
+    assert rng.bit_generator.state == state
+    random_pomdp(2, 2, 1, rng)  # 2 * (16 + 4) = 40 entries
+
+
 def test_achieved_value_identity_scheme_is_optimal(rng):
     model, stages = solved(0, horizon=3)
     identity = ProjectionScheme.full(2)

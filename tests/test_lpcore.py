@@ -158,28 +158,50 @@ def test_witness_program_that_once_failed_phase_one():
         assert result.value == pytest.approx(4.906811737730672e-4, abs=1e-12)
 
 
-def test_a_warm_started_program_checks_what_it_does_not_share_with_its_start():
-    # max x + y with x + y <= 2, x >= 0 and y free; the rows and bounds that
-    # are the start's own objects are not checked again, all others are
+def test_a_program_checks_its_rows_and_bounds():
+    objective = np.array([1.0, 1.0])
+    row = (np.array([1.0, -1.0]), "=", 0.0)
+    for constraints, bounds, message in [
+            ([row, (np.array([1.0]), "=", 0.0)], [0.0, None], "constraint dimension"),
+            ([row, (np.array([1.0, -1.0]), "~", 0.0)], [0.0, None], "unknown relation"),
+            ([row], [1.0, None], "lower bound must be 0 or None"),
+            ([row], [0.0], "bounds length")]:
+        with pytest.raises(InputError, match=message):
+            LinearProgram(objective, constraints, lower=bounds)
+
+
+def test_an_extended_program_shares_its_start_and_checks_only_its_new_rows():
+    # max x + y with x + y <= 2, x >= 0 and y free, then x - y = 0
     objective = np.array([1.0, 1.0])
     start = solve_lp(LinearProgram(objective, [(np.array([1.0, 1.0]), "<=", 2.0)],
                                    lower=[0.0, None]))
     assert start.status == "optimal" and start.program.free.tolist() == [False, True]
-    rows, lower = start.program.constraints, start.program.lower
-    new_row = (np.array([1.0, -1.0]), "=", 0.0)
-    child = LinearProgram(objective, rows + [new_row], lower=lower, warm=start)
+    child = start.extend([(np.array([1.0, -1.0]), 0.0)])
+    assert child.warm is start and start.program.warm is None
+    assert child.objective is objective and child.lower is start.program.lower
     assert child.free is start.program.free
+    assert child.constraints[0] is start.program.constraints[0]
+    assert [rel for _coeffs, rel, _rhs in child.constraints] == ["<=", "="]
     result = solve_lp(child)
     assert result.status == "optimal"
     np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-9)
+    # the extended program's own result extends again
+    again = solve_lp(result.extend([(np.array([1.0, 0.0]), 0.5)]))
+    assert again.status == "optimal"
+    np.testing.assert_allclose(again.x, [0.5, 0.5], atol=1e-9)
 
-    for constraints, bounds, message in [
-            (rows + [(np.array([1.0]), "=", 0.0)], lower, "constraint dimension"),
-            (rows + [(np.array([1.0, -1.0]), "~", 0.0)], lower, "unknown relation"),
-            ([(np.array([1.0]), "<=", 2.0)] + [new_row], lower, "constraint dimension"),
-            (rows + [new_row], [1.0, None], "lower bound must be 0 or None"),
-            (rows + [new_row], [0.0], "bounds length")]:
-        with pytest.raises(InputError, match=message):
-            LinearProgram(objective, constraints, lower=bounds, warm=start)
-    with pytest.raises(InputError, match="bounds length"):
-        LinearProgram(np.ones(3), rows, lower=lower, warm=start)
+    with pytest.raises(InputError, match="constraint dimension"):
+        start.extend([(np.array([1.0, -1.0]), 0.0), (np.array([1.0]), 0.0)])
+
+
+def test_only_a_result_with_a_final_tableau_can_be_extended():
+    infeasible = solve_lp(LinearProgram(np.array([1.0]), [(np.array([1.0]), "<=", -1.0)]))
+    assert infeasible.status == "infeasible" and infeasible.tableau is None
+    with pytest.raises(InputError, match="final tableau"):
+        infeasible.extend([(np.array([1.0]), 0.0)])
+
+
+def test_a_warm_start_is_not_a_program_argument():
+    start = solve_lp(LinearProgram(np.array([1.0]), [(np.array([1.0]), "<=", 3.0)]))
+    with pytest.raises(TypeError):
+        LinearProgram(np.array([1.0]), [], warm=start)

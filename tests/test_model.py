@@ -182,3 +182,30 @@ def test_compile_rejects_too_many_variables():
     spec["variables"] = [f"v{i}" for i in range(21)]
     with pytest.raises(InputError, match="20-variable"):
         compile_model(spec)
+
+
+
+def two_action_spec():
+    """Two variables (four states) and two actions, every table uniform."""
+    spec = base_spec()
+    spec.update(variables=["x", "y"], actions=["a0", "a1"], reward=[0.0] * 4)
+    spec["transitions"] = {a: {"flat": [[0.25] * 4] * 4} for a in ("a0", "a1")}
+    spec["observation"] = {a: [[0.5, 0.5]] * 4 for a in ("a0", "a1")}
+    return spec
+
+
+@pytest.mark.parametrize("table,row,match", [
+    ("transition", [0.25, 0.25, 0.5, 0.5], r"row 2 sums to 1\.5, expected 1"),
+    ("transition", [1.25, -0.25, 0.0, 0.0], r"has entries outside \[0, 1\]"),
+    ("observation", [1.0, 0.5], r"row 2 sums to 1\.5, expected 1"),
+    ("observation", [1.25, -0.25], r"has entries outside \[0, 1\]"),
+])
+def test_stochastic_table_errors_name_the_action(table, row, match):
+    spec = two_action_spec()
+    compile_model(spec)
+    if table == "transition":
+        spec["transitions"]["a1"] = {"flat": [[0.25] * 4] * 2 + [row, [0.25] * 4]}
+    else:
+        spec["observation"]["a1"] = [[0.5, 0.5]] * 2 + [row, [0.5, 0.5]]
+    with pytest.raises(InputError, match=f"{table} table for action 'a1' {match}"):
+        compile_model(spec)

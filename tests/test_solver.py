@@ -166,7 +166,7 @@ def test_prune_fixed_point_definition(rng):
     kept_keys = {values.tobytes() for values in kept.matrix}
     for i in range(25):
         others = [w for w in kept_rows if not np.array_equal(w, mat[i])]
-        witness = _witness(mat[i], others, 1e-9)
+        witness = _witness(mat[i], others)
         if mat[i].tobytes() in kept_keys:
             assert witness is not None
             margins = [float(mat[i] @ witness - w @ witness) for w in others]
