@@ -20,8 +20,8 @@ import numpy as np
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, GREATER, LinearProgram, LpResult, solve_lp
 from .model import Pomdp, sample_beliefs
-from .projection import (ProjectionScheme, WalshBasis, constraint_family,
-                         indicator_vector, project_batch, residual_sq_length)
+from .projection import (ProjectionScheme, WalshBasis, indicator_vector, project_batch,
+                         residual_sq_length)
 from .solver import AlphaSet, undominated
 
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
@@ -71,6 +71,7 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     Variables are [b, b', x] with x free; the empty-set marginal constraint
     makes b' sum to one automatically. The rows are the two margins, one
     marginal row per preserved subset in family order, and the sum of b.
+    ``scheme`` is a ProjectionScheme, which keeps its family, or its blocks.
 
     ``warm`` is optionally this pair's LP decision under a coarser scheme.
     The program is then that decision's program extended by the marginal
@@ -86,13 +87,15 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
         raise InputError("alpha vectors differ in dimension")
     n = dim.bit_length() - 1
     diff = alpha_i - alpha_j
-    subsets = constraint_family(scheme).subsets
+    if not isinstance(scheme, ProjectionScheme):
+        scheme = ProjectionScheme(scheme)
+    family = scheme.family
     margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
-    if warm is not None and (warm.lp is None or not warm.subsets.issubset(subsets)
+    if warm is not None and (warm.lp is None or not warm.subsets <= family.members
                              or not np.array_equal(warm.lp.program.constraints[0][0], margin)):
         raise InputError("warm start is not this pair's switch LP under a coarser scheme")
     known = warm.subsets if warm is not None else frozenset()
-    ind = indicator_vector([mask for mask in subsets if mask not in known], n)
+    ind = indicator_vector([mask for mask in family.subsets if mask not in known], n)
     marginals = np.zeros((ind.shape[0], 2 * dim + 1))
     marginals[:, :dim] = ind
     marginals[:, dim:2 * dim] = -ind
@@ -113,7 +116,7 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     # the tableau's objective decided the stop, so rounding in value cannot flip it
     switches = result.status == "stopped" or result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
-    return SwitchDecision(switches, float(result.value), witness, result, frozenset(subsets))
+    return SwitchDecision(switches, float(result.value), witness, result, family.members)
 
 
 def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:

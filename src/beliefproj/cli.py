@@ -164,10 +164,9 @@ def _policy_from_doc(doc):
     for key in ("model", "horizon", "stages"):
         if key not in doc:
             raise InputError(f"policy document missing key {key!r}")
-    try:
-        horizon = int(doc["horizon"])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"policy horizon {doc['horizon']!r} is not an integer") from None
+    horizon = doc["horizon"]
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise InputError(f"policy horizon {horizon!r} is not an integer")
     model = compile_model(doc["model"])
     stages = stages_from_doc(doc["stages"])
     if len(stages) != horizon:
@@ -182,8 +181,7 @@ def _policy_from_doc(doc):
         actions = aset.actions
         if actions.shape != (m,) or np.any((actions < 0) | (actions >= model.n_actions)):
             raise InputError(f"stage-{k} policy actions must be indices below {model.n_actions}")
-        # a k-step plan collects k rewards, discounted by gamma^t at step t
-        limit = float(np.abs(model.reward).max()) * sum(model.discount ** t for t in range(k))
+        limit = model.value_limit(k)
         if np.abs(aset.matrix).max() > limit * (1.0 + VALUE_SLACK):
             raise InputError(f"stage-{k} policy values exceed {limit:.6g}, the largest sum of "
                              f"{k} discounted rewards of the model (field 'values')")

@@ -10,13 +10,11 @@ lowest-index rule (Bland's) is kept as the anti-cycling fallback: it takes
 over after a run of degenerate pivots and cannot cycle, so every solve
 terminates.
 
-A program that extends a solved one by equality rows is made from that
-solution (``LpResult.extend``) and starts from it. The new rows are appended
-to the solved program's final tableau and written in its nonbasic columns,
-each with one artificial column; phase 1 then drives out only those
-artificials and phase 2 resumes from the basis it leaves. Both phases run
-the same simplex as a cold solve, with the same pricing, fallback and
-tie-breaks.
+Every solve appends its program's rows to a tableau: an empty one, or for a
+program that extends a solved one by equality rows (``LpResult.extend``),
+that solution's final tableau. The appended rows are written in the start's
+nonbasic columns and get slack and artificial columns; phase 1 drives out
+the artificials and phase 2 goes on from the basis it leaves.
 
 A program that only asks whether its optimum is above a threshold
 (``LinearProgram.stop_above``) ends phase 2 at the first vertex whose
@@ -42,6 +40,7 @@ PIVOT_REL = 1e-3  # smallest tied pivot entry kept, relative to the largest
 PIVOT_FLOOR = 1e-6  # smallest pivot entry, relative to its column's largest |entry|
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
+_SWAPPED = {LESS: GREATER, EQUAL: EQUAL, GREATER: LESS}  # a row's relation once negated
 
 
 @dataclass
@@ -52,9 +51,8 @@ class LinearProgram:
     one of "<=", "=", ">=". Each variable is bounded below by 0, or is free
     where ``lower`` holds None; a finite ``upper`` entry adds a cap.
 
-    ``warm`` is set only by :meth:`LpResult.extend`, on a program that is
-    the solved program plus equality rows; the solve then starts from that
-    result's final tableau.
+    ``warm`` is set only by :meth:`LpResult.extend`: the result whose final
+    tableau the solve appends this program's further rows to.
 
     ``stop_above``, when set, ends phase 2 at the first vertex whose
     objective is above it, with status "stopped".
@@ -193,7 +191,7 @@ def _run_simplex(T, basis, cost, tol, max_iter, stop_above=None):
     set, it returns "stopped" at the first vertex, the starting one included,
     whose objective in the tableau is above that threshold.
     """
-    r = cost - (cost[basis] @ T[:, :-1] if len(basis) else 0.0)
+    r = cost - cost[basis] @ T[:, :-1]
     if r.size == 0:
         return "optimal", 0
     degenerate = 0
@@ -215,61 +213,31 @@ def _run_simplex(T, basis, cost, tol, max_iter, stop_above=None):
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
 
-def _cold_tableau(lp: LinearProgram, free, col_plus, col_minus):
-    """Initial tableau, basis and first artificial column of a solve from
-    scratch: a slack basis plus one artificial per row that is not <=."""
-    n = lp.objective.shape[0]
-    capped = [j for j in range(n) if lp.upper[j] is not None]
-
-    # constraint rows, then one <= row per finite upper bound
-    k = len(lp.constraints)
-    m = k + len(capped)
-    C = np.zeros((m, n))
-    b = np.zeros(m)
-    if k:
-        C[:k] = [coeffs for coeffs, _rel, _rhs in lp.constraints]
-        b[:k] = [float(rhs) for _coeffs, _rel, rhs in lp.constraints]
-    C[np.arange(k, m), capped] = 1.0
-    b[k:] = [float(lp.upper[j]) for j in capped]
-    rels = [rel for _coeffs, rel, _rhs in lp.constraints] + [LESS] * len(capped)
-    less = np.array([rel == LESS for rel in rels], dtype=bool)
-    equal = np.array([rel == EQUAL for rel in rels], dtype=bool)
-    # a negative right-hand side flips its row and swaps <= with >=
-    neg = b < 0.0
-    C[neg] = -C[neg]
-    b[neg] = -b[neg]
-    less = np.where(neg, ~less & ~equal, less)
-
-    # slack (<=) or surplus (>=) column per inequality, artificial per row not <=
-    ncols = n + int(free.sum())
-    art_start = ncols + int(np.count_nonzero(~equal))
-    total = art_start + int(np.count_nonzero(~less))
-    slack = ncols + np.cumsum(~equal) - 1
-    art = art_start + np.cumsum(~less) - 1
-    rows = np.arange(m)
-    T = np.zeros((m, total + 1))
-    T[:, col_plus] = C
-    T[:, col_minus] = -C[:, free]
-    T[:, -1] = b
-    T[rows[~equal], slack[~equal]] = np.where(less, 1.0, -1.0)[~equal]
-    T[rows[~less], art[~less]] = 1.0
-    basis = np.where(less, slack, art)
-    return T, basis, art_start
-
-
-def _warm_tableau(lp: LinearProgram, free, col_plus, col_minus):
-    """Initial tableau, basis and first artificial column of a solve that
-    starts from ``lp.warm``: its final tableau with the new equality rows
-    below, each written in the nonbasic columns and given an artificial."""
-    extra = lp.constraints[len(lp.warm.program.constraints):]
-    T0, basis0 = lp.warm.tableau
-    m0, width = T0.shape[0], T0.shape[1] - 1
-    e = len(extra)
-    C = np.array([coeffs for coeffs, _rel, _rhs in extra], dtype=float).reshape(e, len(free))
+def _tableau(lp: LinearProgram, col_plus, col_minus):
+    """Initial tableau, basis and first artificial column: the rows the
+    program's start lacks, appended below the start's tableau. The start is
+    ``lp.warm``'s final tableau, lacking the rows after its program's, or an
+    empty one, lacking the constraints and a <= row per finite upper bound.
+    A row with a negative right-hand side is flipped (swapping <= and >=).
+    Each inequality gets a slack (<=) or surplus (>=) column and each row not
+    <= an artificial, slacks first; a <= row's slack is basic, else its artificial.
+    """
+    free = lp.free
+    n = free.shape[0]
+    if lp.warm is None:
+        rows = lp.constraints + [(np.eye(1, n, j)[0], LESS, bound)
+                                 for j, bound in enumerate(lp.upper) if bound is not None]
+        T0 = np.zeros((0, n + np.count_nonzero(free) + 1))
+        basis0 = np.zeros(0, dtype=np.intp)
+    else:
+        rows = lp.constraints[len(lp.warm.program.constraints):]
+        T0, basis0 = lp.warm.tableau
+    m0, width, e = T0.shape[0], T0.shape[1] - 1, len(rows)
+    C = np.array([coeffs for coeffs, _rel, _rhs in rows], dtype=float).reshape(e, n)
     A = np.zeros((e, width))
     A[:, col_plus] = C
     A[:, col_minus] = -C[:, free]
-    b = np.array([float(rhs) for _coeffs, _rel, rhs in extra])
+    b = np.array([float(rhs) for _coeffs, _rel, rhs in rows])
     # subtract the basic columns' multiples of their rows; pivoting keeps
     # those columns exact unit vectors, so their entries cancel exactly
     coef = A[:, basis0]
@@ -279,31 +247,41 @@ def _warm_tableau(lp: LinearProgram, free, col_plus, col_minus):
     A[neg] = -A[neg]
     b[neg] = -b[neg]
 
-    T = np.zeros((m0 + e, width + e + 1))
+    # flipping keeps a row's relation (in)equal, so the slack count is known
+    art_start = width + sum(rel != EQUAL for _coeffs, rel, _rhs in rows)
+    slack, art, units, basis = width, art_start, [], basis0.tolist()
+    for i, (_coeffs, rel, _rhs), flip in zip(range(m0, m0 + e), rows, neg.tolist()):
+        if flip:
+            rel = _SWAPPED[rel]
+        if rel != EQUAL:
+            units.append((i, slack, 1.0 if rel == LESS else -1.0))
+            slack += 1
+        if rel != LESS:
+            units.append((i, art, 1.0))
+            art += 1
+        basis.append(units[-1][1])  # its slack if <=, else its artificial
+    T = np.zeros((m0 + e, art + 1))
     T[:m0, :width] = T0[:, :-1]
     T[:m0, -1] = T0[:, -1]
     T[m0:, :width] = A
-    T[m0:, width:-1] = np.eye(e)
     T[m0:, -1] = b
-    basis = np.concatenate([basis0, width + np.arange(e)])
-    return T, basis, width
+    for i, j, entry in units:
+        T[i, j] = entry
+    return T, np.array(basis, dtype=np.intp), art_start
 
 
 def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     """Solve the program; statuses are explicit and pivoting is deterministic.
 
     Phase 1 maximizes minus the sum of the artificial columns, phase 2 the
-    objective. On a program made by :meth:`LpResult.extend`, only the
-    appended rows carry artificials, and the solved program's basis is where
-    pivoting starts.
+    objective, both from the basis :func:`_tableau` starts with.
     """
     n = lp.objective.shape[0]
     free = lp.free
     # free variables split into a positive part and a negative part next to it
     col_plus = np.arange(n) + np.cumsum(free) - free
     col_minus = col_plus[free] + 1
-    build = _cold_tableau if lp.warm is None else _warm_tableau
-    T, basis, art_start = build(lp, free, col_plus, col_minus)
+    T, basis, art_start = _tableau(lp, col_plus, col_minus)
     m, total = T.shape[0], T.shape[1] - 1
 
     max_iter = 10_000 + 200 * (m + total)

@@ -100,6 +100,8 @@ class Pomdp:
             raise InputError(f"reward shape {self.reward.shape} != {(s,)}")
         if not (0.0 < self.discount <= 1.0):
             raise InputError(f"discount {self.discount} not in (0, 1]")
+        # checked first, since float() overflows on a huge integer
+        object.__setattr__(self, "discount", float(self.discount))
         for table, what in ((self.transition, "transition table"),
                             (self.observation_fn, "observation table"),
                             (self.reward, "reward")):
@@ -109,6 +111,11 @@ class Pomdp:
         _check_stochastic(self.observation_fn, "observation table", self.actions)
         for arr in (self.transition, self.observation_fn, self.reward):
             arr.setflags(write=False)
+
+    def value_limit(self, steps: int) -> float:
+        """The largest |value| of a plan of ``steps`` steps: it collects that
+        many rewards, discounted by gamma^t at step t."""
+        return float(np.abs(self.reward).max()) * sum(self.discount ** t for t in range(steps))
 
     @property
     def n_vars(self) -> int:
@@ -208,10 +215,9 @@ def compile_model(spec: dict) -> Pomdp:
         if not isinstance(spec[key], dict):
             raise InputError(f"model {key!r} must be an object keyed by action name, "
                              f"got {type(spec[key]).__name__}")
-    try:
-        discount = float(spec["discount"])
-    except (TypeError, ValueError):
-        raise InputError(f"model discount {spec['discount']!r} is not a number") from None
+    discount = spec["discount"]
+    if isinstance(discount, bool) or not isinstance(discount, (int, float)):
+        raise InputError(f"model discount {discount!r} is not a number")
     variables = _names(spec, "variables")
     if len(set(variables)) != len(variables):
         raise InputError("duplicate variable names")

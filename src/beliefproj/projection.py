@@ -70,6 +70,11 @@ class ProjectionScheme:
         with it, like ``block_keys``."""
         return build_basis(self)
 
+    @cached_property
+    def family(self) -> ConstraintFamily:
+        """:func:`constraint_family` of the scheme, kept like ``basis``."""
+        return constraint_family(self)
+
     @staticmethod
     def singletons(n: int) -> "ProjectionScheme":
         return ProjectionScheme(tuple((i,) for i in range(n)))
@@ -108,6 +113,10 @@ class ConstraintFamily:
     @property
     def count(self) -> int:
         return len(self.subsets)
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.subsets)
 
 
 @dataclass(frozen=True)

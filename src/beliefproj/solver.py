@@ -182,6 +182,9 @@ def solve(model: Pomdp, horizon: int, cap: int = BACKUP_CAP) -> list[AlphaSet]:
     """
     if horizon < 1:
         raise InputError("horizon must be at least 1")
+    if not np.isfinite(model.value_limit(horizon)):
+        raise InputError(f"model rewards up to {np.abs(model.reward).max():.6g} overflow the "
+                         f"values of a horizon-{horizon} plan")
     stages = []
     prev = zero_stage(model)
     for _ in range(horizon):

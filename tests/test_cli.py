@@ -329,10 +329,12 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     ("transitions", {"a0": {"cpts": []}},
      "cpts for 'a0' must be an object keyed by variable name, got list"),
     (None, 5, "model document must be an object, got int"),
+    ("discount", True, "model discount True is not a number"),
+    ("discount", "0.9", "model discount '0.9' is not a number"),
 ], ids=["transitions-list", "observation-list", "discount-string", "transition-entry-number",
         "flat-strings", "observation-strings", "reward-strings", "variables-number",
         "actions-number", "cpt-entry-number", "cpt-parents-number", "cpts-list",
-        "document-number"])
+        "document-number", "discount-bool", "discount-numeric-string"])
 def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
     doc = json.loads(gen_model(tmp_path).read_text())
     if key is None:
@@ -397,10 +399,13 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     (lambda doc: doc.__setitem__("stages", []), "policy document has no stages"),
     (lambda doc: doc["stages"][1][0].__setitem__("strategy", [0, 99]),
      "stage 2 strategy references an invalid stage-1 vector"),
+    (lambda doc: doc.__setitem__("horizon", 2.7), "policy horizon 2.7 is not an integer"),
+    (lambda doc: doc.__setitem__("horizon", 2.0), "policy horizon 2.0 is not an integer"),
+    (lambda doc: doc.__setitem__("horizon", True), "policy horizon True is not an integer"),
 ], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
         "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
         "model-number", "missing-key", "horizon-mismatch", "stage-empty", "stages-empty",
-        "strategy-range"])
+        "strategy-range", "horizon-fraction", "horizon-float", "horizon-bool"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     model = gen_model(tmp_path)
     doc = json.loads(solve_policy(tmp_path, model).read_text())
@@ -432,6 +437,19 @@ def test_nan_model_entry_exits_2_naming_the_table(tmp_path, capsys, table, edit)
     assert run(["solve", bad, "--horizon", 2, "--out", tmp_path / "p.json"]) == 2
     err = capsys.readouterr().err
     assert f"model {table} has non-finite entries" in err and "Traceback" not in err
+
+
+def test_rewards_whose_values_overflow_exit_2_naming_the_reward_and_horizon(tmp_path, capsys):
+    # three discounted rewards of 1e308 sum past the largest float
+    doc = json.loads(gen_model(tmp_path).read_text())
+    doc["reward"] = [1e308] * 4
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 3, "--out", tmp_path / "p.json"]) == 2
+    err = capsys.readouterr().err
+    assert "model rewards up to 1e+308 overflow the values of a horizon-3 plan" in err
+    assert "Traceback" not in err and not (tmp_path / "p.json").exists()
 
 
 def test_policy_values_beyond_the_reward_bound_exit_2(tmp_path, capsys):

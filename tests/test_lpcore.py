@@ -194,6 +194,36 @@ def test_an_extended_program_shares_its_start_and_checks_only_its_new_rows():
         start.extend([(np.array([1.0, -1.0]), 0.0), (np.array([1.0]), 0.0)])
 
 
+def assert_warm_and_cold_agree(child: LinearProgram):
+    warm = solve_lp(child)
+    cold = solve_lp(LinearProgram(child.objective, child.constraints, child.lower, child.upper))
+    assert warm.status == cold.status == "optimal"
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
+    return warm, cold
+
+
+def test_an_extension_of_a_capped_program_appends_only_its_new_row():
+    # max x + 2y with x + y <= 5, x <= 2 and y <= 4 (caps), then x - y = -1;
+    # the start's final tableau already holds the two cap rows
+    start = solve_lp(LinearProgram(np.array([1.0, 2.0]), [(np.array([1.0, 1.0]), "<=", 5.0)],
+                                   upper=[2.0, 4.0]))
+    assert start.status == "optimal" and start.tableau[0].shape[0] == 3
+    warm, cold = assert_warm_and_cold_agree(start.extend([(np.array([1.0, -1.0]), -1.0)]))
+    np.testing.assert_allclose(warm.x, [2.0, 3.0], atol=1e-9)
+    # three rows and one more, over the two variables, three slacks and the rhs
+    assert warm.tableau[0].shape == cold.tableau[0].shape == (4, 6)
+
+
+def test_an_appended_row_whose_reduced_rhs_is_negative():
+    # max x with x + y <= 4 ends with x = 4 basic in that row; x - y = 1,
+    # reduced by it, is -2y - s = -3, so the builder flips it to 2y + s = 3
+    start = solve_lp(LinearProgram(np.array([1.0, 0.0]), [(np.array([1.0, 1.0]), "<=", 4.0)]))
+    np.testing.assert_allclose(start.x, [4.0, 0.0], atol=1e-9)
+    warm, _cold = assert_warm_and_cold_agree(start.extend([(np.array([1.0, -1.0]), 1.0)]))
+    np.testing.assert_allclose(warm.x, [2.5, 1.5], atol=1e-9)
+
+
 def test_only_a_result_with_a_final_tableau_can_be_extended():
     infeasible = solve_lp(LinearProgram(np.array([1.0]), [(np.array([1.0]), "<=", -1.0)]))
     assert infeasible.status == "infeasible" and infeasible.tableau is None
