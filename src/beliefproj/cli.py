@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -30,26 +32,33 @@ from .search import ALL_METHODS, SearchConfig, result_from_doc, run_search
 from .solver import solve, stages_from_doc, stages_to_doc
 
 VALUE_SLACK = 1e-9  # relative rounding allowance on the largest value a policy may hold
+SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
-def _read_json(path: str):
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise InputError(f"no such file: {path}") from None
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _parse_json(path: str, data: bytes):
+    try:
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
 
 
-def _decode(path: str, decode):
-    """``decode`` of the JSON document at ``path``; an InputError it raises
-    is raised again with ``path`` in front."""
-    doc = _read_json(path)
+def _decode(path: str, decode, data: bytes | None = None):
+    """``decode`` of the JSON document at ``path``, whose bytes are ``data``
+    when they were read already; an InputError it raises is raised again
+    with ``path`` in front."""
+    doc = _parse_json(path, _read_bytes(path) if data is None else data)
     try:
         return decode(doc)
     except InputError as e:
@@ -155,15 +164,19 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
 
 
 def _load_policy(path: str):
+    """(model, stages, model_sha256) of the policy at ``path``."""
     return _decode(path, _policy_from_doc)
 
 
 def _policy_from_doc(doc):
     if not isinstance(doc, dict):
         raise InputError(f"policy document must be an object, got {type(doc).__name__}")
-    for key in ("model", "horizon", "stages"):
+    for key in ("model", "model_sha256", "horizon", "stages"):
         if key not in doc:
             raise InputError(f"policy document missing key {key!r}")
+    digest = doc["model_sha256"]
+    if not isinstance(digest, str) or not SHA256_HEX.fullmatch(digest):
+        raise InputError(f"policy 'model_sha256' must be 64 lowercase hex digits, got {digest!r}")
     horizon = doc["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
         raise InputError(f"policy horizon {horizon!r} is not an integer")
@@ -185,7 +198,7 @@ def _policy_from_doc(doc):
         if np.abs(aset.matrix).max() > limit * (1.0 + VALUE_SLACK):
             raise InputError(f"stage-{k} policy values exceed {limit:.6g}, the largest sum of "
                              f"{k} discounted rewards of the model (field 'values')")
-    return model, stages
+    return model, stages, digest
 
 
 def cmd_gen(args) -> int:
@@ -203,12 +216,13 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.perf_counter()
-    model = _decode(args.model, compile_model)
+    data = _read_bytes(args.model)
+    model = _decode(args.model, compile_model, data)
     solve_start = time.perf_counter()
     stages = solve(model, args.horizon, cap=args.cap)
     solve_seconds = time.perf_counter() - solve_start
-    doc = {"model": model_to_spec(model), "horizon": args.horizon,
-           "stages": stages_to_doc(stages)}
+    doc = {"model": model_to_spec(model), "model_sha256": hashlib.sha256(data).hexdigest(),
+           "horizon": args.horizon, "stages": stages_to_doc(stages)}
     _write_json(args.out, doc)
     sizes = [len(s) for s in stages]
     for k, size in enumerate(sizes, start=1):
@@ -222,7 +236,7 @@ def cmd_solve(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    model, stages = _load_policy(args.policy)
+    model, stages, _ = _load_policy(args.policy)
     config = SearchConfig(method=args.method, scope=args.scope)
     result = run_search(model, stages, config)
     _write_json(args.out, result.to_doc(model.variables))
@@ -249,9 +263,13 @@ def _scheme_source_from_doc(doc, model):
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    model, stages = _load_policy(args.policy)
-    # the loss is measured against the values solved for the policy's own model
-    if model_to_spec(_decode(args.model, compile_model)) != model_to_spec(model):
+    model, stages, digest = _load_policy(args.policy)
+    # the loss is measured against the values solved for the policy's own
+    # model, so the model file must be the very bytes it was solved from
+    data = _read_bytes(args.model)
+    if hashlib.sha256(data).hexdigest() != digest:
+        # a file that does not decode says so before it is called the wrong model
+        _decode(args.model, compile_model, data)
         raise InputError(f"{args.model} is not the model {args.policy} was solved for")
     source, method = _decode(args.scheme, lambda doc: _scheme_source_from_doc(doc, model))
     cfg = EvalConfig(num_beliefs=args.beliefs, seed=args.seed, mode=args.mode)

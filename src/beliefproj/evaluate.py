@@ -200,19 +200,32 @@ def _project_rows(beliefs: np.ndarray, idx: np.ndarray, scheme_of) -> np.ndarray
     return out
 
 
+def _leaf_steps(model: Pomdp) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, S, Z) arrays ``T_a @ O_a`` and ``T_a @ (O_a * r)``: row b of
+    action a times the first gives P(z | b, a), times the second
+    P(z | b, a) * r.b'_z, for the posterior b'_z that a leaf would price."""
+    return (model.transition @ model.observation_fn,
+            model.transition @ (model.observation_fn * model.reward[:, np.newaxis]))
+
+
 def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
-                  beliefs: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
+                  beliefs: np.ndarray, mode: str,
+                  leaf_steps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """Row-block form of ``value_of`` and :func:`achieved_value` at the full
     horizon of ``stage_sets``: the optimal and the achieved value of each
     initial belief (one per row), and how many approximate tracks restarted
-    from the exact posterior.
+    from the exact posterior. ``leaf_steps`` is :func:`_leaf_steps` of
+    ``model``.
 
     Each call of ``walk`` handles one level of the observation tree for a
     whole block, and recurses once per observation on the rows that reach
-    it, so at most one block per level is alive at a time. The last level
-    reads only the exact track, so the approximate track is never normalized
-    or projected into it; its norm is still taken to count restarts.
+    it, so at most one block per level is alive at a time. A leaf reads only
+    the reward of its exact posterior, so the level above the leaves forms
+    no posterior: per action it is two products with ``leaf_steps``, one for
+    the branch probabilities of both tracks, which count restarts, and one
+    for the leaves' rewards.
     """
+    step_obs, step_gain = leaf_steps
     restarts = 0
 
     def walk(exact, approx, k):
@@ -225,6 +238,13 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
         acc = np.zeros(exact.shape[0])
         for a in np.flatnonzero(np.bincount(chosen)):
             rows = np.flatnonzero(chosen == a)
+            if k == 2:
+                block = exact[rows]
+                live = block @ step_obs[a] >= BRANCH_TOL
+                acc[rows] = np.where(live, block @ step_gain[a], 0.0).sum(axis=1)
+                restarts += int(np.count_nonzero(
+                    live & (approx[rows] @ step_obs[a] < ZERO_OBS_TOL)))
+                continue
             pred_exact = exact[rows] @ model.transition[a]
             pred_approx = approx[rows] @ model.transition[a]
             pz = pred_exact @ model.observation_fn[a]
@@ -243,19 +263,15 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
                 norm = next_approx.sum(axis=1)
                 ok = norm >= ZERO_OBS_TOL
                 restarts += int(ok.size - np.count_nonzero(ok))
-                if k == 2:
-                    # the leaves read only the exact track
-                    next_approx = None
-                else:
-                    np.divide(next_approx, norm[:, np.newaxis], out=next_approx,
-                              where=ok[:, np.newaxis])
-                    if mode == "successive" and ok.any():
-                        next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
-                                                        lambda i: lookup(k, i))
-                    # a branch with positive true probability that the
-                    # approximate track finds impossible restarts that track
-                    # from the exact posterior, unprojected
-                    next_approx[~ok] = next_exact[~ok]
+                np.divide(next_approx, norm[:, np.newaxis], out=next_approx,
+                          where=ok[:, np.newaxis])
+                if mode == "successive" and ok.any():
+                    next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
+                                                    lambda i: lookup(k, i))
+                # a branch with positive true probability that the
+                # approximate track finds impossible restarts that track
+                # from the exact posterior, unprojected
+                next_approx[~ok] = next_exact[~ok]
                 child = walk(next_exact, next_approx, k - 1)
                 acc[rows[live]] += pz[live, z] * child
         return total + model.discount * acc
@@ -286,6 +302,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
     lookup = scheme_lookup(scheme_source)
+    leaf_steps = _leaf_steps(model)
     rng = np.random.default_rng(cfg.seed)
     losses = np.empty(cfg.num_beliefs)
     restarts = 0
@@ -293,7 +310,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         count = min(EVAL_BLOCK, cfg.num_beliefs - first)
         beliefs = sample_beliefs(model.n_states, count, rng)
         optimal, achieved, block_restarts = _block_values(
-            model, stage_sets, lookup, beliefs, cfg.mode)
+            model, stage_sets, lookup, beliefs, cfg.mode, leaf_steps)
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))

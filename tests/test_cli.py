@@ -1,9 +1,12 @@
 import argparse
+import hashlib
 import json
 
 import pytest
 
+from beliefproj import cli
 from beliefproj.cli import main
+from beliefproj.model import compile_model
 
 
 def run(args):
@@ -132,12 +135,15 @@ def _rename_first_action(doc):
 @pytest.mark.parametrize("edit", [
     lambda tmp_path, doc: json.loads(gen_model(tmp_path, "m4.json", seed=4).read_text()),
     lambda tmp_path, doc: _rename_first_action(doc),
-], ids=["other-seed", "action-renamed"])
+    # the same model in other bytes: the check is on the file's digest
+    lambda tmp_path, doc: doc,
+], ids=["other-seed", "action-renamed", "reserialized"])
 def test_eval_with_a_model_other_than_the_policys_exits_2(tmp_path, capsys, edit):
     model = gen_model(tmp_path)
     policy = solve_policy(tmp_path, model)
     other = tmp_path / "other.json"
     other.write_text(json.dumps(edit(tmp_path, json.loads(model.read_text()))))
+    assert other.read_bytes() != model.read_bytes()
     scheme = tmp_path / "scheme.json"
     scheme.write_text(json.dumps([["x0"], ["x1"]]))
     capsys.readouterr()
@@ -146,6 +152,28 @@ def test_eval_with_a_model_other_than_the_policys_exits_2(tmp_path, capsys, edit
     err = capsys.readouterr().err
     assert f"{other} is not the model {policy} was solved for" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_records_the_digest_of_the_model_files_bytes(tmp_path):
+    model = gen_model(tmp_path)
+    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    assert doc["model_sha256"] == hashlib.sha256(model.read_bytes()).hexdigest()
+
+
+def test_eval_compiles_only_the_policys_model(tmp_path, monkeypatch):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    compiled = []
+
+    def spy(doc):
+        compiled.append(doc)
+        return compile_model(doc)
+    monkeypatch.setattr(cli, "compile_model", spy)
+    assert run(["eval", model, policy, scheme, "--mode", "single", "--seed", 0,
+                "--beliefs", 20, "--out", tmp_path / "r.json"]) == 0
+    assert compiled == [json.loads(policy.read_text())["model"]]
 
 
 def test_main_builds_its_parser_once(tmp_path, monkeypatch):
@@ -244,7 +272,7 @@ def test_solved_policy_reloads_to_same_values(tmp_path):
     policy_path = solve_policy(tmp_path, model_path, horizon=3)
     model = compile_model(json.loads(model_path.read_text()))
     in_process = solve(model, 3)
-    _, reloaded = _load_policy(policy_path)
+    _, reloaded, _ = _load_policy(policy_path)
     rng = np.random.default_rng(0)
     for _ in range(20):
         b = random_belief(model.n_states, rng)
@@ -284,7 +312,7 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
     assert run(["eval", model_path, policy_path, scheme_path, "--mode", "single",
                 "--beliefs", 30, "--seed", 2, "--out", report_path]) == 0
     row = (tmp_path / "rep.csv").read_text().splitlines()[1].split(",")
-    model, stages = _load_policy(policy_path)
+    model, stages, _ = _load_policy(policy_path)
     oracle = compute_bounds(model, stages,
                             ProjectionScheme.from_names([["x0"], ["x1"]],
                                                         model.variables))
@@ -402,10 +430,18 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     (lambda doc: doc.__setitem__("horizon", 2.7), "policy horizon 2.7 is not an integer"),
     (lambda doc: doc.__setitem__("horizon", 2.0), "policy horizon 2.0 is not an integer"),
     (lambda doc: doc.__setitem__("horizon", True), "policy horizon True is not an integer"),
+    (lambda doc: doc.pop("model_sha256"), "policy document missing key 'model_sha256'"),
+    (lambda doc: doc.__setitem__("model_sha256", doc["model_sha256"].upper()),
+     "policy 'model_sha256' must be 64 lowercase hex digits"),
+    (lambda doc: doc.__setitem__("model_sha256", doc["model_sha256"][:-1]),
+     "policy 'model_sha256' must be 64 lowercase hex digits"),
+    (lambda doc: doc.__setitem__("model_sha256", 5),
+     "policy 'model_sha256' must be 64 lowercase hex digits, got 5"),
 ], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
         "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
         "model-number", "missing-key", "horizon-mismatch", "stage-empty", "stages-empty",
-        "strategy-range", "horizon-fraction", "horizon-float", "horizon-bool"])
+        "strategy-range", "horizon-fraction", "horizon-float", "horizon-bool",
+        "digest-missing", "digest-upper", "digest-short", "digest-number"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     model = gen_model(tmp_path)
     doc = json.loads(solve_policy(tmp_path, model).read_text())

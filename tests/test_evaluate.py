@@ -7,8 +7,9 @@ from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         observation_probabilities, project, random_belief,
                         random_pomdp, solve, value_of, vs_search)
 from beliefproj.bounds import scheme_lookup
-from beliefproj.evaluate import BRANCH_TOL, _block_values
-from beliefproj.model import sample_beliefs
+from beliefproj.evaluate import BRANCH_TOL, _block_values, _leaf_steps
+from beliefproj.errors import ZeroProbabilityObservation
+from beliefproj.model import ZERO_OBS_TOL, sample_beliefs
 from beliefproj.solver import plan_vector
 
 
@@ -252,7 +253,7 @@ def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
     for name, source in sources.items():
         for mode in ("single", "successive"):
             optimal, achieved, _ = _block_values(model, stages, scheme_lookup(source),
-                                                 beliefs, mode)
+                                                 beliefs, mode, _leaf_steps(model))
             for row, b0 in enumerate(beliefs):
                 want, _ = value_of(b0, stages[-1])
                 assert abs(optimal[row] - want) <= 1e-12, (name, mode, row)
@@ -267,7 +268,7 @@ def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
 RESTART_EPS = 1e-8
 
 
-def restart_instance():
+def restart_instance(dead_observation=False):
     """Two variables, where a projected track finds an observation impossible
     that the exact track still reaches.
 
@@ -276,22 +277,87 @@ def restart_instance():
     exact belief puts RESTART_EPS on 11 and its singleton projection about
     RESTART_EPS**2, so under "probe" z1 has probability RESTART_EPS on the exact
     track (above BRANCH_TOL) and below the update threshold on the projected one.
-    The plan is go, then probe, then stop.
+    The plan is go, then probe, then stop. With ``dead_observation`` there is a
+    third observation z2, which "go" emits as often as the others and "probe"
+    never does.
     """
     go = np.zeros((4, 4))
     go[:, 0] = 1.0 - RESTART_EPS
     go[:, 3] = RESTART_EPS
     probe_obs = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    model = Pomdp(("x", "y"), ("go", "probe"), ("z0", "z1"),
+    observations = ("z0", "z1")
+    if dead_observation:
+        probe_obs = np.hstack([probe_obs, np.zeros((4, 1))])
+        observations += ("z2",)
+    n_obs = len(observations)
+    model = Pomdp(("x", "y"), ("go", "probe"), observations,
                   np.stack([go, np.eye(4)]),
-                  np.stack([np.full((4, 2), 0.5), probe_obs]),
+                  np.stack([np.full((4, n_obs), 1.0 / n_obs), probe_obs]),
                   np.array([0.0, 1.0, 2.0, 5.0]), 0.9)
     stages, values = [], np.zeros(4)
     for k, action in enumerate((1, 1, 0), start=1):
-        values = plan_vector(model, action, [values, values])
+        values = plan_vector(model, action, [values] * n_obs)
         stages.append(AlphaSet(k, values[np.newaxis], np.array([action]),
-                               np.zeros((1, 2), dtype=np.intp)))
+                               np.zeros((1, n_obs), dtype=np.intp)))
     return model, stages
+
+
+def faint_column_instance(weight):
+    """A random (3, 3, 3) model whose action 1 emits observation 2 with
+    weight ``weight`` before its rows are normalized, solved to horizon 3,
+    with its per-region sum-search schemes."""
+    model = random_pomdp(3, 3, 3, np.random.default_rng(41), discount=0.9)
+    observation = model.observation_fn.copy()
+    observation[1, :, 2] = weight
+    observation[1] /= observation[1].sum(axis=1, keepdims=True)
+    model = Pomdp(model.variables, model.actions, model.observations, model.transition,
+                  observation, model.reward, model.discount)
+    stages = solve(model, 3)
+    return model, stages, vs_search(stages, "sum", scope="all").per_region
+
+
+@pytest.mark.parametrize("case", ["zero-column", "faint-column", "restart"])
+def test_leaf_branches_under_branch_tol_match_recursive(monkeypatch, case):
+    """An action with a zero or faint observation column, chosen just above
+    the leaves, gives leaf branches below BRANCH_TOL: of probability 0, which
+    every track finds impossible, or a few times 1e-12, whose rewards would
+    still show in the values. The folded leaf level skips them as the
+    recursion does, and counts the restarts it counts."""
+    if case == "zero-column":
+        model, stages, source = faint_column_instance(0.0)
+    elif case == "faint-column":
+        model, stages, source = faint_column_instance(5 * ZERO_OBS_TOL)
+    else:
+        model, stages = restart_instance(dead_observation=True)
+        source = lattice_root(2)
+    assert 1 in stages[1].actions
+    recursion_restarts = 0
+
+    def counting_update(*args):
+        nonlocal recursion_restarts
+        try:
+            return belief_update(*args)
+        except ZeroProbabilityObservation:
+            recursion_restarts += 1
+            raise
+
+    monkeypatch.setattr(evaluate, "belief_update", counting_update)
+    num_beliefs = 70
+    for mode in ("single", "successive"):
+        beliefs = sample_beliefs(model.n_states, num_beliefs, np.random.default_rng(6))
+        _, achieved, restarts = _block_values(model, stages, scheme_lookup(source),
+                                              beliefs, mode, _leaf_steps(model))
+        recursion_restarts = 0
+        for row, b0 in enumerate(beliefs):
+            want = achieved_value(model, stages, source, b0, mode)
+            assert abs(achieved[row] - want) <= 1e-12, (mode, row)
+        assert restarts == recursion_restarts
+        if case == "restart" and mode == "successive":
+            # one under "probe" after each of the three observations of "go"
+            assert restarts == 3 * num_beliefs
+        report = average_error(model, stages, source,
+                               EvalConfig(num_beliefs=num_beliefs, seed=6, mode=mode))
+        assert report.approx_restarts == recursion_restarts
 
 
 def test_restart_path_matches_recursive_and_is_counted():
@@ -301,7 +367,7 @@ def test_restart_path_matches_recursive_and_is_counted():
     for mode, restarts_per_belief in (("single", 0), ("successive", 2)):
         beliefs = sample_beliefs(4, num_beliefs, np.random.default_rng(4))
         _, achieved, restarts = _block_values(model, stages, scheme_lookup(scheme),
-                                              beliefs, mode)
+                                              beliefs, mode, _leaf_steps(model))
         assert restarts == restarts_per_belief * num_beliefs
         for row, b0 in enumerate(beliefs):
             want = achieved_value(model, stages, scheme, b0, mode)
@@ -349,7 +415,7 @@ def test_only_levels_above_the_leaves_project_the_approximate_track(monkeypatch,
     for source in sources.values():
         projected.clear()
         _, achieved, restarts = _block_values(model, stages, scheme_lookup(source),
-                                              beliefs, mode)
+                                              beliefs, mode, _leaf_steps(model))
         # a dense model reaches every observation at every level
         assert sum(projected) == 20 * sum(model.n_observations ** level
                                           for level in range(levels))

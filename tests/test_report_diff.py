@@ -1,0 +1,79 @@
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from beliefproj.cli import main as cli_main
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+
+
+@pytest.fixture(scope="module")
+def report_diff():
+    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def old_dir(tmp_path):
+    """A directory with a model, a policy and two eval reports with their
+    manifests and CSVs, as the CLI writes them."""
+    d = tmp_path / "old"
+    d.mkdir()
+    model, policy, scheme = d / "model.json", d / "policy.json", d / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    commands = [["gen", "--vars", "2", "--actions", "2", "--obs", "2", "--seed", "3",
+                 "--out", model],
+                ["solve", model, "--horizon", "2", "--out", policy]]
+    for mode in ("single", "successive"):
+        commands.append(["eval", model, policy, scheme, "--mode", mode, "--beliefs", "20",
+                         "--seed", "0", "--out", d / f"eval_{mode}.json"])
+    for argv in commands:
+        assert cli_main([str(a) for a in argv]) == 0
+    return d
+
+
+def edit_report(path: Path, **fields):
+    doc = json.loads(path.read_text())
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+    return doc
+
+
+def test_equal_reports_give_one_line_and_exit_0(report_diff, old_dir, tmp_path, capsys):
+    new = tmp_path / "new"
+    shutil.copytree(old_dir, new)
+    assert report_diff.main([str(old_dir), str(new)]) == 0
+    assert capsys.readouterr().out == "largest |delta average_loss|: 0.0 over 2 report pairs\n"
+
+
+def test_lists_every_differing_field_and_the_largest_loss_change_last(report_diff, old_dir,
+                                                                      tmp_path, capsys):
+    new = tmp_path / "new"
+    shutil.copytree(old_dir, new)
+    single = json.loads((old_dir / "eval_single.json").read_text())
+    successive = json.loads((old_dir / "eval_successive.json").read_text())
+    edit_report(new / "eval_single.json", average_loss=single["average_loss"] + 1e-3)
+    edit_report(new / "eval_successive.json", average_loss=successive["average_loss"] + 1e-2,
+                B=successive["B"] + 1.0)
+    (new / "eval_extra.json").write_text(json.dumps(single))
+    assert report_diff.main([str(old_dir), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fields = [line.split(":")[0] for line in lines[:-1]]
+    assert fields == [f"only in {new}", "eval_single.json average_loss",
+                      "eval_successive.json B", "eval_successive.json average_loss"]
+    head, tail = lines[-1].split(" over ")
+    assert head.startswith("largest |delta average_loss|: ")
+    assert float(head.split(": ")[1]) == pytest.approx(1e-2)
+    assert tail == "2 report pairs (eval_successive.json)"
+
+
+def test_refuses_a_path_that_is_not_a_directory(report_diff, old_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        report_diff.main([str(old_dir), str(tmp_path / "absent")])
+    assert exc.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
