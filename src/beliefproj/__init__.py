@@ -10,9 +10,8 @@ from .projection import (ConstraintFamily, ProjectionScheme, WalshBasis,
                          project_batch, residual_sq_length, walsh_vector)
 from .lpcore import LinearProgram, LpResult, solve_lp
 from .solver import AlphaSet, backup, brute_force_value, prune, solve, zero_stage
-from .bounds import (BoundsReport, SwitchDecision, alt_sets, bound_E_from_alts,
-                     compute_bounds, lp_switch_test, oracle_switch_test,
-                     vs_switch_test)
+from .bounds import (SwitchDecision, alt_sets, bound_E_from_alts, compute_bounds,
+                     lp_switch_test, oracle_switch_test, vs_switch_test)
 from .search import (SearchConfig, SearchResult, estimator_max, estimator_sum,
                      greedy_bound_search, incremental_scores, run_search,
                      vs_search)

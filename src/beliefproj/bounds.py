@@ -63,7 +63,7 @@ def scheme_lookup(scheme_source):
     raise InputError(f"unsupported scheme source {type(scheme_source).__name__}")
 
 
-def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
+def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionScheme,
                    warm: SwitchDecision | None = None) -> SwitchDecision:
     """Linear switch test: is there a pair (b, b') agreeing on every preserved
     marginal with b favoring i and b' favoring j by a common positive margin?
@@ -71,7 +71,6 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
     Variables are [b, b', x] with x free; the empty-set marginal constraint
     makes b' sum to one automatically. The rows are the two margins, one
     marginal row per preserved subset in family order, and the sum of b.
-    ``scheme`` is a ProjectionScheme, which keeps its family, or its blocks.
 
     ``warm`` is optionally this pair's LP decision under a coarser scheme.
     The program is then that decision's program extended by the marginal
@@ -87,8 +86,6 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme,
         raise InputError("alpha vectors differ in dimension")
     n = dim.bit_length() - 1
     diff = alpha_i - alpha_j
-    if not isinstance(scheme, ProjectionScheme):
-        scheme = ProjectionScheme(scheme)
     family = scheme.family
     margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
     if warm is not None and (warm.lp is None or not warm.subsets <= family.members
@@ -128,13 +125,15 @@ def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) 
     return SwitchDecision(residual > eps_sq, residual)
 
 
-def _pre_post_winners(aset: AlphaSet, scheme: ProjectionScheme,
-                      samples: int, seed: int):
-    rng = np.random.default_rng(seed)
-    beliefs = sample_beliefs(aset.matrix.shape[1], samples, rng)
-    pre = np.argmax(beliefs @ aset.matrix.T, axis=1)
-    post = np.argmax(project_batch(beliefs, scheme) @ aset.matrix.T, axis=1)
-    return beliefs, pre, post
+def _oracle_sample(aset: AlphaSet, scheme: ProjectionScheme, samples: int, seed: int):
+    """The oracle's beliefs drawn from ``seed`` and their projections, row for row."""
+    beliefs = sample_beliefs(aset.matrix.shape[1], samples, np.random.default_rng(seed))
+    return beliefs, project_batch(beliefs, scheme)
+
+
+def _winners(beliefs: np.ndarray, aset: AlphaSet) -> np.ndarray:
+    """Per belief row, the index of the best vector of ``aset`` (lowest on ties)."""
+    return np.argmax(beliefs @ aset.matrix.T, axis=1)
 
 
 def oracle_switch_test(i: int, j: int, aset: AlphaSet, scheme: ProjectionScheme,
@@ -146,35 +145,29 @@ def oracle_switch_test(i: int, j: int, aset: AlphaSet, scheme: ProjectionScheme,
     """
     if i == j:
         return SwitchDecision(False, 0.0)
+    beliefs, projected = _oracle_sample(aset, scheme, samples, seed)
     if pairwise:
-        rng = np.random.default_rng(seed)
-        beliefs = sample_beliefs(aset.matrix.shape[1], samples, rng)
         vi = beliefs @ aset.matrix[i]
         vj = beliefs @ aset.matrix[j]
-        projected = project_batch(beliefs, scheme)
         pi = projected @ aset.matrix[i]
         pj = projected @ aset.matrix[j]
         pre_i = (vi >= vj) if i < j else (vi > vj)
         post_j = (pj >= pi) if j < i else (pj > pi)
         hits = pre_i & post_j
     else:
-        beliefs, pre, post = _pre_post_winners(aset, scheme, samples, seed)
-        hits = (pre == i) & (post == j)
+        hits = (_winners(beliefs, aset) == i) & (_winners(projected, aset) == j)
     count = int(hits.sum())
     if count == 0:
         return SwitchDecision(False, 0.0)
     first = int(np.flatnonzero(hits)[0])
-    if pairwise:
-        witness = (beliefs[first], projected[first])
-    else:
-        witness = (beliefs[first], project_batch(beliefs[first:first + 1], scheme)[0])
-    return SwitchDecision(True, count / samples, witness)
+    return SwitchDecision(True, count / samples, (beliefs[first], projected[first]))
 
 
 def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
                        samples: int = DEFAULT_SAMPLES, seed: int = 0) -> list[tuple[int, ...]]:
     """Full-set oracle switch sets for every vector from one shared sample."""
-    _, pre, post = _pre_post_winners(aset, scheme, samples, seed)
+    beliefs, projected = _oracle_sample(aset, scheme, samples, seed)
+    pre, post = _winners(beliefs, aset), _winners(projected, aset)
     pairs = {(int(a), int(b)) for a, b in zip(pre, post) if a != b}
     return [tuple(sorted(j for (a, j) in pairs if a == i)) for i in range(len(aset))]
 
@@ -306,28 +299,6 @@ def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:
     return best
 
 
-@dataclass
-class StageBounds:
-    stage: int
-    B: float
-    E: float
-    switch_sets: list[tuple[int, ...]]
-    alt_set_sizes: list[int]
-
-
-@dataclass
-class BoundsReport:
-    stages: list[StageBounds]
-
-    @property
-    def max_B(self) -> float:
-        return max(s.B for s in self.stages)
-
-    @property
-    def max_E(self) -> float:
-        return max(s.E for s in self.stages)
-
-
 def scheme_source_doc(scheme_source, variables):
     """Names-based JSON form of a global scheme or per-region scheme map."""
     if isinstance(scheme_source, ProjectionScheme):
@@ -336,15 +307,13 @@ def scheme_source_doc(scheme_source, variables):
             for (stage, idx), scheme in sorted(scheme_source.items())}
 
 
-def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet], scheme_source) -> BoundsReport:
-    """Per-stage VS switch sets with their B bounds and, through the
-    alternative-set recursion, E bounds."""
+def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet],
+                   scheme_source) -> tuple[list[float], list[float]]:
+    """Per-stage B and E bounds, stage 1 first: B from the VS switch sets,
+    E through the alternative-set recursion."""
     lookup = scheme_lookup(scheme_source)
     sw_per_stage = [stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), "VS")
                     for aset in stage_sets]
     alts = alt_sets(model, stage_sets, sw_per_stage)
-    stages = [StageBounds(aset.stage, bound_from_switch_sets(aset, sw),
-                          bound_E_from_alts(aset, stage_alts), sw,
-                          [len(members) for members in stage_alts])
-              for aset, sw, stage_alts in zip(stage_sets, sw_per_stage, alts)]
-    return BoundsReport(stages)
+    return ([bound_from_switch_sets(aset, sw) for aset, sw in zip(stage_sets, sw_per_stage)],
+            [bound_E_from_alts(aset, stage_alts) for aset, stage_alts in zip(stage_sets, alts)])

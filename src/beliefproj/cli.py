@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import (GuardError, InputError, NumericalError,
                      ZeroProbabilityObservation)
-from .evaluate import EvalConfig, average_error, random_pomdp
+from .evaluate import MODES, EvalConfig, average_error, random_pomdp
 from .model import compile_model, model_to_spec
 from .projection import ProjectionScheme
-from .search import ALL_METHODS, SearchConfig, result_from_doc, run_search
-from .solver import solve, stages_from_doc, stages_to_doc
+from .search import ALL_METHODS, SCOPES, SearchConfig, result_from_doc, run_search
+from .solver import BACKUP_CAP, solve, stages_from_doc, stages_to_doc
 
 VALUE_SLACK = 1e-9  # relative rounding allowance on the largest value a policy may hold
 SHA256_HEX = re.compile("[0-9a-f]{64}")
@@ -52,6 +52,8 @@ def _parse_json(path: str, data: bytes):
         raise InputError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _decode(path: str, decode, data: bytes | None = None):
@@ -331,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a model into stage alpha-vector sets")
     p.add_argument("model")
     p.add_argument("--horizon", type=_int_from(1), required=True)
-    p.add_argument("--cap", type=_int_from(1), default=1_000_000)
+    p.add_argument("--cap", type=_int_from(1), default=BACKUP_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("search", help="search the projection lattice")
     p.add_argument("policy")
     p.add_argument("--method", choices=ALL_METHODS, required=True)
-    p.add_argument("--scope", choices=["last", "all"], default="all")
+    p.add_argument("--scope", choices=SCOPES, default="all")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("policy")
     p.add_argument("scheme", help="scheme JSON or search-result JSON")
-    p.add_argument("--mode", choices=["single", "successive"], required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--beliefs", type=_int_from(1), default=5000)
     p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)

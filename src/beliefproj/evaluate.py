@@ -22,17 +22,17 @@ import numpy as np
 
 from .errors import GuardError, InputError, ZeroProbabilityObservation
 from .bounds import compute_bounds, scheme_lookup, scheme_source_doc
-from .model import (ZERO_OBS_TOL, Pomdp, belief_update, check_table_size, num_states,
-                    observation_probabilities, sample_beliefs, value_of)
+from .model import (BRANCH_TOL, ZERO_OBS_TOL, Pomdp, belief_update, check_table_size,
+                    num_states, observation_probabilities, sample_beliefs, value_of)
 from .projection import project, project_batch
 from .solver import AlphaSet
 
 MODES = ("single", "successive")
 BRANCH_GUARD = 1_000_000
 BELIEF_GUARD = 1_000_000  # initial beliefs per evaluation
-# strictly above the belief-update impossibility threshold (1e-12), so the
-# exact track never trips on last-ulp drift between the two computations
-BRANCH_TOL = 1e-11
+# tree levels per evaluation: both walks recurse once per level, and this
+# stays well under the interpreter's default recursion limit of 1,000
+DEPTH_GUARD = 500
 # initial beliefs per block: large enough to amortise the per-level Python
 # work, small enough that a block's working set stays a few hundred KiB
 EVAL_BLOCK = 64
@@ -95,16 +95,11 @@ def random_belief(dim: int, rng: np.random.Generator) -> np.ndarray:
 def _stochastic_rows(shape, rng: np.random.Generator, sparsity: float) -> np.ndarray:
     raw = rng.standard_exponential(shape)
     if sparsity > 0.0:
-        mask = rng.random(shape) >= sparsity
-        kept = np.where(mask, raw, 0.0)
+        kept = np.where(rng.random(shape) >= sparsity, raw, 0.0)
         # a fully masked row keeps its single largest entry
-        dead = kept.sum(axis=-1) < 1e-300
-        if np.any(dead):
-            flat = kept.reshape(-1, shape[-1])
-            raw_flat = raw.reshape(-1, shape[-1])
-            for r in np.flatnonzero(dead.reshape(-1)):
-                flat[r, int(np.argmax(raw_flat[r]))] = raw_flat[r, int(np.argmax(raw_flat[r]))]
-        raw = kept
+        dead = kept.sum(axis=-1, keepdims=True) < 1e-300
+        top = np.arange(shape[-1]) == np.argmax(raw, axis=-1)[..., np.newaxis]
+        raw = np.where(dead & top, raw, kept)
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
@@ -156,16 +151,18 @@ def _achieved(model: Pomdp, stage_sets, lookup, b_exact, b_approx, k, mode):
     return total + model.discount * acc
 
 
-def _check_tree(model: Pomdp, stage_sets, guard: int) -> None:
+def _check_tree(model: Pomdp, stage_sets) -> None:
     if not stage_sets:
         raise InputError("no solved stages to evaluate")
-    if model.n_observations ** len(stage_sets) > guard:
-        raise GuardError(f"evaluation branching exceeds the cap of {guard}")
+    if len(stage_sets) > DEPTH_GUARD:
+        raise GuardError(f"horizon {len(stage_sets)} exceeds the evaluation depth cap "
+                         f"of {DEPTH_GUARD}")
+    if model.n_observations ** len(stage_sets) > BRANCH_GUARD:
+        raise GuardError(f"evaluation branching exceeds the cap of {BRANCH_GUARD}")
 
 
 def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                   b0: np.ndarray, mode: str = "successive",
-                   guard: int = BRANCH_GUARD) -> float:
+                   b0: np.ndarray, mode: str = "successive") -> float:
     """Expected value actually collected by monitoring through the scheme.
 
     Both modes project the initial belief before the first decision (with a
@@ -175,7 +172,7 @@ def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     horizon = len(stage_sets)
-    _check_tree(model, stage_sets, guard)
+    _check_tree(model, stage_sets)
     lookup = scheme_lookup(scheme_source)
     _, top = value_of(b0, stage_sets[-1])
     b_approx = project(b0, lookup(horizon, top))
@@ -297,7 +294,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     ``BELIEF_GUARD`` of them (GuardError).
     """
     horizon = len(stage_sets)
-    _check_tree(model, stage_sets, BRANCH_GUARD)
+    _check_tree(model, stage_sets)
     if cfg.num_beliefs > BELIEF_GUARD:
         raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
@@ -314,11 +311,11 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))
-    bounds = compute_bounds(model, stage_sets, scheme_source)
+    per_stage_B, per_stage_E = compute_bounds(model, stage_sets, scheme_source)
     return EvalReport(
         method=method, mode=cfg.mode, average_loss=avg,
-        bound_B=bounds.max_B, bound_E=bounds.max_E,
-        per_stage_B=[s.B for s in bounds.stages], per_stage_E=[s.E for s in bounds.stages],
+        bound_B=max(per_stage_B), bound_E=max(per_stage_E),
+        per_stage_B=per_stage_B, per_stage_E=per_stage_E,
         num_beliefs=cfg.num_beliefs, seed=cfg.seed, horizon=horizon,
         n_vars=model.n_vars,
         scheme_doc=scheme_source_doc(scheme_source, model.variables),

@@ -17,6 +17,10 @@ from .errors import GuardError, InputError, ZeroProbabilityObservation
 ROW_SUM_TOL = 1e-9
 CPT_ROW_TOL = 1e-6
 ZERO_OBS_TOL = 1e-12
+# branches below this probability are not walked; it sits strictly above
+# ZERO_OBS_TOL, so a walked branch never trips the belief update on
+# last-ulp drift between the two computations of its probability
+BRANCH_TOL = 1e-11
 
 MAX_VARIABLES = 20
 # entries of the dense transition and observation tables, |A| (4^n + 2^n |Z|);
@@ -31,6 +35,16 @@ def num_states(n_vars: int) -> int:
 def state_bit(states, var: int):
     """Truth value (0/1) of variable ``var`` in each state index."""
     return (np.asarray(states) >> var) & 1
+
+
+def packed_bits(variables, dim: int) -> np.ndarray:
+    """Per state index below ``dim``, the truth values of ``variables``
+    packed into a small index: bit j holds ``variables[j]``."""
+    states = np.arange(dim)
+    keys = np.zeros(dim, dtype=np.int64)
+    for j, var in enumerate(variables):
+        keys |= state_bit(states, var) << j
+    return keys
 
 
 def sample_beliefs(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,11 +149,16 @@ class Pomdp:
 
 
 def _numbers(value, what: str) -> np.ndarray:
-    """A model table as a float array; InputError naming ``what`` otherwise."""
+    """A model table of JSON numbers as a float array; InputError naming
+    ``what`` otherwise. Converting with ``dtype=float`` would accept numeric
+    strings and booleans, so the table's own dtype is checked first."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} is not a table of numbers") from None
+        table = np.asarray(value)
+        if table.dtype.kind in "iuf":
+            return table.astype(float)
+    except ValueError:  # a ragged table
+        pass
+    raise InputError(f"{what} is not a table of numbers")
 
 
 def _names(spec: dict, key: str) -> tuple[str, ...]:
@@ -171,12 +190,8 @@ def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) ->
         raise InputError(f"cpt row for {var!r} does not sum to 1")
     if np.any(rows < -1e-12):
         raise InputError(f"cpt for {var!r} has negative entries")
-    states = np.arange(num_states(n))
     # row index packs parent truth values, bit j of the row <-> parents[j]
-    keys = np.zeros(num_states(n), dtype=np.int64)
-    for j, p in enumerate(parents):
-        keys |= state_bit(states, variables.index(p)) << j
-    return rows[keys, 0]
+    return rows[packed_bits([variables.index(p) for p in parents], num_states(n)), 0]
 
 
 def _transition_from_cpts(cpts: dict, variables: tuple[str, ...]) -> np.ndarray:
@@ -291,7 +306,7 @@ def observation_probabilities(model: Pomdp, b: np.ndarray, a: int) -> np.ndarray
 def belief_update(model: Pomdp, b: np.ndarray, a: int, z: int) -> np.ndarray:
     """Bayes posterior after doing ``a`` and observing ``z``.
 
-    Raises ZeroProbabilityObservation when P(z|b,a) < 1e-12.
+    Raises ZeroProbabilityObservation when P(z|b,a) is below ``ZERO_OBS_TOL``.
     """
     post = model.observation_fn[a][:, z] * predicted_belief(model, b, a)
     norm = float(post.sum())

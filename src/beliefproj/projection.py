@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError
-from .model import num_states, state_bit
+from .model import num_states, packed_bits
 
 
 def mask_of(indices) -> int:
@@ -59,7 +59,7 @@ class ProjectionScheme:
         small index. Computed on first use and kept with the scheme, since the
         belief dimension is always 2^n."""
         dim = num_states(self.n)
-        keys = tuple(_block_keys(block, dim) for block in self.blocks)
+        keys = tuple(packed_bits(block, dim) for block in self.blocks)
         for k in keys:
             k.setflags(write=False)
         return keys
@@ -74,10 +74,6 @@ class ProjectionScheme:
     def family(self) -> ConstraintFamily:
         """:func:`constraint_family` of the scheme, kept like ``basis``."""
         return constraint_family(self)
-
-    @staticmethod
-    def singletons(n: int) -> "ProjectionScheme":
-        return ProjectionScheme(tuple((i,) for i in range(n)))
 
     @staticmethod
     def full(n: int) -> "ProjectionScheme":
@@ -110,10 +106,6 @@ class ConstraintFamily:
 
     subsets: tuple[int, ...]  # bitmasks, sorted ascending
 
-    @property
-    def count(self) -> int:
-        return len(self.subsets)
-
     @cached_property
     def members(self) -> frozenset[int]:
         return frozenset(self.subsets)
@@ -124,7 +116,6 @@ class WalshBasis:
     """Orthonormal parity vectors spanning the null space of the displacement
     subspace; one row of ``matrix`` per subset, in ``subsets`` order."""
 
-    n: int
     subsets: tuple[int, ...]
     matrix: np.ndarray
 
@@ -175,7 +166,7 @@ def build_basis(scheme_or_blocks, n: int | None = None) -> WalshBasis:
         n = scheme_or_blocks.n
     family = constraint_family(scheme_or_blocks)
     matrix = np.stack([walsh_vector(m, n) for m in family.subsets])
-    return WalshBasis(n, family.subsets, matrix)
+    return WalshBasis(family.subsets, matrix)
 
 
 def marginal_true(b: np.ndarray, mask: int) -> float:
@@ -185,15 +176,6 @@ def marginal_true(b: np.ndarray, mask: int) -> float:
     states = np.arange(b.shape[0], dtype=np.uint64)
     sel = (states & np.uint64(mask)) == np.uint64(mask)
     return float(b[sel].sum())
-
-
-def _block_keys(block: tuple[int, ...], dim: int) -> np.ndarray:
-    """Pack each state's restriction to the block into a small index."""
-    states = np.arange(dim)
-    keys = np.zeros(dim, dtype=np.int64)
-    for j, var in enumerate(block):
-        keys |= state_bit(states, var) << j
-    return keys
 
 
 def project(b: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:
@@ -239,7 +221,7 @@ def residual_sq_length(w: np.ndarray, basis: WalshBasis) -> float:
 
 def lattice_root(n: int) -> ProjectionScheme:
     """Top of the search lattice: all variables independent."""
-    return ProjectionScheme.singletons(n)
+    return ProjectionScheme(tuple((i,) for i in range(n)))
 
 
 def lattice_children(scheme: ProjectionScheme) -> list[tuple[ProjectionScheme, int]]:

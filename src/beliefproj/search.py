@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
+from .bounds import (METHODS, alt_sets, bound_E_from_alts, bound_from_switch_sets,
                      scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, lattice_children, lattice_root,
@@ -29,17 +29,18 @@ from .solver import AlphaSet
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
 ESTIMATOR_METHODS = ("vs-sum", "vs-max")
 ALL_METHODS = BOUND_METHODS + ESTIMATOR_METHODS
+SCOPES = ("last", "all")  # the last stage set only, or every stage set
 
 
 @dataclass
 class SearchConfig:
     method: str
-    scope: str = "all"  # "last" | "all"
+    scope: str = "all"
 
     def __post_init__(self):
         if self.method not in ALL_METHODS:
             raise InputError(f"unknown search method {self.method!r}")
-        if self.scope not in ("last", "all"):
+        if self.scope not in SCOPES:
             raise InputError(f"unknown stage scope {self.scope!r}")
 
 
@@ -225,7 +226,7 @@ def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "
     """Greedy descent minimizing the chosen loss bound; returns one scheme."""
     if bound not in ("B", "E"):
         raise InputError(f"unknown bound {bound!r}")
-    if test not in ("LP", "VS"):
+    if test not in METHODS:
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
 

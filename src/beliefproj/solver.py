@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
-from .model import Pomdp, belief_update, observation_probabilities
+from .model import BRANCH_TOL, Pomdp, belief_update, observation_probabilities
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -209,9 +209,7 @@ def brute_force_value(model: Pomdp, b: np.ndarray, k: int, cap: int = BACKUP_CAP
         expected = 0.0
         pz = observation_probabilities(model, b, a)
         for z in range(model.n_observations):
-            # threshold sits above the update's impossibility cutoff so the
-            # recursion never branches into an impossible observation
-            if pz[z] < 1e-11:
+            if pz[z] < BRANCH_TOL:
                 continue
             expected += pz[z] * brute_force_value(model, belief_update(model, b, a, z), k - 1, cap)
         best = max(best, immediate + model.discount * expected)
@@ -246,10 +244,23 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
         fields = []
         for key, dtype in (("values", float), ("action", np.intp), ("strategy", np.intp)):
             try:
-                fields.append(np.array([e[key] for e in entries], dtype=dtype))
+                raw = [e[key] for e in entries]
+                fields.append(np.array(raw, dtype=dtype))
             except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise InputError(f"malformed stage-{k} policy entry: {err} "
                                  f"(field {key!r})") from None
+            # the conversion reads a numeric string as its number, true as 1
+            # and a fraction as its integer part, so the entries' own types
+            # are checked; values that are no rows are left to the caller's
+            # row-shape check
+            if dtype is float:
+                if fields[-1].ndim == 2 and np.asarray(raw).dtype.kind not in "iuf":
+                    raise InputError(f"stage-{k} policy values must be numbers (field 'values')")
+                continue
+            bad = [v for v in np.array(raw, dtype=object).flat if type(v) is not int]
+            if bad:
+                raise InputError(f"stage-{k} policy {key} entry {bad[0]!r} is not an integer "
+                                 f"(field {key!r})")
         aset = AlphaSet(k, *fields)
         prev_len = len(stages[-1]) if stages else 1
         if np.any((aset.strategies < 0) | (aset.strategies >= prev_len)):

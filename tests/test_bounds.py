@@ -303,19 +303,21 @@ def test_bound_B_nonincreasing_along_lattice_edges():
 
 def test_alt_sets_identity_scheme_keeps_only_the_plan_itself():
     model, stages = small_stage_sets(5, horizon=2)
-    report = compute_bounds(model, stages, ProjectionScheme.full(3))
-    for stage_bounds in report.stages:
-        assert all(len(s) == 0 for s in stage_bounds.switch_sets)
-        assert all(size == 1 for size in stage_bounds.alt_set_sizes)
-        assert stage_bounds.E <= 1e-10
-    assert report.max_B == 0.0
+    identity = ProjectionScheme.full(3)
+    sw = [stage_switch_sets(aset, identity, "VS") for aset in stages]
+    assert all(len(s) == 0 for stage_sw in sw for s in stage_sw)
+    assert all(len(members) == 1 for stage_alts in alt_sets(model, stages, sw)
+               for members in stage_alts)
+    per_stage_B, per_stage_E = compute_bounds(model, stages, identity)
+    assert all(e <= 1e-10 for e in per_stage_E)
+    assert max(per_stage_B) == 0.0
 
 
 def test_alt_sets_one_stage_base_case():
     model, stages = small_stage_sets(6, horizon=1)
     scheme = lattice_root(3)
-    report = compute_bounds(model, stages, scheme)
-    assert report.stages[0].E == pytest.approx(report.stages[0].B, abs=1e-12)
+    (b,), (e,) = compute_bounds(model, stages, scheme)
+    assert e == pytest.approx(b, abs=1e-12)
 
 
 def test_alt_sets_match_exhaustive_plan_enumeration():
@@ -420,10 +422,9 @@ def test_alt_sets_guard_fires_above_the_cap(monkeypatch):
 def test_bound_E_at_least_B():
     for seed in (8, 9):
         model, stages = small_stage_sets(seed, horizon=3)
-        report = compute_bounds(model, stages, lattice_root(3))
-        for sb in report.stages:
-            assert sb.E >= sb.B - 1e-12
-            assert sb.B >= 0.0 and sb.E >= 0.0
+        for b, e in zip(*compute_bounds(model, stages, lattice_root(3))):
+            assert e >= b - 1e-12
+            assert b >= 0.0 and e >= 0.0
 
 
 # -- vector-space identities ------------------------------------------------

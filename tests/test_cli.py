@@ -250,6 +250,26 @@ def test_eval_of_too_many_beliefs_exits_3_before_allocating(tmp_path, capsys):
     assert run(["eval", model, policy, scheme, "--beliefs", BELIEF_GUARD + 1, *args]) == 3
 
 
+def test_eval_deeper_than_the_depth_cap_exits_3_naming_the_cap(tmp_path, capsys):
+    from beliefproj.evaluate import DEPTH_GUARD, MODES
+    # one observation keeps the branching at 1, so only the depth cap stops
+    # a walk that would pass the interpreter's recursion limit
+    model = tmp_path / "m.json"
+    assert run(["gen", "--vars", 1, "--actions", 1, "--obs", 1, "--seed", 0,
+                "--out", model]) == 0
+    policy = solve_policy(tmp_path, model, horizon=1500)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"]]))
+    for mode in MODES:
+        capsys.readouterr()
+        report = tmp_path / f"{mode}.json"
+        assert run(["eval", model, policy, scheme, "--mode", mode, "--seed", 0,
+                    "--out", report]) == 3
+        err = capsys.readouterr().err
+        assert f"horizon 1500 exceeds the evaluation depth cap of {DEPTH_GUARD}" in err
+        assert "Traceback" not in err and not report.exists()
+
+
 def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
     from beliefproj import bounds
     model = gen_model(tmp_path)
@@ -313,11 +333,10 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
                 "--beliefs", 30, "--seed", 2, "--out", report_path]) == 0
     row = (tmp_path / "rep.csv").read_text().splitlines()[1].split(",")
     model, stages, _ = _load_policy(policy_path)
-    oracle = compute_bounds(model, stages,
-                            ProjectionScheme.from_names([["x0"], ["x1"]],
-                                                        model.variables))
-    assert float(row[3]) == oracle.max_B
-    assert float(row[4]) == oracle.max_E
+    per_stage_B, per_stage_E = compute_bounds(
+        model, stages, ProjectionScheme.from_names([["x0"], ["x1"]], model.variables))
+    assert float(row[3]) == max(per_stage_B)
+    assert float(row[4]) == max(per_stage_E)
 
 
 def test_witness_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -359,10 +378,21 @@ def test_switch_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     (None, 5, "model document must be an object, got int"),
     ("discount", True, "model discount True is not a number"),
     ("discount", "0.9", "model discount '0.9' is not a number"),
+    ("reward", [1.0, "1.5", 2.0, 3.0], "model reward is not a table of numbers"),
+    ("reward", [True, False, True, True], "model reward is not a table of numbers"),
+    ("reward", [10 ** 400, 1.0, 2.0, 3.0], "model reward is not a table of numbers"),
+    ("observation", {"a0": [["0.5", "0.5"]] * 4},
+     "observation table for 'a0' is not a table of numbers"),
+    ("transitions", {"a0": {"cpts": {"x0": {"rows": [["0.5", "0.5"]]},
+                                     "x1": {"rows": [[0.5, 0.5]]}}}},
+     "cpt rows for 'x0' is not a table of numbers"),
 ], ids=["transitions-list", "observation-list", "discount-string", "transition-entry-number",
         "flat-strings", "observation-strings", "reward-strings", "variables-number",
         "actions-number", "cpt-entry-number", "cpt-parents-number", "cpts-list",
-        "document-number", "discount-bool", "discount-numeric-string"])
+        "document-number", "discount-bool", "discount-numeric-string",
+        "reward-numeric-string", "reward-bools", "reward-huge-integer",
+        "observation-numeric-strings",
+        "cpt-numeric-strings"])
 def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value, message):
     doc = json.loads(gen_model(tmp_path).read_text())
     if key is None:
@@ -437,11 +467,23 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
      "policy 'model_sha256' must be 64 lowercase hex digits"),
     (lambda doc: doc.__setitem__("model_sha256", 5),
      "policy 'model_sha256' must be 64 lowercase hex digits, got 5"),
+    (lambda doc: doc["stages"][1][0].__setitem__("action", "1"),
+     "stage-2 policy action entry '1' is not an integer (field 'action')"),
+    (lambda doc: doc["stages"][1][0].__setitem__("action", 0.5),
+     "stage-2 policy action entry 0.5 is not an integer (field 'action')"),
+    (lambda doc: doc["stages"][1][0].__setitem__("action", True),
+     "stage-2 policy action entry True is not an integer (field 'action')"),
+    (lambda doc: doc["stages"][1][0]["strategy"].__setitem__(0, 0.9),
+     "stage-2 policy strategy entry 0.9 is not an integer (field 'strategy')"),
+    (lambda doc: doc["stages"][1][0]["values"].__setitem__(0, "1.5"),
+     "stage-2 policy values must be numbers (field 'values')"),
 ], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
         "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
         "model-number", "missing-key", "horizon-mismatch", "stage-empty", "stages-empty",
         "strategy-range", "horizon-fraction", "horizon-float", "horizon-bool",
-        "digest-missing", "digest-upper", "digest-short", "digest-number"])
+        "digest-missing", "digest-upper", "digest-short", "digest-number",
+        "action-numeric-string", "action-fraction", "action-bool", "strategy-fraction",
+        "values-numeric-string"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     model = gen_model(tmp_path)
     doc = json.loads(solve_policy(tmp_path, model).read_text())
@@ -631,3 +673,27 @@ def test_document_error_names_the_file_once(tmp_path, capsys, command, position,
     assert run(argv + ["--out", tmp_path / "x.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: {message}") and err.count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("role", ["model", "policy", "scheme"])
+def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, role):
+    files = {"model": gen_model(tmp_path)}
+    files["policy"] = solve_policy(tmp_path, files["model"])
+    files["scheme"] = tmp_path / "scheme.json"
+    files["scheme"].write_text(json.dumps([["x0"], ["x1"]]))
+    # the parser recurses once per level and gives up far above this depth
+    files[role] = tmp_path / "nested.json"
+    files[role].write_text("[" * 100_000 + "]" * 100_000)
+    commands = [["eval", files["model"], files["policy"], files["scheme"], "--mode", "single",
+                 "--seed", 0, "--out", tmp_path / "r.json"]]
+    if role == "model":
+        commands.append(["solve", files["model"], "--horizon", 1, "--out", tmp_path / "p.json"])
+    if role == "policy":
+        commands.append(["search", files["policy"], "--method", "vs-sum",
+                         "--out", tmp_path / "s.json"])
+    for command in commands:
+        capsys.readouterr()
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert f"error: {files[role]}: JSON nested too deeply to read" in err
+        assert "Traceback" not in err

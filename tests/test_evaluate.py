@@ -7,7 +7,7 @@ from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         observation_probabilities, project, random_belief,
                         random_pomdp, solve, value_of, vs_search)
 from beliefproj.bounds import scheme_lookup
-from beliefproj.evaluate import BRANCH_TOL, _block_values, _leaf_steps
+from beliefproj.evaluate import BRANCH_TOL, DEPTH_GUARD, _block_values, _leaf_steps
 from beliefproj.errors import ZeroProbabilityObservation
 from beliefproj.model import ZERO_OBS_TOL, sample_beliefs
 from beliefproj.solver import plan_vector
@@ -73,6 +73,41 @@ def test_random_pomdp_checks_its_table_size_before_drawing(monkeypatch):
         random_pomdp(2, 2, 2, rng)
     assert rng.bit_generator.state == state
     random_pomdp(2, 2, 1, rng)  # 2 * (16 + 4) = 40 entries
+
+
+def _per_row_stochastic_rows(shape, rng, sparsity):
+    """The per-row dead-row loop that ``random_pomdp`` once ran, kept as
+    the reference for its vectorized rule; also returns the dead-row count."""
+    raw = rng.standard_exponential(shape)
+    dead_rows = 0
+    if sparsity > 0.0:
+        mask = rng.random(shape) >= sparsity
+        kept = np.where(mask, raw, 0.0)
+        dead = kept.sum(axis=-1) < 1e-300
+        flat = kept.reshape(-1, shape[-1])
+        raw_flat = raw.reshape(-1, shape[-1])
+        for r in np.flatnonzero(dead.reshape(-1)):
+            flat[r, int(np.argmax(raw_flat[r]))] = raw_flat[r, int(np.argmax(raw_flat[r]))]
+            dead_rows += 1
+        raw = kept
+    return raw / raw.sum(axis=-1, keepdims=True), dead_rows
+
+
+@pytest.mark.parametrize("sparsity", [0.3, 0.7, 0.95])
+def test_random_pomdp_dead_rows_match_the_per_row_loop(sparsity):
+    dead_rows = 0
+    for seed in range(6):
+        model = random_pomdp(2, 2, 3, np.random.default_rng(seed), sparsity=sparsity)
+        rng = np.random.default_rng(seed)
+        transition, dead_t = _per_row_stochastic_rows((2, 4, 4), rng, sparsity)
+        observation, dead_o = _per_row_stochastic_rows((2, 4, 3), rng, sparsity)
+        reward = rng.uniform(0.0, 10.0, 4)
+        assert model.transition.tobytes() == transition.tobytes()
+        assert model.observation_fn.tobytes() == observation.tobytes()
+        assert model.reward.tobytes() == reward.tobytes()
+        dead_rows += dead_t + dead_o
+    # the dead-row path runs at every sparsity; at 0.95 most rows take it
+    assert dead_rows > (48 if sparsity == 0.95 else 0)
 
 
 def test_achieved_value_identity_scheme_is_optimal(rng):
@@ -157,13 +192,39 @@ def test_achieved_value_matches_policy_tree_oracle(rng):
                 assert got == pytest.approx(want, abs=1e-10)
 
 
-def test_achieved_value_guard():
+def test_achieved_value_guard(monkeypatch):
     model, stages = solved(5, horizon=2)
+    monkeypatch.setattr(evaluate, "BRANCH_GUARD", 1)
     with pytest.raises(GuardError):
-        achieved_value(model, stages, lattice_root(2), np.full(4, 0.25),
-                       "single", guard=1)
+        achieved_value(model, stages, lattice_root(2), np.full(4, 0.25), "single")
     with pytest.raises(InputError):
         achieved_value(model, [], lattice_root(2), np.full(4, 0.25))
+
+
+def test_evaluation_deeper_than_the_depth_cap_raises_before_any_work(monkeypatch):
+    # one state variable, action and observation: every level branches once
+    model = random_pomdp(1, 1, 1, np.random.default_rng(0))
+    stages = solve(model, DEPTH_GUARD + 1)
+    b0 = np.array([0.3, 0.7])
+    # the walks stay under the recursion limit at the cap
+    expected = value_of(b0, stages[DEPTH_GUARD - 1])[0]
+    for mode in ("single", "successive"):
+        got = achieved_value(model, stages[:DEPTH_GUARD], lattice_root(1), b0, mode)
+        assert got == pytest.approx(expected, rel=1e-9)
+    report = average_error(model, stages[:DEPTH_GUARD], lattice_root(1),
+                           EvalConfig(num_beliefs=3))
+    assert report.average_loss == pytest.approx(0.0, abs=1e-9)
+
+    def no_sampling(*args):
+        raise AssertionError("beliefs drawn before the checks")
+
+    monkeypatch.setattr(evaluate, "sample_beliefs", no_sampling)
+    message = f"horizon {DEPTH_GUARD + 1} exceeds the evaluation depth cap of {DEPTH_GUARD}"
+    for mode in ("single", "successive"):
+        with pytest.raises(GuardError, match=message):
+            achieved_value(model, stages, lattice_root(1), b0, mode)
+        with pytest.raises(GuardError, match=message):
+            average_error(model, stages, lattice_root(1), EvalConfig(mode=mode))
 
 
 def test_average_error_identity_scheme_is_zero():

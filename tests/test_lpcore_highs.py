@@ -12,8 +12,8 @@ optimize = pytest.importorskip("scipy.optimize")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from beliefproj import (LinearProgram, LpResult, bounds, lp_switch_test,  # noqa: E402
-                        solve_lp, solver)
+from beliefproj import (LinearProgram, LpResult, ProjectionScheme, bounds,  # noqa: E402
+                        lp_switch_test, solve_lp, solver)
 from beliefproj.bounds import SWITCH_TOL  # noqa: E402
 from beliefproj.projection import indicator_vector  # noqa: E402
 
@@ -110,8 +110,8 @@ def test_witness_programs_match_highs(case):
                np.array([0.0] + [-0.5] * 6 + [1e-9, -1.0] + [-0.5] * 7), 4))
 def test_switch_programs_match_highs(case):
     n, alpha_i, alpha_j, seed = case
-    blocks = random_partition(n, np.random.default_rng(seed))
-    assert_switch_agrees(captured_lp(bounds, lambda: lp_switch_test(alpha_i, alpha_j, blocks)))
+    scheme = ProjectionScheme(random_partition(n, np.random.default_rng(seed)))
+    assert_switch_agrees(captured_lp(bounds, lambda: lp_switch_test(alpha_i, alpha_j, scheme)))
 
 
 def extra_row(n, dim, rng, kind):
@@ -143,7 +143,7 @@ def test_warm_started_switch_programs_match_highs_and_cold(case):
     n, alpha_i, alpha_j, seed, kinds = case
     rng = np.random.default_rng(seed)
     parent_lp = captured_lp(bounds, lambda: lp_switch_test(
-        alpha_i, alpha_j, random_partition(n, rng)))
+        alpha_i, alpha_j, ProjectionScheme(random_partition(n, rng))))
     parent = solve_lp(parent_lp)
     assert parent.status in ("optimal", "stopped")
     # the parent's final tableau, stopped or optimal, starts both solves
@@ -179,7 +179,7 @@ def test_sign_only_switch_decisions_equal_the_full_optimum_decisions(case):
     blocks = random_partition(n, np.random.default_rng(seed))
     decision = None
     while True:
-        decision = lp_switch_test(alpha_i, alpha_j, blocks, decision)
+        decision = lp_switch_test(alpha_i, alpha_j, ProjectionScheme(blocks), decision)
         full = solve_to_optimum(decision.lp.program)
         assert decision.switches == (full.value > SWITCH_TOL)
         assert decision.lp.status == ("stopped" if decision.switches else "optimal")
