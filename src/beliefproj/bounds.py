@@ -27,6 +27,7 @@ from .solver import AlphaSet, undominated
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
 ALT_GUARD = 100_000
 DEFAULT_SAMPLES = 100_000
+SCHEME_METHOD = "scheme"  # the method label of a scheme that no search produced
 
 METHODS = ("LP", "VS")
 
@@ -215,16 +216,22 @@ def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
     return [tuple(sorted(s)) for s in sets]
 
 
-def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
-    """max over vectors and their switch targets of the componentwise maximum
-    of (alpha - alpha'): the simplex maximum of the pairwise value gap."""
+def _largest_gap(aset: AlphaSet, members_per_vector) -> float:
+    """max over vectors and the rows of their member arrays of the
+    componentwise maximum of (alpha - member), clamped at zero: the simplex
+    maximum of the value gap between a plan and one that may take its place."""
     best = 0.0
-    for i, sw in enumerate(switch_sets):
-        for j in sw:
-            gap = float(np.max(aset.matrix[i] - aset.matrix[j]))
-            if gap > best:
-                best = gap
+    for alpha, members in zip(aset.matrix, members_per_vector):
+        gap = float(np.max(alpha - members))
+        if gap > best:
+            best = gap
     return best
+
+
+def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
+    """B: the gap of :func:`bound_E_from_alts` with each vector's switch
+    targets, and the vector itself, as its alternatives."""
+    return _largest_gap(aset, (aset.matrix[[i, *sw]] for i, sw in enumerate(switch_sets)))
 
 
 def _minimal_members(members: np.ndarray) -> np.ndarray:
@@ -289,14 +296,8 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
 
 
 def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:
-    """max over vectors and their alternatives of the componentwise maximum of
-    (alpha - alternative), clamped at zero."""
-    best = 0.0
-    for alpha, members in zip(aset.matrix, stage_alts):
-        gap = float(np.max(alpha - members))
-        if gap > best:
-            best = gap
-    return best
+    """E: the largest value gap between a vector and its alternatives."""
+    return _largest_gap(aset, stage_alts)
 
 
 def scheme_source_doc(scheme_source, variables):

@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import inspect
 import json
 import re
 import sys
@@ -27,7 +28,6 @@ from .errors import (GuardError, InputError, NumericalError,
                      ZeroProbabilityObservation)
 from .evaluate import MODES, EvalConfig, average_error, random_pomdp
 from .model import compile_model, model_to_spec
-from .projection import ProjectionScheme
 from .search import ALL_METHODS, SCOPES, SearchConfig, result_from_doc, run_search
 from .solver import BACKUP_CAP, solve, stages_from_doc, stages_to_doc
 
@@ -150,13 +150,9 @@ def _write_json(path: str, doc) -> None:
 
 def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
                     outputs: list[str], seconds: dict, counters: dict | None = None) -> None:
-    config = {k: v for k, v in vars(args).items() if k != "func"}
     doc = {
         "command": command,
-        "inputs": {k: v for k, v in config.items()
-                   if k in ("model", "policy", "scheme") and v is not None},
-        "seed": config.get("seed"),
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "outputs": outputs,
         "seconds": seconds,
     }
@@ -165,12 +161,8 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
     _write_json(str(out_path) + ".manifest.json", doc)
 
 
-def _load_policy(path: str):
-    """(model, stages, model_sha256) of the policy at ``path``."""
-    return _decode(path, _policy_from_doc)
-
-
 def _policy_from_doc(doc):
+    """(model, stages, model_sha256) of a policy document."""
     if not isinstance(doc, dict):
         raise InputError(f"policy document must be an object, got {type(doc).__name__}")
     for key in ("model", "model_sha256", "horizon", "stages"):
@@ -238,7 +230,7 @@ def cmd_solve(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    model, stages, _ = _load_policy(args.policy)
+    model, stages, _ = _decode(args.policy, _policy_from_doc)
     config = SearchConfig(method=args.method, scope=args.scope)
     result = run_search(model, stages, config)
     _write_json(args.out, result.to_doc(model.variables))
@@ -253,19 +245,9 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _scheme_source_from_doc(doc, model):
-    if isinstance(doc, list):
-        return ProjectionScheme.from_names(doc, model.variables), "scheme"
-    if isinstance(doc, dict):
-        result = result_from_doc(doc, model.variables)
-        source = result.scheme if result.scheme is not None else result.per_region
-        return source, result.method
-    raise InputError("expected a scheme array or a search-result object")
-
-
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    model, stages, digest = _load_policy(args.policy)
+    model, stages, digest = _decode(args.policy, _policy_from_doc)
     # the loss is measured against the values solved for the policy's own
     # model, so the model file must be the very bytes it was solved from
     data = _read_bytes(args.model)
@@ -273,9 +255,10 @@ def cmd_eval(args) -> int:
         # a file that does not decode says so before it is called the wrong model
         _decode(args.model, compile_model, data)
         raise InputError(f"{args.model} is not the model {args.policy} was solved for")
-    source, method = _decode(args.scheme, lambda doc: _scheme_source_from_doc(doc, model))
+    result = _decode(args.scheme, lambda doc: result_from_doc(doc, model.variables))
+    source = result.scheme if result.scheme is not None else result.per_region
     cfg = EvalConfig(num_beliefs=args.beliefs, seed=args.seed, mode=args.mode)
-    report = average_error(model, stages, source, cfg, method=method)
+    report = average_error(model, stages, source, cfg, method=result.method)
     _write_json(args.out, report.to_doc())
     csv_path = str(Path(args.out).with_suffix(".csv"))
     try:
@@ -319,14 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="beliefproj",
         description="Value-directed belief projection analysis for POMDPs")
     sub = parser.add_subparsers(dest="command", required=True)
+    gen_defaults = inspect.signature(random_pomdp).parameters
 
     p = sub.add_parser("gen", help="generate a random model file")
     p.add_argument("--vars", type=_int_from(1), required=True)
     p.add_argument("--actions", type=_int_from(1), required=True)
     p.add_argument("--obs", type=_int_from(1), required=True)
     p.add_argument("--seed", type=_int_from(0), required=True)
-    p.add_argument("--sparsity", type=float, default=0.0)
-    p.add_argument("--discount", type=float, default=0.95)
+    p.add_argument("--sparsity", type=float, default=gen_defaults["sparsity"].default)
+    p.add_argument("--discount", type=float, default=gen_defaults["discount"].default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -340,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search the projection lattice")
     p.add_argument("policy")
     p.add_argument("--method", choices=ALL_METHODS, required=True)
-    p.add_argument("--scope", choices=SCOPES, default="all")
+    p.add_argument("--scope", choices=SCOPES, default=SearchConfig.scope)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_search)
 
@@ -349,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy")
     p.add_argument("scheme", help="scheme JSON or search-result JSON")
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--beliefs", type=_int_from(1), default=5000)
+    p.add_argument("--beliefs", type=_int_from(1), default=EvalConfig.num_beliefs)
     p.add_argument("--seed", type=_int_from(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

@@ -21,18 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InputError, ZeroProbabilityObservation
-from .bounds import compute_bounds, scheme_lookup, scheme_source_doc
-from .model import (BRANCH_TOL, ZERO_OBS_TOL, Pomdp, belief_update, check_table_size,
-                    num_states, observation_probabilities, sample_beliefs, value_of)
+from .bounds import SCHEME_METHOD, compute_bounds, scheme_lookup, scheme_source_doc
+from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, ZERO_OBS_TOL, Pomdp, belief_update,
+                    check_table_size, num_states, observation_probabilities, sample_beliefs,
+                    value_of)
 from .projection import project, project_batch
 from .solver import AlphaSet
 
 MODES = ("single", "successive")
-BRANCH_GUARD = 1_000_000
 BELIEF_GUARD = 1_000_000  # initial beliefs per evaluation
-# tree levels per evaluation: both walks recurse once per level, and this
-# stays well under the interpreter's default recursion limit of 1,000
-DEPTH_GUARD = 500
 # initial beliefs per block: large enough to amortise the per-level Python
 # work, small enough that a block's working set stays a few hundred KiB
 EVAL_BLOCK = 64
@@ -162,7 +159,7 @@ def _check_tree(model: Pomdp, stage_sets) -> None:
 
 
 def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                   b0: np.ndarray, mode: str = "successive") -> float:
+                   b0: np.ndarray, mode: str = EvalConfig.mode) -> float:
     """Expected value actually collected by monitoring through the scheme.
 
     Both modes project the initial belief before the first decision (with a
@@ -283,10 +280,11 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
 
 
 def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                  cfg: EvalConfig, method: str = "scheme") -> EvalReport:
+                  cfg: EvalConfig, method: str = SCHEME_METHOD) -> EvalReport:
     """Mean decision loss over random initial beliefs at the full solved
     horizon, with the scheme's B/E bounds (VS switch tests) attached for the
-    same instance.
+    same instance. The bounds come first, so a scheme source that lacks a
+    vector's scheme fails before any belief is drawn.
 
     The beliefs are drawn ``EVAL_BLOCK`` rows at a time from one generator,
     so they are the same beliefs as ``num_beliefs`` successive
@@ -298,6 +296,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     if cfg.num_beliefs > BELIEF_GUARD:
         raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
+    per_stage_B, per_stage_E = compute_bounds(model, stage_sets, scheme_source)
     lookup = scheme_lookup(scheme_source)
     leaf_steps = _leaf_steps(model)
     rng = np.random.default_rng(cfg.seed)
@@ -311,7 +310,6 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))
-    per_stage_B, per_stage_E = compute_bounds(model, stage_sets, scheme_source)
     return EvalReport(
         method=method, mode=cfg.mode, average_loss=avg,
         bound_B=max(per_stage_B), bound_E=max(per_stage_E),

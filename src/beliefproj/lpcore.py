@@ -133,28 +133,27 @@ def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) 
     basis[row] = col
 
 
-def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
-                 tol: float) -> tuple[int, float, bool]:
+def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> tuple[int, float, bool]:
     """Minimum-ratio row for the entering column, its ratio, and whether its
     entry is under ``PIVOT_FLOOR`` times the column's largest |entry|; or
-    (-1, inf, False) when the column has no entry above ``tol``.
+    (-1, inf, False) when the column has no entry above ``FEAS_TOL``.
 
     Rows tie when stepping to their ratio leaves every row's value above
-    ``-tol`` (Harris's bound, so a tie never costs more than ``tol`` of
-    feasibility, however large the column's entries). A tie goes to the row
+    ``-FEAS_TOL`` (Harris's bound, so a tie never costs more than ``FEAS_TOL``
+    of feasibility, however large the column's entries). A tie goes to the row
     whose basic column has the lowest index, unless that row's entry is
     below ``PIVOT_REL`` times the largest tied entry: then the tie goes to
     the lowest basic column among the tied rows whose entries are not.
     Dividing by an entry that small next to a usable one blows the tableau up.
     """
     column = T[:, enter]
-    rows = (column > tol).nonzero()[0]
+    rows = (column > FEAS_TOL).nonzero()[0]
     if rows.size == 0:
         return -1, np.inf, False
     entries = column[rows]
     rhs = T[rows, -1]
     ratios = rhs / entries
-    tied = (ratios <= ((rhs + tol) / entries).min()).nonzero()[0]
+    tied = (ratios <= ((rhs + FEAS_TOL) / entries).min()).nonzero()[0]
     if tied.size > 1:
         tied = tied[entries[tied] >= PIVOT_REL * entries[tied].max()]
     k = tied[basis[rows[tied]].argmin()] if tied.size > 1 else tied[0]
@@ -162,24 +161,24 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int,
     return int(rows[k]), float(ratios[k]), tiny
 
 
-def _next_stable_column(T, basis, r, tol, bland, first):
+def _next_stable_column(T, basis, r, bland, first):
     """Entering column, leaving row and step once the pricing's ``first``
     choice would pivot under ``PIVOT_FLOOR``: the next improving column in
     pricing order whose pivot is not, or ``first`` when there is none.
     Dividing a row by a pivot that small next to the column's other
     entries floods the tableau with its inverse (Harris 1973)."""
-    improving = np.flatnonzero(r > tol)
+    improving = np.flatnonzero(r > FEAS_TOL)
     if not bland:
         improving = improving[np.argsort(-r[improving], kind="stable")]
     for enter in improving.tolist():
         if enter != first[0]:
-            leave, step, tiny = _leaving_row(T, basis, enter, tol)
+            leave, step, tiny = _leaving_row(T, basis, enter)
             if not tiny:
                 return enter, leave, step
     return first
 
 
-def _run_simplex(T, basis, cost, tol, max_iter, stop_above=None):
+def _run_simplex(T, basis, cost, max_iter, stop_above=None):
     """Simplex on a canonical tableau; returns ("optimal" | "unbounded" |
     "stopped", pivots).
 
@@ -199,16 +198,15 @@ def _run_simplex(T, basis, cost, tol, max_iter, stop_above=None):
         if stop_above is not None and cost[basis] @ T[:, -1] > stop_above:
             return "stopped", pivots
         bland = degenerate >= DEGENERATE_RUN
-        enter = int((r > tol if bland else r).argmax())
-        if r[enter] <= tol:
+        enter = int((r > FEAS_TOL if bland else r).argmax())
+        if r[enter] <= FEAS_TOL:
             return "optimal", pivots
-        leave, step, tiny = _leaving_row(T, basis, enter, tol)
+        leave, step, tiny = _leaving_row(T, basis, enter)
         if tiny:
-            enter, leave, step = _next_stable_column(T, basis, r, tol, bland,
-                                                     (enter, leave, step))
+            enter, leave, step = _next_stable_column(T, basis, r, bland, (enter, leave, step))
         if leave < 0:
             return "unbounded", pivots
-        degenerate = degenerate + 1 if step <= tol else 0
+        degenerate = degenerate + 1 if step <= FEAS_TOL else 0
         _pivot(T, r, basis, leave, enter)
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
@@ -270,7 +268,7 @@ def _tableau(lp: LinearProgram, col_plus, col_minus):
     return T, np.array(basis, dtype=np.intp), art_start
 
 
-def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
+def solve_lp(lp: LinearProgram) -> LpResult:
     """Solve the program; statuses are explicit and pivoting is deterministic.
 
     Phase 1 maximizes minus the sum of the artificial columns, phase 2 the
@@ -290,15 +288,15 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     if art_start < total:
         cost1 = np.zeros(total)
         cost1[art_start:] = -1.0
-        status, pivots = _run_simplex(T, basis, cost1, tol, max_iter)
+        status, pivots = _run_simplex(T, basis, cost1, max_iter)
         if status != "optimal":
             raise NumericalError("phase-1 simplex reported unbounded; program is malformed")
-        if float(cost1[basis] @ T[:, -1]) < -tol:
+        if float(cost1[basis] @ T[:, -1]) < -FEAS_TOL:
             return LpResult("infeasible", pivots=pivots)
         # drive remaining artificials out of the basis or drop redundant rows
         keep = np.ones(m, dtype=bool)
         for i in np.flatnonzero(basis >= art_start):
-            pivot_cols = np.flatnonzero(np.abs(T[i, :art_start]) > tol)
+            pivot_cols = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
             if pivot_cols.size:
                 _pivot(T, np.zeros(total), basis, i, int(pivot_cols[0]))
                 pivots += 1
@@ -310,7 +308,7 @@ def solve_lp(lp: LinearProgram, tol: float = FEAS_TOL) -> LpResult:
     cost2 = np.zeros(T.shape[1] - 1)
     cost2[col_plus] = lp.objective
     cost2[col_minus] = -lp.objective[free]
-    status, phase2 = _run_simplex(T, basis, cost2, tol, max_iter, lp.stop_above)
+    status, phase2 = _run_simplex(T, basis, cost2, max_iter, lp.stop_above)
     pivots += phase2
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)

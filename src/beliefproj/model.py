@@ -16,11 +16,16 @@ from .errors import GuardError, InputError, ZeroProbabilityObservation
 
 ROW_SUM_TOL = 1e-9
 CPT_ROW_TOL = 1e-6
+ENTRY_TOL = 1e-12  # how far outside [0, 1] a probability entry may read
 ZERO_OBS_TOL = 1e-12
 # branches below this probability are not walked; it sits strictly above
 # ZERO_OBS_TOL, so a walked branch never trips the belief update on
 # last-ulp drift between the two computations of its probability
 BRANCH_TOL = 1e-11
+BRANCH_GUARD = 1_000_000  # branches of one expectimax tree
+# levels of one expectimax tree: each walk recurses once per level, and
+# this stays well under the interpreter's default recursion limit of 1,000
+DEPTH_GUARD = 500
 
 MAX_VARIABLES = 20
 # entries of the dense transition and observation tables, |A| (4^n + 2^n |Z|);
@@ -69,7 +74,7 @@ def check_table_size(n_vars: int, n_actions: int, n_obs: int) -> None:
 
 
 def _check_stochastic(table: np.ndarray, what: str, actions) -> None:
-    outside = (table.min(axis=(1, 2)) < -1e-12) | (table.max(axis=(1, 2)) > 1 + 1e-12)
+    outside = (table.min(axis=(1, 2)) < -ENTRY_TOL) | (table.max(axis=(1, 2)) > 1 + ENTRY_TOL)
     if np.any(outside):
         a = int(np.flatnonzero(outside)[0])
         raise InputError(f"{what} for action {actions[a]!r} has entries outside [0, 1]")
@@ -188,7 +193,7 @@ def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) ->
             f"cpt for {var!r} must have {expected} rows of [p_true, p_false], got shape {rows.shape}")
     if np.any(np.abs(rows.sum(axis=1) - 1.0) > CPT_ROW_TOL):
         raise InputError(f"cpt row for {var!r} does not sum to 1")
-    if np.any(rows < -1e-12):
+    if np.any(rows < -ENTRY_TOL):
         raise InputError(f"cpt for {var!r} has negative entries")
     # row index packs parent truth values, bit j of the row <-> parents[j]
     return rows[packed_bits([variables.index(p) for p in parents], num_states(n)), 0]

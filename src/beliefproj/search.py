@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .bounds import (METHODS, alt_sets, bound_E_from_alts, bound_from_switch_sets,
-                     scheme_source_doc, stage_switch_sets)
+from .bounds import (METHODS, SCHEME_METHOD, alt_sets, bound_E_from_alts,
+                     bound_from_switch_sets, scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, lattice_children, lattice_root,
                          residual_sq_length, walsh_vector)
@@ -29,7 +29,8 @@ from .solver import AlphaSet
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
 ESTIMATOR_METHODS = ("vs-sum", "vs-max")
 ALL_METHODS = BOUND_METHODS + ESTIMATOR_METHODS
-SCOPES = ("last", "all")  # the last stage set only, or every stage set
+# the stage sets each scope covers: the last one only, or every one
+SCOPES = {"last": slice(-1, None), "all": slice(None)}
 
 
 @dataclass
@@ -62,15 +63,25 @@ class SearchResult:
         return doc
 
 
-def result_from_doc(doc: dict, variables) -> SearchResult:
-    method, scope = doc.get("method", "scheme"), doc.get("scope", "all")
+def result_from_doc(doc, variables) -> SearchResult:
+    """A search result from its JSON form, or from a bare scheme array: a
+    result with no search behind it."""
+    if isinstance(doc, list):
+        doc = {"scheme": doc}
+    if not isinstance(doc, dict):
+        raise InputError("expected a scheme array or a search-result object")
+    method, scope = doc.get("method", SCHEME_METHOD), doc.get("scope", SearchConfig.scope)
     for key, value in (("method", method), ("scope", scope)):
         if not isinstance(value, str):
             raise InputError(f"search result {key!r} must be a string, got {value!r}")
+    if "scheme" in doc and "per_region" in doc:
+        raise InputError("search result document carries both 'scheme' and 'per_region'")
+    if "scheme" not in doc and "per_region" not in doc:
+        raise InputError("search result document carries no scheme")
     result = SearchResult(method, scope, trace=doc.get("trace", []))
     if "scheme" in doc:
         result.scheme = ProjectionScheme.from_names(doc["scheme"], variables)
-    if "per_region" in doc:
+    else:
         if not isinstance(doc["per_region"], dict):
             raise InputError("search result 'per_region' must be an object keyed by 'stage:index'")
         per_region, distinct = {}, {}
@@ -83,8 +94,6 @@ def result_from_doc(doc: dict, variables) -> SearchResult:
             scheme = ProjectionScheme.from_names(names, variables)
             per_region[(stage, idx)] = distinct.setdefault(scheme, scheme)
         result.per_region = per_region
-    if result.scheme is None and result.per_region is None:
-        raise InputError("search result document carries no scheme")
     return result
 
 
@@ -144,17 +153,16 @@ def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0)
 
 
 def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
-              scope: str = "all") -> SearchResult:
+              scope: str = SearchConfig.scope) -> SearchResult:
     """Per-region greedy descent scored by the sum or max estimator, updated
     incrementally along each accepted edge."""
     if estimator not in ("sum", "max"):
         raise InputError(f"unknown estimator {estimator!r}")
-    scoped = stage_sets[-1:] if scope == "last" else stage_sets
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
     root_basis = lattice_root(n).basis
     per_region: dict = {}
     traces: dict = {}
-    for aset in scoped:
+    for aset in stage_sets[SCOPES[scope]]:
         for i in range(len(aset)):
             grads = _gradients(aset, i)
             if grads.shape[0]:
@@ -199,7 +207,7 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
     sets alone, so a node whose switch sets equal its parent's takes the
     parent's value without rebuilding alternative sets or bounds.
     """
-    scoped = stage_sets[-1:] if scope == "last" else stage_sets
+    scoped = stage_sets[SCOPES[scope]]
     tested = scoped if bound == "B" else stage_sets
     sw_per_stage = []
     new_positives = []
@@ -222,7 +230,7 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
 
 
 def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "B",
-                        test: str = "LP", scope: str = "all") -> SearchResult:
+                        test: str = "LP", scope: str = SearchConfig.scope) -> SearchResult:
     """Greedy descent minimizing the chosen loss bound; returns one scheme."""
     if bound not in ("B", "E"):
         raise InputError(f"unknown bound {bound!r}")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
-from .model import BRANCH_TOL, Pomdp, belief_update, observation_probabilities
+from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
+                    observation_probabilities)
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -193,14 +194,17 @@ def solve(model: Pomdp, horizon: int, cap: int = BACKUP_CAP) -> list[AlphaSet]:
     return stages
 
 
-def brute_force_value(model: Pomdp, b: np.ndarray, k: int, cap: int = BACKUP_CAP) -> float:
+def brute_force_value(model: Pomdp, b: np.ndarray, k: int) -> float:
     """Exact expectimax value of acting optimally for k stages from belief b.
 
     Testing oracle for :func:`solve`; branches on every positive-probability
-    observation and is guarded against deep horizons.
+    observation. GuardError when k is above ``DEPTH_GUARD`` or the tree has
+    more than ``BRANCH_GUARD`` branches, (|A|·|Z|)^k.
     """
-    if (model.n_actions * model.n_observations) ** k > cap:
-        raise GuardError(f"expectimax branching exceeds the cap of {cap}")
+    if k > DEPTH_GUARD:
+        raise GuardError(f"expectimax depth {k} exceeds the cap of {DEPTH_GUARD}")
+    if (model.n_actions * model.n_observations) ** k > BRANCH_GUARD:
+        raise GuardError(f"expectimax branching exceeds the cap of {BRANCH_GUARD}")
     if k == 0:
         return 0.0
     immediate = float(model.reward @ b)
@@ -211,7 +215,7 @@ def brute_force_value(model: Pomdp, b: np.ndarray, k: int, cap: int = BACKUP_CAP
         for z in range(model.n_observations):
             if pz[z] < BRANCH_TOL:
                 continue
-            expected += pz[z] * brute_force_value(model, belief_update(model, b, a, z), k - 1, cap)
+            expected += pz[z] * brute_force_value(model, belief_update(model, b, a, z), k - 1)
         best = max(best, immediate + model.discount * expected)
     return best
 

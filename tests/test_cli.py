@@ -270,6 +270,44 @@ def test_eval_deeper_than_the_depth_cap_exits_3_naming_the_cap(tmp_path, capsys)
         assert "Traceback" not in err and not report.exists()
 
 
+def test_eval_of_an_incomplete_per_region_map_exits_2_before_drawing(tmp_path, monkeypatch,
+                                                                    capsys):
+    from beliefproj import evaluate
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "vs-sum", "--scope", "last",
+                "--out", result]) == 0
+    draws, sample = [], evaluate.sample_beliefs
+    monkeypatch.setattr(evaluate, "sample_beliefs",
+                        lambda *args: draws.append(args) or sample(*args))
+    for mode in evaluate.MODES:
+        capsys.readouterr()
+        assert run(["eval", model, policy, result, "--mode", mode, "--beliefs", 1000,
+                    "--seed", 0, "--out", tmp_path / f"{mode}.json"]) == 2
+        assert ("per-region scheme map has no entry for stage 1, vector 0"
+                in capsys.readouterr().err)
+    assert draws == []
+
+
+def test_cli_defaults_are_the_librarys():
+    import inspect
+    from beliefproj.evaluate import EvalConfig, random_pomdp
+    from beliefproj.search import SearchConfig
+
+    parse = cli.build_parser().parse_args
+    gen = parse(["gen", "--vars", "1", "--actions", "1", "--obs", "1", "--seed", "0",
+                 "--out", "m.json"])
+    params = inspect.signature(random_pomdp).parameters
+    assert gen.sparsity == params["sparsity"].default
+    assert gen.discount == params["discount"].default
+    search = parse(["search", "p.json", "--method", "vs-sum", "--out", "s.json"])
+    assert search.scope == SearchConfig("vs-sum").scope
+    report = parse(["eval", "m.json", "p.json", "s.json", "--mode", "single", "--seed", "0",
+                    "--out", "r.json"])
+    assert report.beliefs == EvalConfig().num_beliefs
+
+
 def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
     from beliefproj import bounds
     model = gen_model(tmp_path)
@@ -286,13 +324,13 @@ def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
 def test_solved_policy_reloads_to_same_values(tmp_path):
     import numpy as np
     from beliefproj import compile_model, random_belief, solve, value_of
-    from beliefproj.cli import _load_policy
+    from beliefproj.cli import _decode, _policy_from_doc
 
     model_path = gen_model(tmp_path, vars=3, seed=21)
     policy_path = solve_policy(tmp_path, model_path, horizon=3)
     model = compile_model(json.loads(model_path.read_text()))
     in_process = solve(model, 3)
-    _, reloaded, _ = _load_policy(policy_path)
+    _, reloaded, _ = _decode(policy_path, _policy_from_doc)
     rng = np.random.default_rng(0)
     for _ in range(20):
         b = random_belief(model.n_states, rng)
@@ -322,7 +360,7 @@ def test_search_two_variable_policy_all_methods(tmp_path):
 def test_eval_bound_columns_match_in_process_bounds(tmp_path):
     from beliefproj import ProjectionScheme, compile_model
     from beliefproj.bounds import compute_bounds
-    from beliefproj.cli import _load_policy
+    from beliefproj.cli import _decode, _policy_from_doc
 
     model_path = gen_model(tmp_path, vars=2, seed=19)
     policy_path = solve_policy(tmp_path, model_path)
@@ -332,7 +370,7 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
     assert run(["eval", model_path, policy_path, scheme_path, "--mode", "single",
                 "--beliefs", 30, "--seed", 2, "--out", report_path]) == 0
     row = (tmp_path / "rep.csv").read_text().splitlines()[1].split(",")
-    model, stages, _ = _load_policy(policy_path)
+    model, stages, _ = _decode(policy_path, _policy_from_doc)
     per_stage_B, per_stage_E = compute_bounds(
         model, stages, ProjectionScheme.from_names([["x0"], ["x1"]], model.variables))
     assert float(row[3]) == max(per_stage_B)
@@ -418,8 +456,10 @@ def test_malformed_model_exits_2_naming_the_problem(tmp_path, capsys, key, value
     ([[["x0"]], ["x1"]], "scheme [[['x0']], ['x1']] is not a list of blocks of variable names"),
     ({"method": float("nan"), "scheme": [["x0"], ["x1"]]},
      "search result 'method' must be a string, got nan"),
+    ({"method": "vs-sum", "scheme": [["x0"], ["x1"]], "per_region": {"1:0": [["x0", "x1"]]}},
+     "search result document carries both 'scheme' and 'per_region'"),
 ], ids=["per-region-key", "partial-scheme", "per-region-list", "per-region-number",
-        "nested-names", "method-nan"])
+        "nested-names", "method-nan", "scheme-and-per-region"])
 def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, message):
     model = gen_model(tmp_path)
     policy = solve_policy(tmp_path, model)

@@ -141,7 +141,7 @@ def test_beale_cycling_program_terminates(monkeypatch):
         solve_lp(lp)
 
 
-def test_witness_program_that_once_failed_phase_one():
+def test_witness_program_that_once_failed_phase_one(monkeypatch):
     # a 24x65 witness LP from pruning stage 4 of random_pomdp(6, 2, 3, seed 7,
     # discount 0.9), coefficients 2e-5..1.2; the lowest-index rule reported a
     # phase-1 "unbounded" on it at tol 1e-9 and 1e-10; HiGHS: 4.9068e-4
@@ -153,7 +153,8 @@ def test_witness_program_that_once_failed_phase_one():
     objective = np.zeros(dim + 1)
     objective[-1] = 1.0
     for tol in (1e-8, 1e-9, 1e-10):
-        result = solve_lp(LinearProgram(objective, constraints, lower=[0.0] * dim + [None]), tol)
+        monkeypatch.setattr(lpcore, "FEAS_TOL", tol)
+        result = solve_lp(LinearProgram(objective, constraints, lower=[0.0] * dim + [None]))
         assert result.status == "optimal"
         assert result.value == pytest.approx(4.906811737730672e-4, abs=1e-12)
 

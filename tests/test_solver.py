@@ -7,6 +7,7 @@ from beliefproj import (AlphaSet, GuardError, InputError, Pomdp, backup,
                         brute_force_value, prune, random_belief, random_pomdp,
                         solve, value_of, zero_stage)
 from beliefproj import solver
+from beliefproj.model import DEPTH_GUARD
 from beliefproj.solver import plan_vector, stages_from_doc, stages_to_doc, undominated
 
 from conftest import two_state_model
@@ -241,10 +242,24 @@ def test_brute_force_base_cases():
     assert brute_force_value(model, b, 1) == pytest.approx(float(b @ model.reward))
 
 
-def test_brute_force_guard():
+def test_brute_force_guard(monkeypatch):
     model = random_pomdp(2, 3, 3, np.random.default_rng(9))
+    monkeypatch.setattr(solver, "BRANCH_GUARD", 1000)
     with pytest.raises(GuardError):
-        brute_force_value(model, np.full(4, 0.25), 5, cap=1000)
+        brute_force_value(model, np.full(4, 0.25), 5)
+
+
+def test_brute_force_depth_cap():
+    # one action and one observation keep the branching at 1, so only the
+    # depth cap stops a walk that would pass the interpreter's recursion limit
+    model = random_pomdp(1, 1, 1, np.random.default_rng(0))
+    b = np.array([0.5, 0.5])
+    stages = solve(model, DEPTH_GUARD)
+    assert brute_force_value(model, b, DEPTH_GUARD) == pytest.approx(value_of(b, stages[-1])[0])
+    for k in (DEPTH_GUARD + 1, 3 * DEPTH_GUARD):
+        message = f"expectimax depth {k} exceeds the cap of {DEPTH_GUARD}"
+        with pytest.raises(GuardError, match=message):
+            brute_force_value(model, b, k)
 
 
 def test_vector_values_within_finite_horizon_bounds():
