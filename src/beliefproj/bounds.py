@@ -7,7 +7,8 @@ test (nonzero residual of the value gradient outside the preserved null
 space). Switch sets feed an upper bound on the loss of a single approximation
 (B) and, through alternative-plan sets, of successive approximations (E). A
 one-sided sampling oracle is kept as the reference the tests check both
-against.
+against. A scheme source is one global ProjectionScheme or a per-region map
+keyed by (stage, vector index); :func:`scheme_of` reads both.
 """
 
 from __future__ import annotations
@@ -44,23 +45,17 @@ class SwitchDecision:
     subsets: frozenset = field(default=frozenset(), repr=False, compare=False)
 
 
-def scheme_lookup(scheme_source):
-    """Normalize a scheme source to a callable (stage, vector index) -> scheme.
-
-    Accepts a single ProjectionScheme (global) or a mapping keyed by
-    (stage, vector index) as produced by the per-region searches.
-    """
+def scheme_of(scheme_source, stage: int, idx: int) -> ProjectionScheme:
+    """The scheme of vector ``idx`` of stage ``stage`` under a global scheme or
+    a per-region map keyed by (stage, vector index)."""
     if isinstance(scheme_source, ProjectionScheme):
-        return lambda stage, idx: scheme_source
+        return scheme_source
     if isinstance(scheme_source, dict):
-        def lookup(stage, idx):
-            try:
-                return scheme_source[(stage, idx)]
-            except KeyError:
-                raise InputError(
-                    f"per-region scheme map has no entry for stage {stage}, vector {idx}"
-                ) from None
-        return lookup
+        try:
+            return scheme_source[(stage, idx)]
+        except KeyError:
+            raise InputError(f"per-region scheme map has no entry for stage {stage}, "
+                             f"vector {idx}") from None
     raise InputError(f"unsupported scheme source {type(scheme_source).__name__}")
 
 
@@ -173,26 +168,23 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
     return [tuple(sorted(j for (a, j) in pairs if a == i)) for i in range(len(aset))]
 
 
-def stage_switch_sets(aset: AlphaSet, scheme_for, method: str = "LP", *,
+def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
                       candidates=None, decisions: dict | None = None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
-    ``scheme_for`` is a ProjectionScheme or a callable index -> scheme (each
-    vector's own scheme governs its switch set). ``candidates`` optionally
-    restricts which pairs (i, j), i < j, are tested (everything else is
-    reported negative), which search callers use to exploit monotonicity
-    along lattice edges; it maps each pair to its decision under a coarser
-    scheme, or None, which its LP test starts from (``lp_switch_test``'s
-    ``warm``). ``decisions``, when given, receives the SwitchDecision of each
-    pair tested, keyed (i, j) as tested.
+    Vector i's own scheme, ``scheme_of(scheme_source, aset.stage, i)``,
+    governs its switch set. ``candidates`` optionally restricts which pairs
+    (i, j), i < j, are tested (everything else is reported negative), which
+    search callers use to exploit monotonicity along lattice edges; it maps
+    each pair to its decision under a coarser scheme, or None, which its LP
+    test starts from (``lp_switch_test``'s ``warm``). ``decisions``, when
+    given, receives the SwitchDecision of each pair tested, keyed (i, j) as
+    tested.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
     m = len(aset)
-    if isinstance(scheme_for, ProjectionScheme):
-        schemes = [scheme_for] * m
-    else:
-        schemes = [scheme_for(i) for i in range(m)]
+    schemes = [scheme_of(scheme_source, aset.stage, i) for i in range(m)]
     sets: list[set[int]] = [set() for _ in range(m)]
     for i, scheme in enumerate(schemes):
         for j in range(m):
@@ -312,9 +304,7 @@ def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet],
                    scheme_source) -> tuple[list[float], list[float]]:
     """Per-stage B and E bounds, stage 1 first: B from the VS switch sets,
     E through the alternative-set recursion."""
-    lookup = scheme_lookup(scheme_source)
-    sw_per_stage = [stage_switch_sets(aset, lambda i, k=aset.stage: lookup(k, i), "VS")
-                    for aset in stage_sets]
+    sw_per_stage = [stage_switch_sets(aset, scheme_source, "VS") for aset in stage_sets]
     alts = alt_sets(model, stage_sets, sw_per_stage)
     return ([bound_from_switch_sets(aset, sw) for aset, sw in zip(stage_sets, sw_per_stage)],
             [bound_E_from_alts(aset, stage_alts) for aset, stage_alts in zip(stage_sets, alts)])

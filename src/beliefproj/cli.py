@@ -230,8 +230,8 @@ def cmd_solve(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.perf_counter()
-    model, stages, _ = _decode(args.policy, _policy_from_doc)
     config = SearchConfig(method=args.method, scope=args.scope)
+    model, stages, _ = _decode(args.policy, _policy_from_doc)
     result = run_search(model, stages, config)
     _write_json(args.out, result.to_doc(model.variables))
     if result.scheme is not None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InputError, ZeroProbabilityObservation
-from .bounds import SCHEME_METHOD, compute_bounds, scheme_lookup, scheme_source_doc
+from .bounds import SCHEME_METHOD, compute_bounds, scheme_of, scheme_source_doc
 from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, ZERO_OBS_TOL, Pomdp, belief_update,
                     check_table_size, num_states, observation_probabilities, sample_beliefs,
                     value_of)
@@ -121,14 +121,14 @@ def random_pomdp(n_vars: int, n_actions: int, n_obs: int, rng: np.random.Generat
         transition, observation, reward, discount)
 
 
-def _achieved(model: Pomdp, stage_sets, lookup, b_exact, b_approx, k, mode):
+def _achieved(model: Pomdp, stage_sets, scheme_source, b_exact, b_approx, k, mode):
     aset = stage_sets[k - 1]
     _, istar = value_of(b_approx, aset)
     action = aset.actions[istar]
     total = float(model.reward @ b_exact)
     if k == 1:
         return total
-    scheme = lookup(k, istar) if mode == "successive" else None
+    scheme = scheme_of(scheme_source, k, istar) if mode == "successive" else None
     pz = observation_probabilities(model, b_exact, action)
     acc = 0.0
     for z in range(model.n_observations):
@@ -143,7 +143,7 @@ def _achieved(model: Pomdp, stage_sets, lookup, b_exact, b_approx, k, mode):
             # the branch has positive true probability; restart the
             # approximate track from the exact posterior
             next_approx = next_exact
-        acc += pz[z] * _achieved(model, stage_sets, lookup, next_exact, next_approx,
+        acc += pz[z] * _achieved(model, stage_sets, scheme_source, next_exact, next_approx,
                                  k - 1, mode)
     return total + model.discount * acc
 
@@ -170,18 +170,17 @@ def achieved_value(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         raise InputError(f"unknown mode {mode!r}")
     horizon = len(stage_sets)
     _check_tree(model, stage_sets)
-    lookup = scheme_lookup(scheme_source)
     _, top = value_of(b0, stage_sets[-1])
-    b_approx = project(b0, lookup(horizon, top))
-    return _achieved(model, stage_sets, lookup, b0, b_approx, horizon, mode)
+    b_approx = project(b0, scheme_of(scheme_source, horizon, top))
+    return _achieved(model, stage_sets, scheme_source, b0, b_approx, horizon, mode)
 
 
-def _project_rows(beliefs: np.ndarray, idx: np.ndarray, scheme_of) -> np.ndarray:
-    """Project row r through ``scheme_of(idx[r])``; rows whose vector indices
-    map to equal schemes are projected together."""
+def _project_rows(beliefs: np.ndarray, idx: np.ndarray, scheme_source, stage: int) -> np.ndarray:
+    """Project row r through the scheme of vector ``idx[r]`` of ``stage``;
+    rows whose vectors have equal schemes are projected together."""
     groups: dict = {}
     for i in np.flatnonzero(np.bincount(idx)):
-        groups.setdefault(scheme_of(int(i)), []).append(i)
+        groups.setdefault(scheme_of(scheme_source, stage, int(i)), []).append(i)
     if len(groups) == 1:
         return project_batch(beliefs, next(iter(groups)))
     out = np.empty_like(beliefs)
@@ -202,7 +201,7 @@ def _leaf_steps(model: Pomdp) -> tuple[np.ndarray, np.ndarray]:
             model.transition @ (model.observation_fn * model.reward[:, np.newaxis]))
 
 
-def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
+def _block_values(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
                   beliefs: np.ndarray, mode: str,
                   leaf_steps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
     """Row-block form of ``value_of`` and :func:`achieved_value` at the full
@@ -261,7 +260,7 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
                           where=ok[:, np.newaxis])
                 if mode == "successive" and ok.any():
                     next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
-                                                    lambda i: lookup(k, i))
+                                                    scheme_source, k)
                 # a branch with positive true probability that the
                 # approximate track finds impossible restarts that track
                 # from the exact posterior, unprojected
@@ -274,7 +273,7 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], lookup,
     values = beliefs @ stage_sets[-1].matrix.T
     top = np.argmax(values, axis=1)
     optimal = values[np.arange(beliefs.shape[0]), top]
-    approx = _project_rows(beliefs, top, lambda i: lookup(horizon, i)) if horizon > 1 else None
+    approx = _project_rows(beliefs, top, scheme_source, horizon) if horizon > 1 else None
     achieved = walk(beliefs, approx, horizon)
     return optimal, achieved, restarts
 
@@ -297,7 +296,6 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
     per_stage_B, per_stage_E = compute_bounds(model, stage_sets, scheme_source)
-    lookup = scheme_lookup(scheme_source)
     leaf_steps = _leaf_steps(model)
     rng = np.random.default_rng(cfg.seed)
     losses = np.empty(cfg.num_beliefs)
@@ -306,7 +304,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         count = min(EVAL_BLOCK, cfg.num_beliefs - first)
         beliefs = sample_beliefs(model.n_states, count, rng)
         optimal, achieved, block_restarts = _block_values(
-            model, stage_sets, lookup, beliefs, cfg.mode, leaf_steps)
+            model, stage_sets, scheme_source, beliefs, cfg.mode, leaf_steps)
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))

@@ -29,7 +29,7 @@ from .solver import AlphaSet
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
 ESTIMATOR_METHODS = ("vs-sum", "vs-max")
 ALL_METHODS = BOUND_METHODS + ESTIMATOR_METHODS
-# the stage sets each scope covers: the last one only, or every one
+# the stage sets a bound search's scope covers: the last one only, or every one
 SCOPES = {"last": slice(-1, None), "all": slice(None)}
 
 
@@ -43,6 +43,9 @@ class SearchConfig:
             raise InputError(f"unknown search method {self.method!r}")
         if self.scope not in SCOPES:
             raise InputError(f"unknown stage scope {self.scope!r}")
+        if self.method in ESTIMATOR_METHODS and self.scope != "all":
+            raise InputError(f"search method {self.method!r} covers every stage; "
+                             f"scope {self.scope!r} applies to the bound searches only")
 
 
 @dataclass
@@ -84,12 +87,16 @@ def result_from_doc(doc, variables) -> SearchResult:
     else:
         if not isinstance(doc["per_region"], dict):
             raise InputError("search result 'per_region' must be an object keyed by 'stage:index'")
-        per_region, distinct = {}, {}
+        per_region, keys, distinct = {}, {}, {}
         for key, names in doc["per_region"].items():
             try:
                 stage, idx = (int(part) for part in key.split(":"))
             except ValueError:
                 raise InputError(f"per-region key {key!r} is not 'stage:index'") from None
+            first = keys.setdefault((stage, idx), key)
+            if first != key:
+                raise InputError(f"per-region keys {first!r} and {key!r} both name stage "
+                                 f"{stage}, vector {idx}")
             # equal schemes share one object, and so one cached basis
             scheme = ProjectionScheme.from_names(names, variables)
             per_region[(stage, idx)] = distinct.setdefault(scheme, scheme)
@@ -152,17 +159,16 @@ def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0)
     return node, trace
 
 
-def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
-              scope: str = SearchConfig.scope) -> SearchResult:
-    """Per-region greedy descent scored by the sum or max estimator, updated
-    incrementally along each accepted edge."""
+def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResult:
+    """Per-region greedy descent for every vector of every stage set, scored by
+    the sum or max estimator and updated incrementally along each accepted edge."""
     if estimator not in ("sum", "max"):
         raise InputError(f"unknown estimator {estimator!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
     root_basis = lattice_root(n).basis
     per_region: dict = {}
     traces: dict = {}
-    for aset in stage_sets[SCOPES[scope]]:
+    for aset in stage_sets:
         for i in range(len(aset)):
             grads = _gradients(aset, i)
             if grads.shape[0]:
@@ -183,7 +189,7 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum",
                                    "score", floor)
             per_region[(aset.stage, i)] = node
             traces[f"{aset.stage}:{i}"] = trace
-    return SearchResult(f"vs-{estimator}", scope, per_region=per_region, trace=traces)
+    return SearchResult(f"vs-{estimator}", "all", per_region=per_region, trace=traces)
 
 
 class NodeBound(NamedTuple):
@@ -253,7 +259,7 @@ def run_search(model: Pomdp, stage_sets: list[AlphaSet],
     object only (artifact files stay byte-reproducible)."""
     start = time.perf_counter()
     if config.method in ESTIMATOR_METHODS:
-        result = vs_search(stage_sets, config.method.split("-")[1], config.scope)
+        result = vs_search(stage_sets, config.method.split("-")[1])
     else:
         bound, test = config.method.split("-")
         result = greedy_bound_search(model, stage_sets, bound.upper(), test.upper(),

@@ -22,20 +22,13 @@ def test_one_instance_lists_every_artifact_with_its_digest_and_exit(grid, tmp_pa
     assert grid.main(["--out", str(out)]) == 0
     captured = capsys.readouterr()
     lines = [line.split(" ") for line in captured.out.splitlines()]
-    # gen, solve, 12 searches and 24 evals; each eval writes a report and a CSV
-    assert len(lines) == 1 + 1 + 12 + 24 * 2
-    assert captured.err == "38 commands, 54 artifacts\n"
+    # gen, solve, 10 searches and 20 evals; each eval writes a report and a CSV
+    assert len(lines) == 1 + 1 + 10 + 20 * 2
+    assert captured.err == "32 commands, 52 artifacts, 0 failed\n"
+    # every command succeeds and writes what it lists
     for digest, code, rel in lines:
-        path = out / rel
-        if digest == "-":
-            assert not path.exists()
-        else:
-            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        # per-region results name only the last stage's vectors, so an eval of
-        # one has no scheme for the earlier stages and exits 2
-        failing = "_vs-" in rel and "_last_" in rel
-        assert (digest, code) == (("-", "2") if failing else (digest, "0")), rel
-    assert sum(digest != "-" for digest, _, _ in lines) == 54
+        assert code == "0", rel
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
     assert len({rel for _, _, rel in lines}) == len(lines)
 
 

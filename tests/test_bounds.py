@@ -238,7 +238,8 @@ def test_per_vector_source_tests_only_candidate_pairs(monkeypatch, method):
     candidates = dict.fromkeys(positive[::2])
     assert set(positive) - set(candidates)
     calls = record_tests(monkeypatch, aset)
-    got = stage_switch_sets(aset, schemes.__getitem__, method, candidates=candidates)
+    source = {(aset.stage, i): scheme for i, scheme in enumerate(schemes)}
+    got = stage_switch_sets(aset, source, method, candidates=candidates)
     assert got == [tuple(j for j in sw if (min(i, j), max(i, j)) in candidates)
                    for i, sw in enumerate(full)]
     assert calls and all((min(i, j), max(i, j)) in candidates for i, j in calls)
@@ -253,8 +254,23 @@ def test_one_scheme_callable_matches_fixed_scheme(monkeypatch, method):
     fixed = stage_switch_sets(aset, scheme, method)
     assert fixed == reference_sets(aset, [scheme] * m, method)
     calls = record_tests(monkeypatch, aset)
-    assert stage_switch_sets(aset, lambda i: scheme, method) == fixed
+    source = {(aset.stage, i): scheme for i in range(m)}
+    assert stage_switch_sets(aset, source, method) == fixed
     assert sorted(calls) == list(itertools.combinations(range(m), 2))
+
+
+def test_per_region_source_without_a_vectors_entry_names_it():
+    _, stages = small_stage_sets(1)
+    aset = stages[-1]
+    source = {(aset.stage, i): lattice_root(3) for i in range(len(aset)) if i != 1}
+    with pytest.raises(InputError, match=f"no entry for stage {aset.stage}, vector 1$"):
+        stage_switch_sets(aset, source, "VS")
+
+
+def test_unsupported_scheme_source_names_its_type():
+    model, stages = small_stage_sets(5, horizon=2)
+    with pytest.raises(InputError, match="unsupported scheme source list"):
+        compute_bounds(model, stages, [lattice_root(3)])
 
 
 def test_vs_negative_implies_pairwise_oracle_negative():

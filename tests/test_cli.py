@@ -276,8 +276,10 @@ def test_eval_of_an_incomplete_per_region_map_exits_2_before_drawing(tmp_path, m
     model = gen_model(tmp_path)
     policy = solve_policy(tmp_path, model)
     result = tmp_path / "search.json"
-    assert run(["search", policy, "--method", "vs-sum", "--scope", "last",
-                "--out", result]) == 0
+    assert run(["search", policy, "--method", "vs-sum", "--out", result]) == 0
+    doc = json.loads(result.read_text())
+    del doc["per_region"]["1:0"]
+    result.write_text(json.dumps(doc))
     draws, sample = [], evaluate.sample_beliefs
     monkeypatch.setattr(evaluate, "sample_beliefs",
                         lambda *args: draws.append(args) or sample(*args))
@@ -288,6 +290,42 @@ def test_eval_of_an_incomplete_per_region_map_exits_2_before_drawing(tmp_path, m
         assert ("per-region scheme map has no entry for stage 1, vector 0"
                 in capsys.readouterr().err)
     assert draws == []
+
+
+@pytest.mark.parametrize("method", ["vs-sum", "vs-max"])
+def test_estimator_search_with_scope_last_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                 method):
+    from beliefproj import search
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    decoded, scored = [], []
+    decode, scores = cli._policy_from_doc, search.incremental_scores
+    monkeypatch.setattr(cli, "_policy_from_doc", lambda *a: decoded.append(a) or decode(*a))
+    monkeypatch.setattr(search, "incremental_scores", lambda *a: scored.append(a) or scores(*a))
+    out = tmp_path / "search.json"
+    capsys.readouterr()
+    assert run(["search", policy, "--method", method, "--scope", "last", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"search method '{method}' covers every stage; scope 'last'" in err
+    assert decoded == [] and scored == []
+    assert not out.exists() and not (tmp_path / "search.json.manifest.json").exists()
+
+
+def test_per_region_keys_naming_one_region_twice_exit_2(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "vs-sum", "--out", result]) == 0
+    doc = json.loads(result.read_text())
+    doc["per_region"]["01:0"] = [["x0", "x1"]]
+    result.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", model, policy, result, "--mode", "single", "--seed", 0,
+                "--out", report]) == 2
+    err = capsys.readouterr().err
+    assert "per-region keys '1:0' and '01:0' both name stage 1, vector 0" in err
+    assert not report.exists()
 
 
 def test_cli_defaults_are_the_librarys():

@@ -6,7 +6,7 @@ from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         belief_update, evaluate, lattice_children, lattice_root,
                         observation_probabilities, project, random_belief,
                         random_pomdp, solve, value_of, vs_search)
-from beliefproj.bounds import scheme_lookup
+from beliefproj.bounds import scheme_of
 from beliefproj.evaluate import BRANCH_TOL, DEPTH_GUARD, _block_values, _leaf_steps
 from beliefproj.errors import ZeroProbabilityObservation
 from beliefproj.model import ZERO_OBS_TOL, sample_beliefs
@@ -133,7 +133,6 @@ def test_achieved_value_single_stage_modes_agree(rng):
 def _policy_tree_oracle(model, stages, scheme_source, b0, mode):
     """Two-pass reference: first build the induced plan tree by walking the
     approximate track, then price that fixed tree against exact dynamics."""
-    lookup = scheme_lookup(scheme_source)
     horizon = len(stages)
 
     def build(b_approx, k):
@@ -142,7 +141,7 @@ def _policy_tree_oracle(model, stages, scheme_source, b0, mode):
         action = aset.actions[idx]
         children = {}
         if k > 1:
-            scheme = lookup(k, idx)
+            scheme = scheme_of(scheme_source, k, idx)
             for z in range(model.n_observations):
                 try:
                     nxt = belief_update(model, b_approx, action, z)
@@ -155,7 +154,7 @@ def _policy_tree_oracle(model, stages, scheme_source, b0, mode):
         return {"action": action, "children": children}
 
     _, top = value_of(b0, stages[-1])
-    start = project(b0, lookup(horizon, top))
+    start = project(b0, scheme_of(scheme_source, horizon, top))
     tree = build(start, horizon)
 
     def price(node, b_exact, k):
@@ -259,7 +258,7 @@ def test_average_error_seed_determinism():
 
 def test_per_region_scheme_map_evaluates(rng):
     model, stages = solved(11, n=3, horizon=2)
-    result = vs_search(stages, "sum", scope="all")
+    result = vs_search(stages, "sum")
     for mode in ("single", "successive"):
         report = average_error(model, stages, result.per_region,
                                EvalConfig(num_beliefs=50, seed=2, mode=mode),
@@ -309,11 +308,11 @@ def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
     model = random_pomdp(n, 3, obs, np.random.default_rng(seed), discount=0.9)
     stages = solve(model, horizon)
     sources = {"global": lattice_root(n),
-               "per-region": vs_search(stages, "sum", scope="all").per_region}
+               "per-region": vs_search(stages, "sum").per_region}
     beliefs = sample_beliefs(model.n_states, 40, np.random.default_rng(seed))
     for name, source in sources.items():
         for mode in ("single", "successive"):
-            optimal, achieved, _ = _block_values(model, stages, scheme_lookup(source),
+            optimal, achieved, _ = _block_values(model, stages, source,
                                                  beliefs, mode, _leaf_steps(model))
             for row, b0 in enumerate(beliefs):
                 want, _ = value_of(b0, stages[-1])
@@ -374,7 +373,7 @@ def faint_column_instance(weight):
     model = Pomdp(model.variables, model.actions, model.observations, model.transition,
                   observation, model.reward, model.discount)
     stages = solve(model, 3)
-    return model, stages, vs_search(stages, "sum", scope="all").per_region
+    return model, stages, vs_search(stages, "sum").per_region
 
 
 @pytest.mark.parametrize("case", ["zero-column", "faint-column", "restart"])
@@ -406,7 +405,7 @@ def test_leaf_branches_under_branch_tol_match_recursive(monkeypatch, case):
     num_beliefs = 70
     for mode in ("single", "successive"):
         beliefs = sample_beliefs(model.n_states, num_beliefs, np.random.default_rng(6))
-        _, achieved, restarts = _block_values(model, stages, scheme_lookup(source),
+        _, achieved, restarts = _block_values(model, stages, source,
                                               beliefs, mode, _leaf_steps(model))
         recursion_restarts = 0
         for row, b0 in enumerate(beliefs):
@@ -427,7 +426,7 @@ def test_restart_path_matches_recursive_and_is_counted():
     num_beliefs = 70  # two blocks, the second one partial
     for mode, restarts_per_belief in (("single", 0), ("successive", 2)):
         beliefs = sample_beliefs(4, num_beliefs, np.random.default_rng(4))
-        _, achieved, restarts = _block_values(model, stages, scheme_lookup(scheme),
+        _, achieved, restarts = _block_values(model, stages, scheme,
                                               beliefs, mode, _leaf_steps(model))
         assert restarts == restarts_per_belief * num_beliefs
         for row, b0 in enumerate(beliefs):
@@ -471,11 +470,11 @@ def test_only_levels_above_the_leaves_project_the_approximate_track(monkeypatch,
     project_batch = evaluate.project_batch
     monkeypatch.setattr(evaluate, "project_batch", spy)
     sources = {"global": lattice_root(3),
-               "per-region": vs_search(stages, "sum", scope="all").per_region}
+               "per-region": vs_search(stages, "sum").per_region}
     levels = horizon - 1 if mode == "successive" else min(horizon - 1, 1)
     for source in sources.values():
         projected.clear()
-        _, achieved, restarts = _block_values(model, stages, scheme_lookup(source),
+        _, achieved, restarts = _block_values(model, stages, source,
                                               beliefs, mode, _leaf_steps(model))
         # a dense model reaches every observation at every level
         assert sum(projected) == 20 * sum(model.n_observations ** level

@@ -80,7 +80,7 @@ def test_incremental_matches_from_scratch_along_descents(rng):
 
 def test_vs_search_two_variables_single_edge():
     model, stages = solved_instance(0, n=2)
-    result = vs_search(stages, "sum", scope="last")
+    result = vs_search(stages[-1:], "sum")
     for scheme in result.per_region.values():
         assert scheme.blocks == ((0, 1),)
 
@@ -95,7 +95,7 @@ def test_vs_search_constant_gradients_stay_at_root():
 
 def test_vs_search_scope_all_covers_every_stage():
     model, stages = solved_instance(1, horizon=3)
-    result = vs_search(stages, "sum", scope="all")
+    result = vs_search(stages, "sum")
     expected_keys = {(aset.stage, i) for aset in stages for i in range(len(aset))}
     assert set(result.per_region) == expected_keys
 
@@ -103,7 +103,7 @@ def test_vs_search_scope_all_covers_every_stage():
 def test_vs_search_child_choice_matches_exhaustive_scoring():
     model, stages = solved_instance(2, n=4, horizon=2)
     aset = stages[-1]
-    result = vs_search([aset], "sum", scope="last")
+    result = vs_search(stages[-1:], "sum")
     for i in range(len(aset)):
         grads = np.delete(aset.matrix[i] - aset.matrix, i, axis=0)
         node = lattice_root(4)
@@ -123,7 +123,7 @@ def test_vs_search_child_choice_matches_exhaustive_scoring():
 
 def test_vs_search_trace_scores_nonincreasing():
     model, stages = solved_instance(3, n=4, horizon=2)
-    result = vs_search(stages, "max", scope="last")
+    result = vs_search(stages[-1:], "max")
     for trace in result.trace.values():
         scores = [step["score"] for step in trace]
         assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
@@ -292,6 +292,12 @@ def test_unknown_method_rejected():
         SearchConfig(method="b-oracle")
     with pytest.raises(InputError):
         SearchConfig(method="b-vs", scope="middle")
+
+
+@pytest.mark.parametrize("method", ["vs-sum", "vs-max"])
+def test_estimator_search_refuses_scope_last(method):
+    with pytest.raises(InputError, match=f"'{method}' covers every stage; scope 'last'"):
+        SearchConfig(method, "last")
 
 
 def test_b_lp_switch_lps_take_at_most_half_the_lowest_index_pivots(monkeypatch):

@@ -2,9 +2,10 @@
 
     python tools/artifact_grid.py --out DIR
 
-Each instance is generated, solved, searched with all six methods under
-scopes ``all`` and ``last``, and every search result is evaluated in
-``single`` and ``successive`` mode at 300 beliefs: 38 commands per instance.
+Each instance is generated, solved, searched with the four bound methods
+under scopes ``all`` and ``last`` and the two estimator methods, which cover
+every stage, under ``all``, and every search result is evaluated in
+``single`` and ``successive`` mode at 300 beliefs: 32 commands per instance.
 The commands run in this process through ``beliefproj.cli.main`` on the
 ``src`` tree next to this script, and write into a fresh directory ``DIR``.
 
@@ -13,7 +14,8 @@ order: the digest (``-`` when the command wrote nothing), the exit code of
 the command that writes it, and its path under ``DIR``. Manifests are left
 out, since they hold wall-clock times. Two checkouts write byte-identical
 artifacts with the same exit codes exactly when their outputs are equal, so
-comparing them is one ``diff``. A summary line goes to standard error.
+comparing them is one ``diff``. A summary line with the counts of commands,
+artifacts and commands that exited non-zero goes to standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from beliefproj import cli  # noqa: E402
-from beliefproj.search import ALL_METHODS  # noqa: E402
+from beliefproj.search import ALL_METHODS, BOUND_METHODS  # noqa: E402
 
 # (variables, actions, observations, horizon, gen seed)
 INSTANCES = ((3, 2, 2, 3, 1), (6, 2, 2, 3, 2), (4, 2, 2, 3, 3), (2, 2, 3, 4, 4),
@@ -50,7 +52,7 @@ def instance_commands(index: int, instance, out: Path):
     yield ["solve", str(model), "--horizon", str(horizon), "--out", str(policy)], [policy]
     results = []
     for method in ALL_METHODS:
-        for scope in SCOPES:
+        for scope in SCOPES if method in BOUND_METHODS else ("all",):
             result = d / f"search_{method}_{scope}.json"
             results.append(result)
             yield (["search", str(policy), "--method", method, "--scope", scope,
@@ -78,11 +80,12 @@ def main(argv=None) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         parser.error(f"{out} is not an empty directory")
     out.mkdir(parents=True, exist_ok=True)
-    commands = artifacts = 0
+    commands = artifacts = failed = 0
     for index, instance in enumerate(INSTANCES):
         for command, paths in instance_commands(index, instance, out):
             code = run(command)
             commands += 1
+            failed += code != 0
             for path in paths:
                 if path.is_file():
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -90,7 +93,7 @@ def main(argv=None) -> int:
                 else:
                     digest = "-"
                 print(f"{digest} {code} {path.relative_to(out).as_posix()}", flush=True)
-    print(f"{commands} commands, {artifacts} artifacts", file=sys.stderr)
+    print(f"{commands} commands, {artifacts} artifacts, {failed} failed", file=sys.stderr)
     return 0
 
 
