@@ -303,7 +303,14 @@ def scheme_source_doc(scheme_source, variables):
 def compute_bounds(model: Pomdp, stage_sets: list[AlphaSet],
                    scheme_source) -> tuple[list[float], list[float]]:
     """Per-stage B and E bounds, stage 1 first: B from the VS switch sets,
-    E through the alternative-set recursion."""
+    E through the alternative-set recursion. A per-region map must give a
+    scheme to every vector of ``stage_sets`` and to nothing else."""
+    if isinstance(scheme_source, dict):
+        sizes = {aset.stage: len(aset) for aset in stage_sets}
+        for stage, idx in scheme_source:
+            if not 0 <= idx < sizes.get(stage, 0):
+                raise InputError(f"per-region scheme key '{stage}:{idx}' names no vector "
+                                 "of the policy")
     sw_per_stage = [stage_switch_sets(aset, scheme_source, "VS") for aset in stage_sets]
     alts = alt_sets(model, stage_sets, sw_per_stage)
     return ([bound_from_switch_sets(aset, sw) for aset, sw in zip(stage_sets, sw_per_stage)],

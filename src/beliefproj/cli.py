@@ -5,8 +5,12 @@ seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json``
 run log, never into artifacts. Every JSON artifact and manifest goes through
 one writer, ``_write_json``, whose bytes are those of ``json.dump(doc, fh,
 indent=2, sort_keys=True)`` plus a newline; it hands each list of numbers to
-the C encoder in one call. Exit codes: 0 ok, 2 input error, 3 guard or
-resource error, 4 numerical failure.
+the C encoder in one call. The one value it writes otherwise is a
+:class:`JsonText`: ``solve`` embeds the model file's text that way,
+re-indented, so a policy's ``model`` is the very document its
+``model_sha256`` digests, and a model that ``gen`` wrote keeps the bytes
+``model_to_spec`` would give it. Exit codes: 0 ok, 2 input error, 3 guard
+or resource error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,26 +50,44 @@ def _read_bytes(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _parse_json(path: str, data: bytes):
+def _utf8(path: str, data: bytes) -> str:
     try:
-        return json.loads(data.decode("utf-8"))
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
+def _decode(path: str, decode, text: str | None = None):
+    """``decode`` of the JSON document at ``path``, whose text is ``text``
+    when it was read already; an InputError it raises is raised again with
+    ``path`` in front.
+
+    Python's parser also reads ``NaN``, ``Infinity`` and ``-Infinity``,
+    which are not JSON. A document holding one is refused, but only once
+    ``decode`` has accepted it, so a message about the value it spoils comes
+    first.
+    """
+    if text is None:
+        text = _utf8(path, _read_bytes(path))
+    constants = []
+
+    def constant(name):
+        constants.append(name)
+        return float(name)
+
+    try:
+        doc = json.loads(text, parse_constant=constant)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply to read") from None
-
-
-def _decode(path: str, decode, data: bytes | None = None):
-    """``decode`` of the JSON document at ``path``, whose bytes are ``data``
-    when they were read already; an InputError it raises is raised again
-    with ``path`` in front."""
-    doc = _parse_json(path, _read_bytes(path) if data is None else data)
     try:
-        return decode(doc)
+        value = decode(doc)
     except InputError as e:
         raise InputError(f"{path}: {e}") from None
+    if constants:
+        raise InputError(f"{path}: {constants[0]} is not a JSON number")
+    return value
 
 
 def _open_output(path: str, newline: str | None = None):
@@ -75,11 +98,23 @@ def _open_output(path: str, newline: str | None = None):
 
 
 INDENT = "  "
+JSON_SPACE = " \t\n\r"  # the whitespace a JSON text may hold between tokens
+TEXT_SLICE = 1 << 16  # characters of a JsonText re-indented at a time
+
+
+@dataclass(frozen=True)
+class JsonText:
+    """A JSON text that :func:`_json_chunks` writes as it is, re-indented to
+    its depth. Its leading and trailing whitespace is left out."""
+
+    text: str
 
 
 def _json_chunks(doc):
     """The text of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
-    in pieces, raising what it raises.
+    in pieces, raising what it raises, except that a :class:`JsonText` is
+    written as its own text: any JSON text, compact, unsorted or with CRLF
+    line ends.
 
     Dicts and lists are walked the way the stdlib's indented encoder walks
     them, in Python. A list of scalars instead goes to the C encoder in one
@@ -87,6 +122,12 @@ def _json_chunks(doc):
     Only a container that is not empty encodes differently there, and its
     text holds a brace or a bracket, so a list whose text holds neither past
     its opening bracket qualifies. One list's text is held at a time.
+
+    A JsonText nested at depth d gets ``2·d`` more spaces after each of its
+    newlines, in slices of ``TEXT_SLICE`` characters. A JSON string cannot
+    hold a raw newline, so that changes whitespace only, and the text of a
+    document this function wrote comes out as it writes the same document
+    at that depth.
     """
     encoders = []
 
@@ -120,8 +161,13 @@ def _json_chunks(doc):
                 return
             # a list that starts with a container would mostly fail the test
             if not isinstance(o[0], (list, tuple, dict)):
-                text = encoder(depth + 1)(o)
-                if "{" not in text and text.find("[", 1) < 0:
+                try:
+                    text = encoder(depth + 1)(o)
+                except TypeError:
+                    # a JsonText item, which the walk writes, or one the
+                    # walk refuses with the same error
+                    text = None
+                if text is not None and "{" not in text and text.find("[", 1) < 0:
                     yield "[" + inner + text[1:-1] + "\n" + INDENT * depth + "]"
                     return
             sep = "[" + inner
@@ -130,6 +176,15 @@ def _json_chunks(doc):
                 sep = "," + inner
                 yield from walk(value, depth + 1)
             yield "\n" + INDENT * depth + "]"
+        elif isinstance(o, JsonText):
+            text, newline = o.text, "\n" + INDENT * depth
+            start, end = 0, len(text)
+            while start < end and text[start] in JSON_SPACE:
+                start += 1
+            while end > start and text[end - 1] in JSON_SPACE:
+                end -= 1
+            for lo in range(start, end, TEXT_SLICE):
+                yield text[lo:min(lo + TEXT_SLICE, end)].replace("\n", newline)
         else:
             yield encoder(0)(o)
 
@@ -211,11 +266,15 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     started = time.perf_counter()
     data = _read_bytes(args.model)
-    model = _decode(args.model, compile_model, data)
+    digest = hashlib.sha256(data).hexdigest()
+    text = _utf8(args.model, data)
+    del data  # the text is the one copy of the file kept through the solve
+    model = _decode(args.model, compile_model, text)
     solve_start = time.perf_counter()
     stages = solve(model, args.horizon, cap=args.cap)
     solve_seconds = time.perf_counter() - solve_start
-    doc = {"model": model_to_spec(model), "model_sha256": hashlib.sha256(data).hexdigest(),
+    # the model as read, so the policy's model is the document digested
+    doc = {"model": JsonText(text), "model_sha256": digest,
            "horizon": args.horizon, "stages": stages_to_doc(stages)}
     _write_json(args.out, doc)
     sizes = [len(s) for s in stages]
@@ -253,7 +312,7 @@ def cmd_eval(args) -> int:
     data = _read_bytes(args.model)
     if hashlib.sha256(data).hexdigest() != digest:
         # a file that does not decode says so before it is called the wrong model
-        _decode(args.model, compile_model, data)
+        _decode(args.model, compile_model, _utf8(args.model, data))
         raise InputError(f"{args.model} is not the model {args.policy} was solved for")
     result = _decode(args.scheme, lambda doc: result_from_doc(doc, model.variables))
     source = result.scheme if result.scheme is not None else result.per_region

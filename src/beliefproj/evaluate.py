@@ -283,7 +283,8 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     """Mean decision loss over random initial beliefs at the full solved
     horizon, with the scheme's B/E bounds (VS switch tests) attached for the
     same instance. The bounds come first, so a scheme source that lacks a
-    vector's scheme fails before any belief is drawn.
+    vector's scheme, or names a vector the policy lacks, fails before any
+    belief is drawn.
 
     The beliefs are drawn ``EVAL_BLOCK`` rows at a time from one generator,
     so they are the same beliefs as ``num_beliefs`` successive

@@ -148,20 +148,39 @@ def undominated(mat: np.ndarray) -> np.ndarray:
     return idx[~dominated]
 
 
+def _point_winners(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows that beat every other row by more than
+    ``DOMINANCE_TOL`` at a corner of the belief simplex or at its centre."""
+    vals = np.column_stack([rows, rows @ np.full(rows.shape[1], 1.0 / rows.shape[1])])
+    best, points = vals.argmax(axis=0), np.arange(vals.shape[1])
+    top = vals[best, points]
+    vals[best, points] = -np.inf
+    # a mask, not np.unique, which imports numpy.ma on its first call
+    won = np.zeros(rows.shape[0], dtype=bool)
+    won[best[top - vals.max(axis=0) > DOMINANCE_TOL]] = True
+    return np.flatnonzero(won)
+
+
 def prune(aset: AlphaSet) -> AlphaSet:
     """Parsimonious subset: keeps a vector iff some belief makes it strictly
     better than every other retained vector.
 
     Exact duplicates collapse to the first occurrence, pointwise-dominated
     vectors go in a fast path (:func:`undominated`), and the rest is
-    witness-LP filtering. Output preserves the original relative order.
+    witness-LP filtering. A vector that beats every other candidate at a
+    simplex corner or the centre has that point for its witness, so it is
+    kept before the first LP (the point-based pre-pass of Lark's filter) and
+    the LPs test the others against it. Output preserves the original
+    relative order.
     """
     if len(aset) <= 1:
         return aset
 
     mat = aset.matrix
-    kept: list[int] = []
-    pending = undominated(mat).tolist()
+    candidates = undominated(mat)
+    kept = candidates[_point_winners(mat[candidates])].tolist()
+    seeded = set(kept)
+    pending = [i for i in candidates.tolist() if i not in seeded]
     while pending:
         i = pending[0]
         b = _witness(mat[i], [mat[j] for j in kept])

@@ -6,7 +6,7 @@ import pytest
 
 from beliefproj import cli
 from beliefproj.cli import main
-from beliefproj.model import compile_model
+from beliefproj.model import compile_model, model_to_spec
 
 
 def run(args):
@@ -418,8 +418,17 @@ def test_eval_bound_columns_match_in_process_bounds(tmp_path):
 def test_witness_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     from beliefproj import LpResult, solver
     model = gen_model(tmp_path)
-    monkeypatch.setattr(solver, "solve_lp", lambda lp: LpResult("infeasible"))
-    assert run(["solve", model, "--horizon", 2, "--out", tmp_path / "p.json"]) == 4
+    calls = []
+
+    def failing(lp):
+        calls.append(lp)
+        return LpResult("infeasible")
+
+    monkeypatch.setattr(solver, "solve_lp", failing)
+    # at horizon 2 every plan wins at a simplex corner or the centre, so
+    # prune solves no witness LP; horizon 3 solves one
+    assert run(["solve", model, "--horizon", 3, "--out", tmp_path / "p.json"]) == 4
+    assert calls
     assert "witness LP unexpectedly infeasible" in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
 
@@ -775,3 +784,103 @@ def test_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys, role):
         err = capsys.readouterr().err
         assert f"error: {files[role]}: JSON nested too deeply to read" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_solve_refuses_a_non_json_constant_the_model_does_not_read(tmp_path, capsys, token):
+    doc = json.loads(gen_model(tmp_path).read_text())
+    doc["notes"] = "TOKEN"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    policy = tmp_path / "p.json"
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 2, "--out", policy]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {token} is not a JSON number" in err and "Traceback" not in err
+    assert not policy.exists()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1, 0), (2, 2, 2, 2, 3), (3, 2, 3, 3, 1),
+                                   (4, 3, 2, 2, 5)])
+def test_policy_of_a_generated_model_has_the_bytes_of_the_re_encoded_model(tmp_path, shape):
+    """The policy embeds the model file's text; for a file ``gen`` wrote
+    that is exactly the text of the model decoded and written again."""
+    n_vars, actions, obs, horizon, seed = shape
+    model = tmp_path / "model.json"
+    assert run(["gen", "--vars", n_vars, "--actions", actions, "--obs", obs, "--seed", seed,
+                "--out", model]) == 0
+    policy = solve_policy(tmp_path, model, horizon=horizon)
+    doc = json.loads(policy.read_text(encoding="utf-8"))
+    doc["model"] = model_to_spec(compile_model(json.loads(model.read_text(encoding="utf-8"))))
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert policy.read_text(encoding="utf-8") == expected
+
+
+def _cpt_transitions(doc):
+    doc["transitions"] = {a: {"cpts": {"x0": {"parents": ["x0"], "rows": [[0.1, 0.9], [0.8, 0.2]]},
+                                       "x1": {"rows": [[0.5, 0.5]]}}}
+                          for a in doc["actions"]}
+    return json.dumps(doc, indent=2)
+
+
+def _integer_entries(doc):
+    doc["reward"] = [1, 0, -2, 3]
+    doc["observation"]["a0"] = [[1, 0], [0, 1], [1, 0], [0, 1]]
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("write", [
+    lambda doc: json.dumps(doc, separators=(",", ":")),
+    _integer_entries,
+    _cpt_transitions,
+    lambda doc: json.dumps(dict(doc, notes={"by": "hand", "sizes": [2, 2, 2]}), indent=2),
+    lambda doc: "\r\n" + json.dumps(doc, indent=4).replace("\n", "\r\n") + "\r\n",
+], ids=["compact", "integers", "cpts", "extra-key", "crlf"])
+def test_policy_embeds_a_hand_written_model_as_read(tmp_path, write):
+    doc = json.loads(gen_model(tmp_path).read_text())
+    model = tmp_path / "hand.json"
+    model.write_bytes(write(doc).encode("utf-8"))
+    policy = solve_policy(tmp_path, model)
+    assert json.loads(policy.read_text())["model"] == json.loads(model.read_text())
+    search = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "b-vs", "--out", search]) == 0
+    assert run(["eval", model, policy, search, "--mode", "successive", "--beliefs", 20,
+                "--seed", 1, "--out", tmp_path / "report.json"]) == 0
+
+
+@pytest.mark.parametrize("extra", [("99:0", "-1:7"), ("-1:7",), ("1:1",), ("3:0",)])
+def test_eval_of_a_per_region_map_naming_no_vector_exits_2_before_drawing(tmp_path, monkeypatch,
+                                                                          capsys, extra):
+    from beliefproj import evaluate
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)  # stages of 1 and 2 vectors
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "vs-sum", "--out", result]) == 0
+    doc = json.loads(result.read_text())
+    for key in extra:
+        doc["per_region"][key] = [["x0"], ["x1"]]
+    result.write_text(json.dumps(doc))
+    draws, sample = [], evaluate.sample_beliefs
+    monkeypatch.setattr(evaluate, "sample_beliefs",
+                        lambda *args: draws.append(args) or sample(*args))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run(["eval", model, policy, result, "--mode", "single", "--beliefs", 10,
+                "--seed", 0, "--out", report]) == 2
+    err = capsys.readouterr().err
+    assert f"per-region scheme key '{extra[0]}' names no vector of the policy" in err
+    assert draws == [] and not report.exists()
+
+
+def test_eval_refuses_a_non_json_constant_in_a_search_result(tmp_path, capsys):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "b-vs", "--out", result]) == 0
+    doc = json.loads(result.read_text())
+    doc["trace"] = "TOKEN"
+    result.write_text(json.dumps(doc).replace('"TOKEN"', "NaN"))
+    capsys.readouterr()
+    assert run(["eval", model, policy, result, "--mode", "single", "--beliefs", 10,
+                "--seed", 0, "--out", tmp_path / "report.json"]) == 2
+    assert f"{result}: NaN is not a JSON number" in capsys.readouterr().err

@@ -76,3 +76,35 @@ def test_every_artifact_of_a_pipeline_is_indented_sorted_json(tmp_path):
     for path in written:
         text = path.read_text(encoding="utf-8")
         assert text == reference(json.loads(text)) + "\n", path.name
+
+
+def nested(value, depth):
+    """``value`` inside ``depth`` levels of alternating objects and lists."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 else [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5])
+@pytest.mark.parametrize("text_slice", [cli.TEXT_SLICE, 3])
+def test_json_text_is_written_as_read_with_the_indentation_of_its_depth(depth, text_slice,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cli, "TEXT_SLICE", text_slice)
+    text = '\r\n {"b": [1,\n 2.5e0],\r\n\t"a": {"s": "x\\ny", "t": []}}\n\n'
+    written = "".join(cli._json_chunks(nested(cli.JsonText(text), depth)))
+    assert text.strip().replace("\n", "\n" + "  " * depth) in written
+    assert json.loads(written) == nested(json.loads(text), depth)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(documents, st.integers(0, 4))
+def test_json_text_of_a_written_document_writes_as_the_document(doc, depth):
+    text = outcome(reference, doc)
+    if isinstance(text, str):
+        assert ("".join(cli._json_chunks(nested(cli.JsonText(text + "\n"), depth)))
+                == reference(nested(doc, depth)))
+
+
+def test_json_text_after_a_number_in_a_list():
+    written = "".join(cli._json_chunks([1.5, cli.JsonText('{"a": [1,\n2]}\n')]))
+    assert written == '[\n  1.5,\n  {"a": [1,\n  2]}\n]'

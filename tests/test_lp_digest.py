@@ -30,8 +30,12 @@ def test_one_instance_lists_every_lp_with_its_shape_and_digest(digest, capsys, m
         assert status in ("optimal", "stopped", "infeasible", "unbounded")
         assert int(pivots) >= 0 and int(rows) > 0 and int(cols) > 0
         assert len(sha) == 64 and int(sha, 16) >= 0
-    pivots = sum(int(pivots) for _, _, pivots, *_ in lines)
-    assert captured.err == f"{len(lines)} LPs, {pivots} pivots\n"
+    per_site = {site: (sum(s == site for s, *_ in lines),
+                       sum(int(p) for s, _, p, *_ in lines if s == site))
+                for site in ("bounds", "solver")}
+    pivots = sum(p for _, p in per_site.values())
+    sites = "; ".join(f"{site} {n} LPs, {p} pivots" for site, (n, p) in per_site.items())
+    assert captured.err == f"{len(lines)} LPs, {pivots} pivots ({sites})\n"
 
 
 def test_a_line_hashes_x_then_the_final_tableau_and_basis(digest):

@@ -290,3 +290,64 @@ def test_policy_doc_roundtrip():
     assert stages_to_doc(again) == doc
     for a, b in zip(stages, again):
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def unseeded_prune(aset):
+    """``prune`` without the corner and centre seeding: the parsimonious
+    filter that finds every kept vector through a witness LP."""
+    mat = aset.matrix
+    kept, pending = [], undominated(mat).tolist()
+    while pending:
+        i = pending[0]
+        b = solver._witness(mat[i], [mat[j] for j in kept])
+        if b is None:
+            pending.pop(0)
+            continue
+        best = pending[int(np.argmax([float(mat[j] @ b) for j in pending]))]
+        kept.append(best)
+        pending.remove(best)
+    return aset.take(sorted(kept))
+
+
+def random_stage_sets(rng):
+    """Stage sets drawn three ways: Gaussian rows, rows rounded to force
+    ties, and the backups of small random models at stages 1 to 3."""
+    for _ in range(80):
+        m, dim = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+        mat = rng.normal(size=(m, dim))
+        yield AlphaSet(1, mat, np.arange(m), np.zeros((m, 0), dtype=np.intp))
+        mat = np.round(mat, 1)
+        yield AlphaSet(1, mat, np.arange(m), np.zeros((m, 0), dtype=np.intp))
+    for seed in range(15):
+        shape = [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)][seed % 4]
+        model = random_pomdp(*shape, np.random.default_rng(seed), discount=0.9)
+        prev = zero_stage(model)
+        for _ in range(3):
+            raw = backup(model, prev)
+            yield raw
+            prev = unseeded_prune(raw)
+
+
+def test_prune_keeps_the_rows_of_the_unseeded_filter(rng):
+    count = 0
+    for aset in random_stage_sets(rng):
+        got, want = prune(aset), unseeded_prune(aset)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.actions, want.actions)
+        assert np.array_equal(got.strategies, want.strategies)
+        count += 1
+    assert count >= 200
+
+
+def test_seeded_prune_solves_fewer_witness_lps(monkeypatch):
+    model = random_pomdp(6, 2, 2, np.random.default_rng(1000))
+    calls, solve_lp = [], solver.solve_lp
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+    seeded = solve(model, 3)
+    seeded_calls = len(calls)
+    monkeypatch.setattr(solver, "prune", unseeded_prune)
+    unseeded = solve(model, 3)
+    assert 0 < seeded_calls < len(calls) - seeded_calls
+    for got, want in zip(seeded, unseeded):
+        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got.strategies, want.strategies)

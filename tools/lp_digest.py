@@ -15,7 +15,9 @@ program's rows (constraints plus finite upper bounds) and columns, and a
 SHA-256 over the result's x, final tableau and basis (of nothing when it has
 none). Two checkouts solve these programs the same, pivot for pivot and bit
 for bit, exactly when their listings are equal, so comparing them is one
-``diff``. A summary line goes to standard error.
+``diff``. A summary line goes to standard error: the LPs and pivots of
+the whole listing, then of each site in name order, as in
+``7 LPs, 20 pivots (bounds 4 LPs, 12 pivots; solver 3 LPs, 8 pivots)``.
 """
 
 from __future__ import annotations
@@ -83,9 +85,22 @@ def main(argv=None) -> int:
                 if run(command) != 0:
                     sys.exit(f"{command[0]} of instance {index} failed")
     print("\n".join(lines))
-    pivots = sum(int(line.split(" ")[2]) for line in lines)
-    print(f"{len(lines)} LPs, {pivots} pivots", file=sys.stderr)
+    print(summary(lines), file=sys.stderr)
     return 0
+
+
+def summary(lines: list[str]) -> str:
+    """The LP and pivot counts of a listing, in all and per site."""
+    totals: dict[str, list[int]] = {}
+    for line in lines:
+        site, _status, pivots, *_ = line.split(" ")
+        counts = totals.setdefault(site, [0, 0])
+        counts[0] += 1
+        counts[1] += int(pivots)
+    sites = "; ".join(f"{site} {lps} LPs, {pivots} pivots"
+                      for site, (lps, pivots) in sorted(totals.items()))
+    pivots = sum(pivots for _lps, pivots in totals.values())
+    return f"{len(lines)} LPs, {pivots} pivots ({sites})"
 
 
 if __name__ == "__main__":
