@@ -14,7 +14,7 @@ keyed by (stage, vector index); :func:`scheme_of` reads both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .solver import AlphaSet, undominated
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
 ALT_GUARD = 100_000
 DEFAULT_SAMPLES = 100_000
+MARGINAL_ROWS = 256  # switch-LP marginal rows kept, one per (subset, variable count)
 SCHEME_METHOD = "scheme"  # the method label of a scheme that no search produced
 
 METHODS = ("LP", "VS")
@@ -83,20 +84,18 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionS
     n = dim.bit_length() - 1
     diff = alpha_i - alpha_j
     family = scheme.family
-    margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
     if warm is not None and (warm.lp is None or not warm.subsets <= family.members
-                             or not np.array_equal(warm.lp.program.constraints[0][0], margin)):
+                             or not np.array_equal(warm.lp.program.constraints[0][0][:dim],
+                                                   diff)):
         raise InputError("warm start is not this pair's switch LP under a coarser scheme")
     known = warm.subsets if warm is not None else frozenset()
-    ind = indicator_vector([mask for mask in family.subsets if mask not in known], n)
-    marginals = np.zeros((ind.shape[0], 2 * dim + 1))
-    marginals[:, :dim] = ind
-    marginals[:, dim:2 * dim] = -ind
+    marginals = [_marginal_row(mask, n) for mask in family.subsets if mask not in known]
     if warm is not None:
         lp = warm.lp.extend([(row, 0.0) for row in marginals])
     else:
         objective = np.zeros(2 * dim + 1)
         objective[-1] = 1.0
+        margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
         mirror = np.concatenate([np.zeros(dim), -diff, [-1.0]])
         total = np.concatenate([np.ones(dim), np.zeros(dim + 1)])
         constraints = ([(margin, GREATER, 0.0), (mirror, GREATER, 0.0)]
@@ -110,6 +109,17 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionS
     switches = result.status == "stopped" or result.value > SWITCH_TOL
     witness = (result.x[:dim], result.x[dim:2 * dim]) if switches else None
     return SwitchDecision(switches, float(result.value), witness, result, family.members)
+
+
+@lru_cache(maxsize=MARGINAL_ROWS)
+def _marginal_row(mask: int, n: int) -> np.ndarray:
+    """The switch LP's row for preserved subset ``mask`` over [b, b', x]: the
+    subset's marginal under b minus that under b'. Read-only, so that every
+    program holding it shares one copy."""
+    ind = indicator_vector(mask, n)
+    row = np.concatenate([ind, -ind, [0.0]])
+    row.setflags(write=False)
+    return row
 
 
 def vs_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, basis: WalshBasis) -> SwitchDecision:
@@ -240,12 +250,16 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
     Stage 1 alternatives are the vector itself plus its switch targets. At
     stage k the plan may first switch at the root, then substitute any
     alternative subplan per observation; every reachable plan's value vector
-    is produced by the backup formula. A root's members are one broadcast
-    cross-sum of its per-observation branch values, observation 0 most
-    significant, so they come in ``itertools.product`` order and each is
-    summed in observation order. Each set is reduced to its pointwise-minimal
-    members, which leaves the E bound unchanged. A set that would enumerate
-    more than ``ALT_GUARD`` members raises GuardError before it is built.
+    is produced by the backup formula. A root's members cross-sum its
+    per-observation branch values one observation at a time, observation 0
+    most significant, so they come in ``itertools.product`` order and each is
+    summed in observation order. Each partial cross-sum but the last, and
+    each vector's whole set, is reduced to its pointwise-minimal members,
+    which leaves the E bound unchanged: a partial sum that is >= another
+    everywhere only leads to members >= the other's, rounding included.
+    A partial cross-sum above ``ALT_GUARD`` members, or a last one that
+    would bring its vector's members above it, raises GuardError before it
+    is built.
     """
     alts: list[list[np.ndarray]] = []
     for k, aset in enumerate(stage_sets):
@@ -272,19 +286,31 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
         for i in range(len(aset)):
             blocks, count = [], 0
             for root in (i, *switch_sets[i]):
-                per_z = [branch_values(aset.actions[root], z, p)
-                         for z, p in enumerate(aset.strategies[root])]
-                count += prod(len(values) for values in per_z)
-                if count > ALT_GUARD:
-                    raise GuardError(f"alternative set for stage {k + 1} vector {i} "
-                                     f"exceeds {ALT_GUARD} members")
-                acc = per_z[0]
-                for values in per_z[1:]:
-                    acc = (acc[:, np.newaxis] + values).reshape(-1, acc.shape[1])
+                acc, *rest = [branch_values(aset.actions[root], z, p)
+                              for z, p in enumerate(aset.strategies[root])]
+                for values in rest[:-1]:
+                    _alt_guard(len(acc) * len(values), k + 1, i)
+                    acc = _minimal_members(_cross_sum(acc, values))
+                count += len(acc) * (len(rest[-1]) if rest else 1)
+                _alt_guard(count, k + 1, i)
+                if rest:
+                    acc = _cross_sum(acc, rest[-1])
                 blocks.append(model.reward + model.discount * acc)
             stage_alts.append(_minimal_members(np.concatenate(blocks)))
         alts.append(stage_alts)
     return alts
+
+
+def _alt_guard(members: int, stage: int, idx: int) -> None:
+    if members > ALT_GUARD:
+        raise GuardError(f"alternative set for stage {stage} vector {idx} "
+                         f"exceeds {ALT_GUARD} members")
+
+
+def _cross_sum(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Every row of ``acc`` plus every row of ``values``, ``acc``'s rows most
+    significant."""
+    return (acc[:, np.newaxis] + values).reshape(-1, acc.shape[1])
 
 
 def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:

@@ -25,10 +25,10 @@ above it still runs to the optimum.
 
 from __future__ import annotations
 
-import copy
 import operator
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import inf
 
 import numpy as np
 
@@ -57,7 +57,13 @@ class LinearProgram:
     ``stop_above``, when set, ends phase 2 at the first vertex whose
     objective is above it, with status "stopped".
 
-    ``free`` marks the variables whose lower bound is None.
+    ``free`` marks the variables whose lower bound is None. The tableau's
+    first columns are each variable's positive part, followed by a free
+    variable's negative part: column k is ``sign[k]`` times variable
+    ``source[k]``, and ``cost`` is the objective over them. ``plus`` holds
+    each variable's positive-part column and ``minus`` its negative-part
+    column, or -1 where it has none. :meth:`LpResult.extend`'s copy shares
+    all six.
     """
 
     objective: np.ndarray
@@ -68,6 +74,11 @@ class LinearProgram:
 
     warm: LpResult | None = field(default=None, init=False, repr=False)
     free: np.ndarray = field(init=False, repr=False, compare=False)
+    source: np.ndarray = field(init=False, repr=False, compare=False)
+    sign: np.ndarray = field(init=False, repr=False, compare=False)
+    cost: np.ndarray = field(init=False, repr=False, compare=False)
+    plus: np.ndarray = field(init=False, repr=False, compare=False)
+    minus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -87,6 +98,15 @@ class LinearProgram:
                 raise InputError("constraint dimension does not match objective")
             if rel not in (LESS, EQUAL, GREATER):
                 raise InputError(f"unknown relation {rel!r}")
+        self.plus = np.arange(n) + np.cumsum(self.free) - self.free
+        self.minus = np.where(self.free, self.plus + 1, -1)
+        self.source = np.repeat(np.arange(n), 1 + self.free)
+        self.sign = np.ones(self.source.shape[0])
+        self.sign[self.minus[self.free]] = -1.0
+        # times +-1 is exact: the objective and its negation
+        self.cost = self.objective[self.source] * self.sign
+        for array in (self.plus, self.minus, self.source, self.sign, self.cost):
+            array.setflags(write=False)
 
 
 @dataclass
@@ -115,21 +135,24 @@ class LpResult:
         n = self.program.objective.shape[0]
         if any(np.asarray(coeffs).shape != (n,) for coeffs, _rhs in rows):
             raise InputError("constraint dimension does not match objective")
-        lp = copy.copy(self.program)
+        # a shallow copy, made directly: copy.copy's generic protocol costs
+        # several times as much, once per warm switch LP
+        lp = LinearProgram.__new__(LinearProgram)
+        lp.__dict__.update(vars(self.program))
         lp.constraints = lp.constraints + [(coeffs, EQUAL, rhs) for coeffs, rhs in rows]
         lp.warm = self
         return lp
 
 
-def _pivot(T: np.ndarray, r: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on T[row, col], every row of T at once, its reduced costs
+    included."""
     pivot_row = T[row]
     pivot_row /= pivot_row[col]
-    factors = T[:, col].copy()
+    factors = T[:, col:col + 1].copy()
     factors[row] = 0.0
-    others = factors.nonzero()[0]
-    T[others] -= factors[others, np.newaxis] * pivot_row
-    if r[col] != 0.0:
-        r -= r[col] * pivot_row[:-1]
+    # a row whose factor is zero, signed or not, keeps its bits
+    np.subtract(T, factors * pivot_row, out=T, where=factors != 0.0)
     basis[row] = col
 
 
@@ -145,20 +168,29 @@ def _leaving_row(T: np.ndarray, basis: np.ndarray, enter: int) -> tuple[int, flo
     below ``PIVOT_REL`` times the largest tied entry: then the tie goes to
     the lowest basic column among the tied rows whose entries are not.
     Dividing by an entry that small next to a usable one blows the tableau up.
+
+    The tableau's last row, the reduced costs, takes no part. A column has
+    one entry per row, a dozen or so, so the test runs over its Python
+    floats, whose arithmetic is numpy's, one IEEE operation at a time.
     """
-    column = T[:, enter]
-    rows = (column > FEAS_TOL).nonzero()[0]
-    if rows.size == 0:
-        return -1, np.inf, False
-    entries = column[rows]
-    rhs = T[rows, -1]
-    ratios = rhs / entries
-    tied = (ratios <= ((rhs + FEAS_TOL) / entries).min()).nonzero()[0]
-    if tied.size > 1:
-        tied = tied[entries[tied] >= PIVOT_REL * entries[tied].max()]
-    k = tied[basis[rows[tied]].argmin()] if tied.size > 1 else tied[0]
-    tiny = entries[k] < PIVOT_FLOOR * np.abs(column).max()
-    return int(rows[k]), float(ratios[k]), tiny
+    column = T[:-1, enter].tolist()
+    rhs = T[:-1, -1].tolist()
+    rows, bound = [], inf
+    for i, entry in enumerate(column):
+        if entry > FEAS_TOL:
+            rows.append(i)
+            harris = (rhs[i] + FEAS_TOL) / entry
+            if harris < bound:
+                bound = harris
+    if not rows:
+        return -1, inf, False
+    tied = [i for i in rows if rhs[i] / column[i] <= bound]
+    if len(tied) > 1:
+        floor = PIVOT_REL * max([column[i] for i in tied])
+        tied = [i for i in tied if column[i] >= floor]
+    leave = min(tied, key=basis.tolist().__getitem__) if len(tied) > 1 else tied[0]
+    tiny = column[leave] < PIVOT_FLOOR * max(max(column), -min(column))
+    return leave, rhs[leave] / column[leave], tiny
 
 
 def _next_stable_column(T, basis, r, bland, first):
@@ -179,8 +211,8 @@ def _next_stable_column(T, basis, r, bland, first):
 
 
 def _run_simplex(T, basis, cost, max_iter, stop_above=None):
-    """Simplex on a canonical tableau; returns ("optimal" | "unbounded" |
-    "stopped", pivots).
+    """Simplex on a canonical tableau whose last row holds the reduced
+    costs; returns ("optimal" | "unbounded" | "stopped", pivots).
 
     Enters the column of largest reduced cost, lowest index on ties. After
     ``DEGENERATE_RUN`` consecutive degenerate pivots it enters the lowest-index
@@ -190,13 +222,16 @@ def _run_simplex(T, basis, cost, max_iter, stop_above=None):
     set, it returns "stopped" at the first vertex, the starting one included,
     whose objective in the tableau is above that threshold.
     """
-    r = cost - cost[basis] @ T[:, :-1]
+    rows, r = T[:-1], T[-1, :-1]
     if r.size == 0:
         return "optimal", 0
     degenerate = 0
     for pivots in range(max_iter):
-        if stop_above is not None and cost[basis] @ T[:, -1] > stop_above:
+        if stop_above is not None and cost[basis] @ rows[:, -1] > stop_above:
             return "stopped", pivots
+        if not pivots:
+            # the starting vertex's reduced costs, once it has not stopped
+            np.subtract(cost, cost[basis] @ rows[:, :-1], out=r)
         bland = degenerate >= DEGENERATE_RUN
         enter = int((r > FEAS_TOL if bland else r).argmax())
         if r[enter] <= FEAS_TOL:
@@ -207,64 +242,71 @@ def _run_simplex(T, basis, cost, max_iter, stop_above=None):
         if leave < 0:
             return "unbounded", pivots
         degenerate = degenerate + 1 if step <= FEAS_TOL else 0
-        _pivot(T, r, basis, leave, enter)
+        _pivot(T, basis, leave, enter)
     raise NumericalError(f"simplex did not converge within {max_iter} pivots")
 
 
-def _tableau(lp: LinearProgram, col_plus, col_minus):
+def _tableau(lp: LinearProgram):
     """Initial tableau, basis and first artificial column: the rows the
-    program's start lacks, appended below the start's tableau. The start is
-    ``lp.warm``'s final tableau, lacking the rows after its program's, or an
-    empty one, lacking the constraints and a <= row per finite upper bound.
-    A row with a negative right-hand side is flipped (swapping <= and >=).
-    Each inequality gets a slack (<=) or surplus (>=) column and each row not
-    <= an artificial, slacks first; a <= row's slack is basic, else its artificial.
+    program's start lacks, appended below the start's tableau, then a row
+    for the reduced costs. The start is ``lp.warm``'s final tableau, lacking
+    the rows after its program's, or an empty one, lacking the constraints
+    and a <= row per finite upper bound. A row with a negative right-hand
+    side is flipped (swapping <= and >=). Each inequality gets a slack (<=)
+    or surplus (>=) column and each row not <= an artificial, slacks first;
+    a <= row's slack is basic, else its artificial.
     """
-    free = lp.free
-    n = free.shape[0]
-    if lp.warm is None:
+    n = lp.objective.shape[0]
+    warm = lp.warm
+    if warm is None:
         rows = lp.constraints + [(np.eye(1, n, j)[0], LESS, bound)
                                  for j, bound in enumerate(lp.upper) if bound is not None]
-        T0 = np.zeros((0, n + np.count_nonzero(free) + 1))
-        basis0 = np.zeros(0, dtype=np.intp)
+        m0, width = 0, lp.cost.shape[0]
     else:
-        rows = lp.constraints[len(lp.warm.program.constraints):]
-        T0, basis0 = lp.warm.tableau
-    m0, width, e = T0.shape[0], T0.shape[1] - 1, len(rows)
-    C = np.array([coeffs for coeffs, _rel, _rhs in rows], dtype=float).reshape(e, n)
-    A = np.zeros((e, width))
-    A[:, col_plus] = C
-    A[:, col_minus] = -C[:, free]
-    b = np.array([float(rhs) for _coeffs, _rel, rhs in rows])
-    # subtract the basic columns' multiples of their rows; pivoting keeps
-    # those columns exact unit vectors, so their entries cancel exactly
-    coef = A[:, basis0]
-    A -= coef @ T0[:, :-1]
-    b -= coef @ T0[:, -1]
-    neg = b < 0.0
-    A[neg] = -A[neg]
-    b[neg] = -b[neg]
-
-    # flipping keeps a row's relation (in)equal, so the slack count is known
-    art_start = width + sum(rel != EQUAL for _coeffs, rel, _rhs in rows)
-    slack, art, units, basis = width, art_start, [], basis0.tolist()
-    for i, (_coeffs, rel, _rhs), flip in zip(range(m0, m0 + e), rows, neg.tolist()):
+        rows = lp.constraints[len(warm.program.constraints):]
+        T0, basis0 = warm.tableau
+        m0, width = T0.shape[0], T0.shape[1] - 1
+    e = len(rows)
+    coeffs, rels, rhs = zip(*rows) if rows else ((), (), ())
+    rhs = [float(value) for value in rhs]
+    # a row flips when its right-hand side, reduced by the start's rows, is
+    # negative. A cold start reduces nothing, and a warm one appends only
+    # equalities, which keep their columns when flipped: the width is known.
+    flips = [value < 0.0 for value in rhs]
+    equalities = rels.count(EQUAL)
+    if warm is not None and equalities != e:
+        raise InputError("a warm start appends equality rows only")
+    art_start = width + e - equalities
+    arts = sum([rel == EQUAL or (rel == LESS) == flip for rel, flip in zip(rels, flips)])
+    T = np.zeros((m0 + e + 1, art_start + arts + 1))
+    A, b = T[m0:-1, :width], T[m0:-1, -1]
+    np.multiply(np.array(coeffs, dtype=float).reshape(e, n)[:, lp.source], lp.sign,
+                out=A[:, :lp.sign.shape[0]])
+    b[:] = rhs
+    if m0:
+        T[:m0, :width] = T0[:, :-1]
+        T[:m0, -1] = T0[:, -1]
+        # subtract the basic columns' multiples of their rows; pivoting keeps
+        # those columns exact unit vectors, so their entries cancel exactly
+        coef = A[:, basis0]
+        A -= coef @ T0[:, :-1]
+        b -= coef @ T0[:, -1]
+        flips = [value < 0.0 for value in b.tolist()]
+    slack, art, basis = width, art_start, (basis0.tolist() if m0 else [])
+    for i, rel, flip in zip(range(m0, m0 + e), rels, flips):
         if flip:
+            np.negative(T[i, :width], out=T[i, :width])
+            T[i, -1] = -T[i, -1]
             rel = _SWAPPED[rel]
         if rel != EQUAL:
-            units.append((i, slack, 1.0 if rel == LESS else -1.0))
+            T[i, slack] = 1.0 if rel == LESS else -1.0
+            if rel == LESS:
+                basis.append(slack)
             slack += 1
         if rel != LESS:
-            units.append((i, art, 1.0))
+            T[i, art] = 1.0
+            basis.append(art)
             art += 1
-        basis.append(units[-1][1])  # its slack if <=, else its artificial
-    T = np.zeros((m0 + e, art + 1))
-    T[:m0, :width] = T0[:, :-1]
-    T[:m0, -1] = T0[:, -1]
-    T[m0:, :width] = A
-    T[m0:, -1] = b
-    for i, j, entry in units:
-        T[i, j] = entry
     return T, np.array(basis, dtype=np.intp), art_start
 
 
@@ -274,13 +316,8 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     Phase 1 maximizes minus the sum of the artificial columns, phase 2 the
     objective, both from the basis :func:`_tableau` starts with.
     """
-    n = lp.objective.shape[0]
-    free = lp.free
-    # free variables split into a positive part and a negative part next to it
-    col_plus = np.arange(n) + np.cumsum(free) - free
-    col_minus = col_plus[free] + 1
-    T, basis, art_start = _tableau(lp, col_plus, col_minus)
-    m, total = T.shape[0], T.shape[1] - 1
+    T, basis, art_start = _tableau(lp)
+    m, total = T.shape[0] - 1, T.shape[1] - 1
 
     max_iter = 10_000 + 200 * (m + total)
     pivots = 0
@@ -291,32 +328,39 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         status, pivots = _run_simplex(T, basis, cost1, max_iter)
         if status != "optimal":
             raise NumericalError("phase-1 simplex reported unbounded; program is malformed")
-        if float(cost1[basis] @ T[:, -1]) < -FEAS_TOL:
+        if float(cost1[basis] @ T[:-1, -1]) < -FEAS_TOL:
             return LpResult("infeasible", pivots=pivots)
         # drive remaining artificials out of the basis or drop redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in np.flatnonzero(basis >= art_start):
-            pivot_cols = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
-            if pivot_cols.size:
-                _pivot(T, np.zeros(total), basis, i, int(pivot_cols[0]))
-                pivots += 1
-            else:
-                keep[i] = False
-        T = np.delete(T[keep], np.s_[art_start:total], axis=1)
-        basis = basis[keep]
+        basic = [i for i, j in enumerate(basis.tolist()) if j >= art_start]
+        if basic:
+            keep = np.ones(m + 1, dtype=bool)
+            for i in basic:
+                pivot_cols = np.flatnonzero(np.abs(T[i, :art_start]) > FEAS_TOL)
+                if pivot_cols.size:
+                    _pivot(T, basis, i, int(pivot_cols[0]))
+                    pivots += 1
+                else:
+                    keep[i] = False
+            if not keep.all():
+                T, basis = T[keep], basis[keep[:-1]]
+        # the right-hand side moves into the first artificial column, and the
+        # tableau ends there
+        T[:, art_start] = T[:, -1]
+        T = T[:, :art_start + 1]
 
     cost2 = np.zeros(T.shape[1] - 1)
-    cost2[col_plus] = lp.objective
-    cost2[col_minus] = -lp.objective[free]
+    cost2[:lp.cost.shape[0]] = lp.cost
     status, phase2 = _run_simplex(T, basis, cost2, max_iter, lp.stop_above)
     pivots += phase2
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)
 
-    full = np.zeros(T.shape[1] - 1)
+    T = T[:-1]
+    # the basic columns' values; the last entry, a variable's missing
+    # negative part, stays zero
+    full = np.zeros(T.shape[1])
     full[basis] = T[:, -1]
-    x = full[col_plus]
-    x[free] -= full[col_minus]
+    x = full[lp.plus] - full[lp.minus]
     T.setflags(write=False)
     basis.setflags(write=False)
     return LpResult(status, x, float(lp.objective @ x), pivots, lp, (T, basis))

@@ -153,13 +153,30 @@ class Pomdp:
         return len(self.observations)
 
 
+def bool_among_numbers(raw, table: np.ndarray) -> bool:
+    """Whether the nested lists ``raw``, which numpy read as the number table
+    ``table``, hold a true or false: among other numbers numpy reads them as
+    1 and 0. Only a table holding an exact 0 or 1 can hide one, so only such
+    a table has its entries' types looked at."""
+    if not ((table == 0.0) | (table == 1.0)).any():
+        return False
+    pending = [raw]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, list):
+            pending.extend(value)
+        elif isinstance(value, bool):
+            return True
+    return False
+
+
 def _numbers(value, what: str) -> np.ndarray:
     """A model table of JSON numbers as a float array; InputError naming
     ``what`` otherwise. Converting with ``dtype=float`` would accept numeric
     strings and booleans, so the table's own dtype is checked first."""
     try:
         table = np.asarray(value)
-        if table.dtype.kind in "iuf":
+        if table.dtype.kind in "iuf" and not bool_among_numbers(value, table):
             return table.astype(float)
     except ValueError:  # a ragged table
         pass

@@ -36,6 +36,7 @@ class ProjectionScheme:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        named = sum(map(len, self.blocks))
         canon = tuple(sorted((tuple(sorted(set(b))) for b in self.blocks),
                              key=lambda b: b[0] if b else -1))
         object.__setattr__(self, "blocks", canon)
@@ -46,6 +47,8 @@ class ProjectionScheme:
             if seen & set(block):
                 raise InputError("projection scheme blocks overlap")
             seen |= set(block)
+        if len(seen) != named:
+            raise InputError("projection scheme block names a variable twice")
         if seen != set(range(len(seen))):
             raise InputError("projection scheme blocks must cover variables 0..n-1")
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
 from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
-                    observation_probabilities)
+                    bool_among_numbers, observation_probabilities)
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -93,26 +93,24 @@ def backup(model: Pomdp, prev: AlphaSet, cap: int = BACKUP_CAP) -> AlphaSet:
                     np.tile(sigma, (model.n_actions, 1)))
 
 
-def _witness(target: np.ndarray, others: list[np.ndarray]) -> np.ndarray | None:
-    """Belief where ``target`` beats every vector in ``others`` by more than
-    ``DOMINANCE_TOL``, or None.
+def _witness(target: np.ndarray, others) -> np.ndarray | None:
+    """Belief where ``target`` beats every vector in ``others`` (a sequence or
+    matrix of rows) by more than ``DOMINANCE_TOL``, or None.
 
     Solves: max x s.t. b.(w - target) + x <= 0 for all w, b on the simplex.
     In this form the slack basis is feasible for every row but ``sum b = 1``,
     so phase 1 has a single artificial to drive out.
     """
     dim = target.shape[0]
-    if not others:
+    if len(others) == 0:
         return np.full(dim, 1.0 / dim)
     nvar = dim + 1  # belief entries then x
     objective = np.zeros(nvar)
     objective[-1] = 1.0
-    constraints = []
-    for w in others:
-        row = np.concatenate([w - target, [1.0]])
-        constraints.append((row, LESS, 0.0))
+    rows = np.ones((len(others), nvar))
+    np.subtract(others, target, out=rows[:, :dim])
     simplex_row = np.concatenate([np.ones(dim), [0.0]])
-    constraints.append((simplex_row, EQUAL, 1.0))
+    constraints = [(row, LESS, 0.0) for row in rows] + [(simplex_row, EQUAL, 1.0)]
     lower = [0.0] * dim + [None]
     result = solve_lp(LinearProgram(objective, constraints, lower=lower))
     # the program is always feasible and bounded: any other status is a failure
@@ -183,7 +181,7 @@ def prune(aset: AlphaSet) -> AlphaSet:
     pending = [i for i in candidates.tolist() if i not in seeded]
     while pending:
         i = pending[0]
-        b = _witness(mat[i], [mat[j] for j in kept])
+        b = _witness(mat[i], mat[kept])
         if b is None:
             pending.pop(0)
             continue
@@ -277,7 +275,8 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
             # are checked; values that are no rows are left to the caller's
             # row-shape check
             if dtype is float:
-                if fields[-1].ndim == 2 and np.asarray(raw).dtype.kind not in "iuf":
+                if fields[-1].ndim == 2 and (np.asarray(raw).dtype.kind not in "iuf"
+                                             or bool_among_numbers(raw, fields[-1])):
                     raise InputError(f"stage-{k} policy values must be numbers (field 'values')")
                 continue
             bad = [v for v in np.array(raw, dtype=object).flat if type(v) is not int]

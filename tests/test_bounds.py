@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -433,6 +434,24 @@ def test_alt_sets_guard_fires_above_the_cap(monkeypatch):
     monkeypatch.setattr(bounds, "ALT_GUARD", 1)
     with pytest.raises(GuardError, match="alternative set for stage 2"):
         alt_sets(model, stages, sw)
+
+
+def test_alt_sets_reduce_partial_cross_sums_below_the_guard(monkeypatch):
+    """At three observations the partial cross-sums are reduced before the
+    last observation is added: the members equal those of the unreduced
+    enumeration, under a guard that the unreduced enumeration exceeds."""
+    model, stages = small_stage_sets(22, n=2, actions=2, obs=3, horizon=3)
+    sw = [stage_switch_sets(aset, lattice_root(2), "VS") for aset in stages]
+    want = product_alt_sets(model, stages, sw)
+    unreduced = max(sum(math.prod(len(want[k - 1][p]) for p in aset.strategies[root])
+                        for root in (i, *sw[k][i]))
+                    for k, aset in enumerate(stages) if k for i in range(len(aset)))
+    monkeypatch.setattr(bounds, "ALT_GUARD", unreduced - 1)
+    got = alt_sets(model, stages, sw)
+    for got_stage, want_stage in zip(got, want, strict=True):
+        for got_members, want_members in zip(got_stage, want_stage, strict=True):
+            assert len(got_members) == len(want_members)
+            assert {w.tobytes() for w in got_members} == {w.tobytes() for w in want_members}
 
 
 def test_bound_E_at_least_B():

@@ -519,6 +519,65 @@ def test_malformed_scheme_exits_2_naming_the_problem(tmp_path, capsys, scheme, m
     assert message in err and "Traceback" not in err
 
 
+def _deterministic_first_row(table, entry):
+    """Row 0 of a probability table becomes [entry, 0, ...]: with ``entry``
+    read as 1.0 the row still sums to one."""
+    table[0] = [entry] + [0.0] * (len(table[0]) - 1)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["reward"].__setitem__(0, True), "model reward is not a table of numbers"),
+    (lambda doc: doc["reward"].__setitem__(0, False), "model reward is not a table of numbers"),
+    (lambda doc: _deterministic_first_row(doc["transitions"]["a0"]["flat"], True),
+     "flat transition for 'a0' is not a table of numbers"),
+    (lambda doc: _deterministic_first_row(doc["observation"]["a1"], True),
+     "observation table for 'a1' is not a table of numbers"),
+    (lambda doc: doc["transitions"].__setitem__("a0", {"cpts": {
+        "x0": {"rows": [[True, 0.0]]}, "x1": {"rows": [[0.5, 0.5]]}}}),
+     "cpt rows for 'x0' is not a table of numbers"),
+], ids=["reward-true", "reward-false", "flat-true", "observation-true", "cpt-true"])
+def test_a_lone_bool_among_model_numbers_exits_2(tmp_path, capsys, edit, message):
+    doc = json.loads(gen_model(tmp_path).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 1, "--out", tmp_path / "p.json"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [True, False])
+def test_a_lone_bool_among_policy_values_exits_2(tmp_path, capsys, entry):
+    model = gen_model(tmp_path)
+    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    doc["stages"][1][0]["values"][2] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["search", bad, "--method", "vs-sum", "--out", tmp_path / "s.json"]) == 2
+    err = capsys.readouterr().err
+    assert "stage-2 policy values must be numbers (field 'values')" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("scheme", [
+    [["x0", "x0"], ["x1"]],
+    {"method": "vs-sum", "per_region": {"1:0": [["x0"], ["x1", "x1"]]}},
+], ids=["scheme", "per-region"])
+def test_a_scheme_block_naming_a_variable_twice_exits_2(tmp_path, capsys, scheme):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(scheme))
+    capsys.readouterr()
+    assert run(["eval", model, policy, scheme_path, "--mode", "single", "--seed", 0,
+                "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert "projection scheme block names a variable twice" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc.__setitem__("horizon", "x"), "policy horizon 'x' is not an integer"),
     (lambda doc: doc["stages"][0][0].__setitem__("values", ["p"] * 4),

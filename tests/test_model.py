@@ -209,3 +209,19 @@ def test_stochastic_table_errors_name_the_action(table, row, match):
         spec["observation"]["a1"] = [[0.5, 0.5]] * 2 + [row, [0.5, 0.5]]
     with pytest.raises(InputError, match=f"{table} table for action 'a1' {match}"):
         compile_model(spec)
+
+
+def test_bool_among_numbers_reads_the_entries_only_of_a_table_holding_0_or_1():
+    from beliefproj.model import bool_among_numbers
+
+    def check(raw):
+        return bool_among_numbers(raw, np.asarray(raw, dtype=float))
+
+    assert check([[True, 0.0], [0.5, 0.5]]) and check([0.25, False])
+    assert not check([[1.0, 0.0], [0.5, 0.5]]) and not check([1, 2, 3])
+
+    class Entries(list):
+        def __iter__(self):
+            raise AssertionError("the entries of a table without 0 or 1 were read")
+
+    assert not bool_among_numbers(Entries([0.5, 2.5]), np.array([0.5, 2.5]))

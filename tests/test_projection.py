@@ -236,6 +236,13 @@ def test_scheme_validation():
         ProjectionScheme(((0,), ()))
 
 
+def test_a_block_naming_a_variable_twice_is_refused():
+    with pytest.raises(InputError, match="names a variable twice"):
+        ProjectionScheme(((0, 0), (1,)))
+    with pytest.raises(InputError, match="names a variable twice"):
+        ProjectionScheme.from_names([["x0", "x0"], ["x1"]], ("x0", "x1"))
+
+
 def test_scheme_name_serialization():
     scheme = ProjectionScheme(((0, 2), (1,)))
     names = scheme.to_names(("A", "B", "C"))
