@@ -65,9 +65,12 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionS
     """Linear switch test: is there a pair (b, b') agreeing on every preserved
     marginal with b favoring i and b' favoring j by a common positive margin?
 
-    Variables are [b, b', x] with x free; the empty-set marginal constraint
-    makes b' sum to one automatically. The rows are the two margins, one
-    marginal row per preserved subset in family order, and the sum of b.
+    Variables are [b, b', x⁺, x⁻], all >= 0: the margin x = x⁺ - x⁻ is
+    free, so its negative part's entries negate its positive part's in every
+    row and in the objective, -0.0 where x has none. The empty-set marginal
+    constraint makes b' sum to one automatically. The rows are the two
+    margins, one marginal row per preserved subset in family order, and the
+    sum of b.
 
     ``warm`` is optionally this pair's LP decision under a coarser scheme.
     The program is then that decision's program extended by the marginal
@@ -93,15 +96,14 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionS
     if warm is not None:
         lp = warm.lp.extend([(row, 0.0) for row in marginals])
     else:
-        objective = np.zeros(2 * dim + 1)
-        objective[-1] = 1.0
-        margin = np.concatenate([diff, np.zeros(dim), [-1.0]])
-        mirror = np.concatenate([np.zeros(dim), -diff, [-1.0]])
-        total = np.concatenate([np.ones(dim), np.zeros(dim + 1)])
+        objective = np.zeros(2 * dim + 2)
+        objective[-2:] = 1.0, -1.0
+        margin = np.concatenate([diff, np.zeros(dim), [-1.0, 1.0]])
+        mirror = np.concatenate([np.zeros(dim), -diff, [-1.0, 1.0]])
+        total = np.concatenate([np.ones(dim), np.zeros(dim), [0.0, -0.0]])
         constraints = ([(margin, GREATER, 0.0), (mirror, GREATER, 0.0)]
                        + [(row, EQUAL, 0.0) for row in marginals] + [(total, EQUAL, 1.0)])
-        lp = LinearProgram(objective, constraints, lower=[0.0] * (2 * dim) + [None],
-                           stop_above=SWITCH_TOL)
+        lp = LinearProgram(objective, constraints, stop_above=SWITCH_TOL)
     result = solve_lp(lp)
     if result.status not in ("optimal", "stopped"):
         raise NumericalError(f"switch-test LP unexpectedly {result.status}")
@@ -113,11 +115,11 @@ def lp_switch_test(alpha_i: np.ndarray, alpha_j: np.ndarray, scheme: ProjectionS
 
 @lru_cache(maxsize=MARGINAL_ROWS)
 def _marginal_row(mask: int, n: int) -> np.ndarray:
-    """The switch LP's row for preserved subset ``mask`` over [b, b', x]: the
-    subset's marginal under b minus that under b'. Read-only, so that every
-    program holding it shares one copy."""
+    """The switch LP's row for preserved subset ``mask`` over [b, b', x⁺, x⁻]:
+    the subset's marginal under b minus that under b'. Read-only, so that
+    every program holding it shares one copy."""
     ind = indicator_vector(mask, n)
-    row = np.concatenate([ind, -ind, [0.0]])
+    row = np.concatenate([ind, -ind, [0.0, -0.0]])
     row.setflags(write=False)
     return row
 

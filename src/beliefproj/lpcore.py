@@ -25,9 +25,7 @@ above it still runs to the optimum.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import repeat
 from math import inf
 
 import numpy as np
@@ -45,68 +43,39 @@ _SWAPPED = {LESS: GREATER, EQUAL: EQUAL, GREATER: LESS}  # a row's relation once
 
 @dataclass
 class LinearProgram:
-    """maximize objective . x subject to constraints and variable bounds.
+    """maximize objective . x subject to constraints, x >= 0.
 
     ``constraints`` is a list of (coefficients, relation, rhs) with relation
-    one of "<=", "=", ">=". Each variable is bounded below by 0, or is free
-    where ``lower`` holds None; a finite ``upper`` entry adds a cap.
+    one of "<=", "=", ">="; a finite ``upper`` entry adds a cap. A free
+    variable is written by the caller as two columns, its positive and its
+    negative part, whose entries are each other's negations.
 
     ``warm`` is set only by :meth:`LpResult.extend`: the result whose final
     tableau the solve appends this program's further rows to.
 
     ``stop_above``, when set, ends phase 2 at the first vertex whose
     objective is above it, with status "stopped".
-
-    ``free`` marks the variables whose lower bound is None. The tableau's
-    first columns are each variable's positive part, followed by a free
-    variable's negative part: column k is ``sign[k]`` times variable
-    ``source[k]``, and ``cost`` is the objective over them. ``plus`` holds
-    each variable's positive-part column and ``minus`` its negative-part
-    column, or -1 where it has none. :meth:`LpResult.extend`'s copy shares
-    all six.
     """
 
     objective: np.ndarray
     constraints: list
-    lower: list | None = None
     upper: list | None = None
     stop_above: float | None = None
 
     warm: LpResult | None = field(default=None, init=False, repr=False)
-    free: np.ndarray = field(init=False, repr=False, compare=False)
-    source: np.ndarray = field(init=False, repr=False, compare=False)
-    sign: np.ndarray = field(init=False, repr=False, compare=False)
-    cost: np.ndarray = field(init=False, repr=False, compare=False)
-    plus: np.ndarray = field(init=False, repr=False, compare=False)
-    minus: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         n = self.objective.shape[0]
-        if self.lower is None:
-            self.lower = [0.0] * n
         if self.upper is None:
             self.upper = [None] * n
-        if len(self.lower) != n or len(self.upper) != n:
+        if len(self.upper) != n:
             raise InputError("bounds length does not match objective dimension")
-        self.free = np.fromiter(map(operator.is_, self.lower, repeat(None)), bool, n)
-        self.free.setflags(write=False)
-        if np.count_nonzero(self.free) + operator.countOf(self.lower, 0.0) != n:
-            raise InputError("a lower bound must be 0 or None (free)")
         for coeffs, rel, _rhs in self.constraints:
             if np.asarray(coeffs).shape != (n,):
                 raise InputError("constraint dimension does not match objective")
             if rel not in (LESS, EQUAL, GREATER):
                 raise InputError(f"unknown relation {rel!r}")
-        self.plus = np.arange(n) + np.cumsum(self.free) - self.free
-        self.minus = np.where(self.free, self.plus + 1, -1)
-        self.source = np.repeat(np.arange(n), 1 + self.free)
-        self.sign = np.ones(self.source.shape[0])
-        self.sign[self.minus[self.free]] = -1.0
-        # times +-1 is exact: the objective and its negation
-        self.cost = self.objective[self.source] * self.sign
-        for array in (self.plus, self.minus, self.source, self.sign, self.cost):
-            array.setflags(write=False)
 
 
 @dataclass
@@ -261,7 +230,7 @@ def _tableau(lp: LinearProgram):
     if warm is None:
         rows = lp.constraints + [(np.eye(1, n, j)[0], LESS, bound)
                                  for j, bound in enumerate(lp.upper) if bound is not None]
-        m0, width = 0, lp.cost.shape[0]
+        m0, width = 0, n
     else:
         rows = lp.constraints[len(warm.program.constraints):]
         T0, basis0 = warm.tableau
@@ -280,8 +249,7 @@ def _tableau(lp: LinearProgram):
     arts = sum([rel == EQUAL or (rel == LESS) == flip for rel, flip in zip(rels, flips)])
     T = np.zeros((m0 + e + 1, art_start + arts + 1))
     A, b = T[m0:-1, :width], T[m0:-1, -1]
-    np.multiply(np.array(coeffs, dtype=float).reshape(e, n)[:, lp.source], lp.sign,
-                out=A[:, :lp.sign.shape[0]])
+    A[:, :n] = np.array(coeffs, dtype=float).reshape(e, n)
     b[:] = rhs
     if m0:
         T[:m0, :width] = T0[:, :-1]
@@ -349,18 +317,17 @@ def solve_lp(lp: LinearProgram) -> LpResult:
         T = T[:, :art_start + 1]
 
     cost2 = np.zeros(T.shape[1] - 1)
-    cost2[:lp.cost.shape[0]] = lp.cost
+    cost2[:lp.objective.shape[0]] = lp.objective
     status, phase2 = _run_simplex(T, basis, cost2, max_iter, lp.stop_above)
     pivots += phase2
     if status == "unbounded":
         return LpResult("unbounded", pivots=pivots)
 
     T = T[:-1]
-    # the basic columns' values; the last entry, a variable's missing
-    # negative part, stays zero
+    # every column's value at the final basis; x is the program's columns
     full = np.zeros(T.shape[1])
     full[basis] = T[:, -1]
-    x = full[lp.plus] - full[lp.minus]
+    x = full[:lp.objective.shape[0]]
     T.setflags(write=False)
     basis.setflags(write=False)
     return LpResult(status, x, float(lp.objective @ x), pivots, lp, (T, basis))

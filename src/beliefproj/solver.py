@@ -97,22 +97,23 @@ def _witness(target: np.ndarray, others) -> np.ndarray | None:
     """Belief where ``target`` beats every vector in ``others`` (a sequence or
     matrix of rows) by more than ``DOMINANCE_TOL``, or None.
 
-    Solves: max x s.t. b.(w - target) + x <= 0 for all w, b on the simplex.
-    In this form the slack basis is feasible for every row but ``sum b = 1``,
-    so phase 1 has a single artificial to drive out.
+    Solves: max x s.t. b.(w - target) + x <= 0 for all w, b on the simplex,
+    over the columns [b, x⁺, x⁻], all >= 0: the free margin x = x⁺ - x⁻,
+    whose negative part's entries negate its positive part's, -0.0 where x
+    has none. In this form the slack basis is feasible for every row but
+    ``sum b = 1``, so phase 1 has a single artificial to drive out.
     """
     dim = target.shape[0]
     if len(others) == 0:
         return np.full(dim, 1.0 / dim)
-    nvar = dim + 1  # belief entries then x
-    objective = np.zeros(nvar)
-    objective[-1] = 1.0
-    rows = np.ones((len(others), nvar))
+    objective = np.zeros(dim + 2)
+    objective[-2:] = 1.0, -1.0
+    rows = np.ones((len(others), dim + 2))
+    rows[:, -1] = -1.0
     np.subtract(others, target, out=rows[:, :dim])
-    simplex_row = np.concatenate([np.ones(dim), [0.0]])
+    simplex_row = np.concatenate([np.ones(dim), [0.0, -0.0]])
     constraints = [(row, LESS, 0.0) for row in rows] + [(simplex_row, EQUAL, 1.0)]
-    lower = [0.0] * dim + [None]
-    result = solve_lp(LinearProgram(objective, constraints, lower=lower))
+    result = solve_lp(LinearProgram(objective, constraints))
     # the program is always feasible and bounded: any other status is a failure
     if result.status != "optimal":
         raise NumericalError(f"witness LP unexpectedly {result.status}")
@@ -122,15 +123,17 @@ def _witness(target: np.ndarray, others) -> np.ndarray | None:
 
 
 def undominated(mat: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows to keep: the first of any byte-identical
-    duplicates, minus every row that another of those rows is >= everywhere.
+    """Ascending indices of the rows to keep: the first of any rows equal in
+    value, minus every row that another of those rows is >= everywhere.
 
-    Compares one slice of rows against all rows at a time, so the boolean
-    working set stays within ``DOMINANCE_BLOCK`` entries, or one row's
-    comparisons when those are more.
+    Rows are keyed by the bytes of ``mat + 0.0``, which turns -0.0 into 0.0,
+    so rows that differ only in a zero's sign are duplicates, not two rows
+    that each drop the other. Compares one slice of rows against all rows at
+    a time, so the boolean working set stays within ``DOMINANCE_BLOCK``
+    entries, or one row's comparisons when those are more.
     """
     first: dict[bytes, int] = {}
-    for i, row in enumerate(mat):
+    for i, row in enumerate(mat + 0.0):
         first.setdefault(row.tobytes(), i)
     idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rows = mat[idx]

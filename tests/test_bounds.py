@@ -7,7 +7,7 @@ import pytest
 from beliefproj import (GuardError, InputError, LpResult, NumericalError, ProjectionScheme,
                         bounds, build_basis, displacement, lattice_children, lattice_root,
                         lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
-                        solve_lp, vs_switch_test, walsh_vector)
+                        solve_lp, solver, vs_switch_test, walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                                compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
@@ -89,6 +89,29 @@ def test_lp_switch_warm_start_lists_the_coarser_program_first(rng):
     algebraic = vs_switch_test(alpha_i, alpha_j, build_basis(lattice_root(3)))
     with pytest.raises(InputError, match="coarser scheme"):
         lp_switch_test(alpha_i, alpha_j, child, algebraic)
+
+
+def assert_margin_split(lp):
+    """The last two columns are the free margin's positive and negative part:
+    in the objective and in every row, the x⁻ entry is the x⁺ entry negated,
+    bit for bit (a zero's sign included)."""
+    for coeffs in [lp.objective] + [coeffs for coeffs, _rel, _rhs in lp.constraints]:
+        plus, minus = coeffs[-2], coeffs[-1]
+        assert abs(minus) == abs(plus) and np.signbit(minus) != np.signbit(plus)
+
+
+def test_switch_and_witness_programs_write_their_margin_as_a_split_pair(rng, monkeypatch):
+    alpha_i, alpha_j = rng.normal(size=8), rng.normal(size=8)
+    cold = lp_switch_test(alpha_i, alpha_j, lattice_root(3))
+    child, _mask = next(iter(lattice_children(lattice_root(3))))
+    extended = lp_switch_test(alpha_i, alpha_j, child, cold)
+    assert extended.lp.program.warm is cold.lp
+    witness = []
+    monkeypatch.setattr(solver, "solve_lp", lambda lp: witness.append(lp) or solve_lp(lp))
+    solver._witness(alpha_i, [alpha_j, rng.normal(size=8)])
+    for lp, width in [(cold.lp.program, 18), (extended.lp.program, 18), (witness[0], 10)]:
+        assert lp.objective.shape == (width,)
+        assert_margin_split(lp)
 
 
 def test_lp_switch_correlation_example_confirmed_by_oracle():
@@ -328,6 +351,19 @@ def test_alt_sets_identity_scheme_keeps_only_the_plan_itself():
     per_stage_B, per_stage_E = compute_bounds(model, stages, identity)
     assert all(e <= 1e-10 for e in per_stage_E)
     assert max(per_stage_B) == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="alt_sets rebuilds a plan's own value with one product per member, "
+                          "backup with one per (action, observation) over the whole stage, "
+                          "and the two round differently")
+def test_a_belief_preserving_scheme_has_zero_e():
+    # under the one-block scheme no plan switches, so each vector's only
+    # alternative is itself; E is 0 at stages 1 and 2 but 3.55e-15 at stage 3
+    model = random_pomdp(3, 2, 2, np.random.default_rng(0))
+    per_stage_B, per_stage_E = compute_bounds(model, solve(model, 3), ProjectionScheme.full(3))
+    assert per_stage_B == [0.0, 0.0, 0.0]
+    assert per_stage_E == [0.0, 0.0, 0.0]
 
 
 def test_alt_sets_one_stage_base_case():

@@ -38,13 +38,15 @@ def test_one_instance_lists_every_lp_with_its_shape_and_digest(digest, capsys, m
     assert captured.err == f"{len(lines)} LPs, {pivots} pivots ({sites})\n"
 
 
-def test_a_line_hashes_x_then_the_final_tableau_and_basis(digest):
+def test_a_line_hashes_the_value_then_the_final_tableau_and_basis(digest):
+    # rows count the program's constraints; the cap on x is not one of them
     lp = LinearProgram(np.array([1.0, 1.0]), [(np.array([1.0, 1.0]), "<=", 5.0)],
                        upper=[2.0, None])
     result = solve_lp(lp)
     tableau, basis = result.tableau
-    sha = hashlib.sha256(result.x.tobytes() + tableau.tobytes() + basis.tobytes()).hexdigest()
-    assert digest.digest_line("solver", lp, result) == f"solver optimal {result.pivots} 2 2 {sha}"
+    sha = hashlib.sha256(repr(result.value).encode() + tableau.tobytes()
+                         + basis.tobytes()).hexdigest()
+    assert digest.digest_line("solver", lp, result) == f"solver optimal {result.pivots} 1 2 {sha}"
     infeasible = LinearProgram(np.array([1.0]), [(np.array([1.0]), "<=", -1.0)])
     empty = hashlib.sha256().hexdigest()
     assert digest.digest_line("bounds", infeasible, solve_lp(infeasible)).endswith(f" 1 1 {empty}")

@@ -25,21 +25,23 @@ def test_unbounded():
 
 
 def test_equality_and_free_variable():
-    # max x - y with x + y = 1, x <= 0.75, y free but y >= -2 via constraint
-    objective = np.array([1.0, -1.0])
+    # max x - y with x + y = 1, x <= 0.75, y free but y >= -2 via constraint;
+    # the columns are [x, y+, y-] with y = y+ - y-
+    objective = np.array([1.0, -1.0, 1.0])
     constraints = [
-        (np.array([1.0, 1.0]), "=", 1.0),
-        (np.array([1.0, 0.0]), "<=", 0.75),
-        (np.array([0.0, 1.0]), ">=", -2.0),
+        (np.array([1.0, 1.0, -1.0]), "=", 1.0),
+        (np.array([1.0, 0.0, -0.0]), "<=", 0.75),
+        (np.array([0.0, 1.0, -1.0]), ">=", -2.0),
     ]
-    result = solve_lp(LinearProgram(objective, constraints, lower=[0.0, None]))
+    result = solve_lp(LinearProgram(objective, constraints))
     assert result.status == "optimal"
-    np.testing.assert_allclose(result.x, [0.75, 0.25], atol=1e-9)
+    x, y_plus, y_minus = result.x
+    np.testing.assert_allclose([x, y_plus - y_minus], [0.75, 0.25], atol=1e-9)
 
 
 def test_upper_and_shifted_lower_bounds():
     # max x + y with 1 <= x <= 2, y <= 4, x + y <= 5; x >= 1 is a row, since
-    # lower bounds are 0 or free
+    # every variable is bounded below by 0
     lp = LinearProgram(np.array([1.0, 1.0]),
                        [(np.array([1.0, 1.0]), "<=", 5.0),
                         (np.array([1.0, 0.0]), ">=", 1.0)],
@@ -48,8 +50,6 @@ def test_upper_and_shifted_lower_bounds():
     assert result.status == "optimal"
     assert result.value == pytest.approx(5.0, abs=1e-9)
     assert 1.0 - 1e-9 <= result.x[0] <= 2.0 + 1e-9
-    with pytest.raises(InputError, match="lower bound must be 0 or None"):
-        LinearProgram(lp.objective, lp.constraints, lower=[1.0, 0.0])
 
 
 def _enumerate_vertices(A_eq, b_eq, objective):
@@ -148,13 +148,14 @@ def test_witness_program_that_once_failed_phase_one(monkeypatch):
     diffs = np.array(json.loads(
         (Path(__file__).parent / "data" / "witness_lp_24x65.json").read_text())["diffs"])
     dim = diffs.shape[1]
-    constraints = [(np.append(row, -1.0), ">=", 0.0) for row in diffs]
-    constraints.append((np.append(np.ones(dim), 0.0), "=", 1.0))
-    objective = np.zeros(dim + 1)
-    objective[-1] = 1.0
+    # columns [b, x+, x-], the free margin x = x+ - x-
+    constraints = [(np.append(row, [-1.0, 1.0]), ">=", 0.0) for row in diffs]
+    constraints.append((np.append(np.ones(dim), [0.0, -0.0]), "=", 1.0))
+    objective = np.zeros(dim + 2)
+    objective[-2:] = 1.0, -1.0
     for tol in (1e-8, 1e-9, 1e-10):
         monkeypatch.setattr(lpcore, "FEAS_TOL", tol)
-        result = solve_lp(LinearProgram(objective, constraints, lower=[0.0] * dim + [None]))
+        result = solve_lp(LinearProgram(objective, constraints))
         assert result.status == "optimal"
         assert result.value == pytest.approx(4.906811737730672e-4, abs=1e-12)
 
@@ -162,42 +163,42 @@ def test_witness_program_that_once_failed_phase_one(monkeypatch):
 def test_a_program_checks_its_rows_and_bounds():
     objective = np.array([1.0, 1.0])
     row = (np.array([1.0, -1.0]), "=", 0.0)
-    for constraints, bounds, message in [
-            ([row, (np.array([1.0]), "=", 0.0)], [0.0, None], "constraint dimension"),
-            ([row, (np.array([1.0, -1.0]), "~", 0.0)], [0.0, None], "unknown relation"),
-            ([row], [1.0, None], "lower bound must be 0 or None"),
-            ([row], [0.0], "bounds length")]:
+    for constraints, upper, message in [
+            ([row, (np.array([1.0]), "=", 0.0)], None, "constraint dimension"),
+            ([row, (np.array([1.0, -1.0]), "~", 0.0)], None, "unknown relation"),
+            ([row], [None], "bounds length")]:
         with pytest.raises(InputError, match=message):
-            LinearProgram(objective, constraints, lower=bounds)
+            LinearProgram(objective, constraints, upper=upper)
 
 
 def test_an_extended_program_shares_its_start_and_checks_only_its_new_rows():
-    # max x + y with x + y <= 2, x >= 0 and y free, then x - y = 0
-    objective = np.array([1.0, 1.0])
-    start = solve_lp(LinearProgram(objective, [(np.array([1.0, 1.0]), "<=", 2.0)],
-                                   lower=[0.0, None]))
-    assert start.status == "optimal" and start.program.free.tolist() == [False, True]
-    child = start.extend([(np.array([1.0, -1.0]), 0.0)])
+    # max x + y with x + y <= 2, x >= 0 and y free, then x - y = 0; the
+    # columns are [x, y+, y-] with y = y+ - y-
+    objective = np.array([1.0, 1.0, -1.0])
+    start = solve_lp(LinearProgram(objective, [(np.array([1.0, 1.0, -1.0]), "<=", 2.0)]))
+    assert start.status == "optimal"
+    child = start.extend([(np.array([1.0, -1.0, 1.0]), 0.0)])
     assert child.warm is start and start.program.warm is None
-    assert child.objective is objective and child.lower is start.program.lower
-    assert child.free is start.program.free
+    assert child.objective is objective and child.upper is start.program.upper
     assert child.constraints[0] is start.program.constraints[0]
     assert [rel for _coeffs, rel, _rhs in child.constraints] == ["<=", "="]
     result = solve_lp(child)
     assert result.status == "optimal"
-    np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-9)
+    x, y_plus, y_minus = result.x
+    np.testing.assert_allclose([x, y_plus - y_minus], [1.0, 1.0], atol=1e-9)
     # the extended program's own result extends again
-    again = solve_lp(result.extend([(np.array([1.0, 0.0]), 0.5)]))
+    again = solve_lp(result.extend([(np.array([1.0, 0.0, -0.0]), 0.5)]))
     assert again.status == "optimal"
-    np.testing.assert_allclose(again.x, [0.5, 0.5], atol=1e-9)
+    x, y_plus, y_minus = again.x
+    np.testing.assert_allclose([x, y_plus - y_minus], [0.5, 0.5], atol=1e-9)
 
     with pytest.raises(InputError, match="constraint dimension"):
-        start.extend([(np.array([1.0, -1.0]), 0.0), (np.array([1.0]), 0.0)])
+        start.extend([(np.array([1.0, -1.0, 1.0]), 0.0), (np.array([1.0]), 0.0)])
 
 
 def assert_warm_and_cold_agree(child: LinearProgram):
     warm = solve_lp(child)
-    cold = solve_lp(LinearProgram(child.objective, child.constraints, child.lower, child.upper))
+    cold = solve_lp(LinearProgram(child.objective, child.constraints, child.upper))
     assert warm.status == cold.status == "optimal"
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)

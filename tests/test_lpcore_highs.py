@@ -1,5 +1,7 @@
 """Differential test of solve_lp against HiGHS on witness- and switch-shaped
-programs, solved from scratch and warm-started from a solved program."""
+programs, solved from scratch and warm-started from a solved program. Their
+free margin is a pair of nonnegative columns, x⁺ and x⁻, and HiGHS gets the
+same program."""
 
 from unittest import mock
 
@@ -38,7 +40,7 @@ def highs(lp: LinearProgram) -> tuple[str, float | None]:
         b_ub=(sign * rhs)[ineq] if ineq.any() else None,
         A_eq=rows[eq] if eq.any() else None,
         b_eq=rhs[eq] if eq.any() else None,
-        bounds=list(zip(lp.lower, lp.upper)), method="highs")
+        bounds=[(0.0, upper) for upper in lp.upper], method="highs")
     status = HIGHS_STATUS[res.status]
     return status, (-res.fun if status == "optimal" else None)
 
@@ -67,7 +69,7 @@ def assert_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     for coeffs, rel, rhs in lp.constraints:
         slack = float(coeffs @ x) - rhs
         assert {"=": abs(slack), ">=": -slack, "<=": slack}[rel] <= 1e-7
-    assert np.all(x[~lp.free] >= -1e-7)
+    assert np.all(x >= -1e-7)
 
 
 def assert_switch_agrees(lp: LinearProgram) -> LpResult:
@@ -115,16 +117,19 @@ def test_switch_programs_match_highs(case):
 
 
 def extra_row(n, dim, rng, kind):
-    """An equality row over [b, b', x] as (coefficients, rhs): a switch
+    """An equality row over [b, b', x⁺, x⁻] as (coefficients, rhs): a switch
     LP's marginal row for a random subset, or random coefficients with a
-    random right-hand side (which may make the program infeasible)."""
-    row = np.zeros(2 * dim + 1)
+    random right-hand side (which may make the program infeasible). The x⁻
+    entry is the negation of the x⁺ entry, so x = x⁺ - x⁻ stays free."""
+    row, rhs = np.zeros(2 * dim + 2), 0.0
     if kind == "marginal":
         ind = indicator_vector(int(rng.integers(0, 1 << n)), n)
         row[:dim], row[dim:2 * dim] = ind, -ind
-        return row, 0.0
-    row[:] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=row.size)
-    return row, float(rng.choice([0.0, 0.25, 1.0]))
+    else:
+        row[:-1] = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=row.size - 1)
+        rhs = float(rng.choice([0.0, 0.25, 1.0]))
+    row[-1] = -row[-2]
+    return row, rhs
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -151,13 +156,13 @@ def test_warm_started_switch_programs_match_highs_and_cold(case):
     assert warm_lp.warm is parent and warm_lp.stop_above == SWITCH_TOL
     warm = assert_switch_agrees(warm_lp)
     rows = warm_lp.constraints
-    cold = solve_lp(LinearProgram(parent_lp.objective, rows, parent_lp.lower))
+    cold = solve_lp(LinearProgram(parent_lp.objective, rows))
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert warm.value == pytest.approx(cold.value, abs=1e-7)
         for coeffs, _rel, rhs in rows[2:]:
             assert coeffs @ warm.x == pytest.approx(rhs, abs=1e-7)
-        assert np.all(warm.x[:-1] >= -1e-7)
+        assert np.all(warm.x >= -1e-7)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

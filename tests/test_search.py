@@ -329,7 +329,7 @@ def test_b_lp_warm_started_switch_lps_take_under_a_third_of_the_cold_pivots(monk
     def counted(lp):
         result = solve_lp(lp)
         pivots.append(result.pivots)
-        cold = solve_lp(LinearProgram(lp.objective, lp.constraints, lp.lower, lp.upper))
+        cold = solve_lp(LinearProgram(lp.objective, lp.constraints, lp.upper))
         decisions.append((result.status == "stopped" or result.value > SWITCH_TOL,
                           cold.value > SWITCH_TOL))
         return result

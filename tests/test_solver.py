@@ -115,17 +115,28 @@ def test_prune_keeps_first_duplicate_and_corner_winners():
     assert out.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
+def test_prune_keeps_one_of_two_rows_that_differ_only_in_a_zero_sign():
+    # each row is >= the other everywhere; dropping both loses the plan that
+    # is worth 1.0 at belief (0, 1)
+    out = prune(alpha_set([[0.0, 1.0], [-0.0, 1.0], [0.5, 0.2]]))
+    assert out.matrix.tolist() == [[0.0, 1.0], [0.5, 0.2]]
+    assert not np.signbit(out.matrix[0, 0])
+    assert float((out.matrix @ [0.0, 1.0]).max()) == 1.0
+
+
 @pytest.mark.parametrize("block", [solver.DOMINANCE_BLOCK, 7])
 def test_undominated_matches_pairwise_loop(rng, monkeypatch, block):
-    """Same cuts as keeping the first of each byte-identical row and then
-    comparing every pair, on small integer rows (many ties and duplicates)
-    with signed zeros; a small block splits the comparison into slices."""
+    """Same cuts as keeping the first of each group of rows equal in value
+    (signed zeros compare equal) and then comparing every pair, on small
+    integer rows (many ties and duplicates) with signed zeros; a small block
+    splits the comparison into slices."""
     monkeypatch.setattr(solver, "DOMINANCE_BLOCK", block)
     for _ in range(200):
         m, dim = int(rng.integers(1, 30)), int(rng.integers(1, 5))
         mat = rng.integers(0, 3, size=(m, dim)).astype(float)
         mat = np.where(rng.random(mat.shape) < 0.2, -mat, mat)
-        first = list({row.tobytes(): i for i, row in reversed(list(enumerate(mat)))}.values())
+        first = list({tuple(row.tolist()): i
+                      for i, row in reversed(list(enumerate(mat)))}.values())
         first.sort()
         expected = [i for i in first
                     if not any(np.all(mat[j] >= mat[i]) for j in first if j != i)]

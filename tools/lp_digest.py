@@ -11,12 +11,13 @@ this script.
 Standard output gets one ``site status pivots rows cols sha256`` line per
 program that ``bounds`` or ``solver`` hands to ``solve_lp``, in solve order:
 the module that solved it, the result's status and pivot count, the
-program's rows (constraints plus finite upper bounds) and columns, and a
-SHA-256 over the result's x, final tableau and basis (of nothing when it has
-none). Two checkouts solve these programs the same, pivot for pivot and bit
-for bit, exactly when their listings are equal, so comparing them is one
-``diff``. A summary line goes to standard error: the LPs and pivots of
-the whole listing, then of each site in name order, as in
+program's constraints and columns, and a SHA-256 over the result's value
+(``repr``), final tableau and basis (of nothing when it has none). x is
+read off the tableau and basis, so it adds nothing. Two checkouts solve
+these programs the same, pivot for pivot and bit for bit, exactly when their
+listings are equal, so comparing them is one ``diff``. A summary line goes
+to standard error: the LPs and pivots of the whole listing, then of each
+site in name order, as in
 ``7 LPs, 20 pivots (bounds 4 LPs, 12 pivots; solver 3 LPs, 8 pivots)``.
 """
 
@@ -47,11 +48,12 @@ CROSS_CHECK = (6, 2, 2, 1000, 3)  # (variables, actions, observations, rng seed,
 
 def digest_line(site: str, lp, result) -> str:
     digest = hashlib.sha256()
-    for array in ([result.x] if result.x is not None else []) + list(result.tableau or ()):
-        digest.update(array.tobytes())
-    rows = len(lp.constraints) + sum(bound is not None for bound in lp.upper)
-    return (f"{site} {result.status} {result.pivots} {rows} {lp.objective.shape[0]} "
-            f"{digest.hexdigest()}")
+    if result.tableau is not None:
+        digest.update(repr(result.value).encode())
+        for array in result.tableau:
+            digest.update(array.tobytes())
+    return (f"{site} {result.status} {result.pivots} {len(lp.constraints)} "
+            f"{lp.objective.shape[0]} {digest.hexdigest()}")
 
 
 @contextlib.contextmanager
