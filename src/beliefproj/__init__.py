@@ -7,7 +7,8 @@ from .model import (Pomdp, belief_update, compile_model, model_to_spec,
 from .projection import (ConstraintFamily, ProjectionScheme, WalshBasis,
                          build_basis, constraint_family, displacement,
                          lattice_children, lattice_root, marginal_true, project,
-                         project_batch, residual_sq_length, walsh_vector)
+                         project_batch, residual_sq_length, walsh_transform,
+                         walsh_vector)
 from .lpcore import LinearProgram, LpResult, solve_lp
 from .solver import AlphaSet, backup, brute_force_value, prune, solve, zero_stage
 from .bounds import (SwitchDecision, alt_sets, bound_E_from_alts, compute_bounds,

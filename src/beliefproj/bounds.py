@@ -4,17 +4,23 @@ Two switch tests decide whether monitoring through a projection scheme can
 make plan j look better than plan i from inside i's optimal region: an LP over
 belief pairs with matching preserved marginals, and the algebraic subspace
 test (nonzero residual of the value gradient outside the preserved null
-space). Switch sets feed an upper bound on the loss of a single approximation
-(B) and, through alternative-plan sets, of successive approximations (E). A
-one-sided sampling oracle is kept as the reference the tests check both
-against. A scheme source is one global ProjectionScheme or a per-region map
-keyed by (stage, vector index); :func:`scheme_of` reads both.
+space). The LP test runs once per pair; the algebraic test decides a whole
+stage set at once from one Walsh transform of its matrix
+(:func:`vs_switch_sets`), and the per-pair :func:`vs_switch_test` is kept as
+its reference. Switch sets feed an upper bound on the loss of a single
+approximation (B) and, through alternative-plan sets, of successive
+approximations (E). A one-sided sampling oracle is kept as the reference the
+tests check both tests against. A scheme source is one global
+ProjectionScheme or a per-region map keyed by (stage, vector index);
+:func:`scheme_of` reads both.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, GREATER, LinearProgram, LpResult, solve_lp
 from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, indicator_vector, project_batch,
-                         residual_sq_length)
+                         residual_sq_length, walsh_transform)
 from .solver import AlphaSet, undominated
 
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
@@ -181,7 +187,8 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
 
 
 def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
-                      candidates=None, decisions: dict | None = None) -> list[tuple[int, ...]]:
+                      candidates=None, decisions: dict | None = None,
+                      coefficients: np.ndarray | None = None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
     Vector i's own scheme, ``scheme_of(scheme_source, aset.stage, i)``,
@@ -191,12 +198,20 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
     each pair to its decision under a coarser scheme, or None, which its LP
     test starts from (``lp_switch_test``'s ``warm``). ``decisions``, when
     given, receives the SwitchDecision of each pair tested, keyed (i, j) as
-    tested.
+    tested, in row order.
+
+    The VS decisions of the whole stage come from one Walsh transform of its
+    matrix (:func:`vs_switch_sets`); ``coefficients``, when given, is that
+    transform, which a search makes once for all its lattice nodes.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
     m = len(aset)
     schemes = [scheme_of(scheme_source, aset.stage, i) for i in range(m)]
+    if method == "VS":
+        if m > 1 and coefficients is None:
+            coefficients = walsh_transform(aset.matrix)
+        return vs_switch_sets(coefficients, schemes, candidates, decisions)
     sets: list[set[int]] = [set() for _ in range(m)]
     for i, scheme in enumerate(schemes):
         for j in range(m):
@@ -207,11 +222,8 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
                 # decision made at (j, i) stands
                 switches = i in sets[j]
             else:
-                if method == "VS":
-                    decision = vs_switch_test(aset.matrix[i], aset.matrix[j], scheme.basis)
-                else:
-                    warm = candidates.get((i, j)) if candidates is not None else None
-                    decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme, warm)
+                warm = candidates.get((i, j)) if candidates is not None else None
+                decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme, warm)
                 if decisions is not None:
                     decisions[(i, j)] = decision
                 switches = decision.switches
@@ -220,13 +232,81 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
     return [tuple(sorted(s)) for s in sets]
 
 
+def vs_switch_sets(coefficients: np.ndarray | None, schemes, candidates=None,
+                   decisions: dict | None = None) -> list[tuple[int, ...]]:
+    """The VS switch sets of one stage set, under row i's scheme ``schemes[i]``,
+    from the unnormalised Walsh coefficients of its rows
+    (``walsh_transform(aset.matrix)``, None when there is no pair to test);
+    :func:`stage_switch_sets` gives ``candidates`` and ``decisions`` their
+    meaning.
+
+    Pair (i, j) switches iff the sum over the masks outside the scheme's
+    family of (C_i - C_j)^2 exceeds ``SWITCH_TOL^2`` times that sum over
+    every mask, which is 2^n * |a_i - a_j|^2 (Parseval): :func:`vs_switch_test`'s
+    criterion, both sides scaled by 2^n. The sum runs over the outside masks
+    themselves, so a pair that differs only inside the family reads exactly
+    0 (|d|^2 minus the inside sum would leave rounding there). A decision's
+    ``objective`` is the outside sum over 2^n, the squared residual.
+
+    Rows are grouped by scheme, so each scheme's family is read once, and
+    decided one row at a time: row i against every candidate j != i but a
+    j < i of its own scheme, whose row decided the pair. Beside
+    ``coefficients``, no step holds more floats than it does.
+    """
+    m = len(schemes)
+    if m < 2:
+        return [()] * m
+    dim = coefficients.shape[1]
+    sets: list[set[int]] = [set() for _ in range(m)]
+    group: dict[ProjectionScheme, int] = {}
+    ids = [group.setdefault(scheme, len(group)) for scheme in schemes]
+    # per group, one column of 1.0 at the masks outside its family (0.0
+    # inside) and one of 1.0 at every mask
+    weights = []
+    for scheme in group:
+        columns = np.ones((dim, 2))
+        columns[list(scheme.family.subsets), 0] = 0.0
+        weights.append(columns)
+    partners = None
+    if candidates is not None:
+        partners = [set() for _ in range(m)]
+        for i, j in candidates:
+            partners[i].add(j)
+            partners[j].add(i)
+    for i, g in enumerate(ids):
+        js = [j for j in range(m) if j != i and (j > i or ids[j] != g)
+              and (partners is None or j in partners[i])]
+        if not js:
+            continue
+        sums = _squared_gap_sums(coefficients, i, js, weights[g])
+        residual = sums[:, 0]
+        switches = (residual > SWITCH_TOL ** 2 * sums[:, 1]).tolist()
+        if decisions is not None:
+            for j, res, sw in zip(js, (residual / dim).tolist(), switches):
+                decisions[(i, j)] = SwitchDecision(sw, res)
+        for j in compress(js, switches):
+            sets[i].add(j)
+            if j > i and ids[j] == g:
+                sets[j].add(i)  # row j does not retest this pair
+    return [tuple(sorted(s)) for s in sets]
+
+
+def _squared_gap_sums(coefficients: np.ndarray, i: int, js, weights: np.ndarray) -> np.ndarray:
+    """(C_j - C_i)^2 summed against each column of ``weights``, one row per j
+    of ``js``. A weight of 0.0 adds an exact zero, so a 0/1 column sums the
+    terms it marks and no others."""
+    gaps = coefficients.take(js, axis=0)
+    gaps -= coefficients[i]
+    return np.square(gaps, out=gaps) @ weights
+
+
 def _largest_gap(aset: AlphaSet, members_per_vector) -> float:
     """max over vectors and the rows of their member arrays of the
     componentwise maximum of (alpha - member), clamped at zero: the simplex
     maximum of the value gap between a plan and one that may take its place."""
     best = 0.0
     for alpha, members in zip(aset.matrix, members_per_vector):
-        gap = float(np.max(alpha - members))
+        gap = float((alpha - members).max())
         if gap > best:
             best = gap
     return best
@@ -261,7 +341,10 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
     everywhere only leads to members >= the other's, rounding included.
     A partial cross-sum above ``ALT_GUARD`` members, or a last one that
     would bring its vector's members above it, raises GuardError before it
-    is built.
+    is built. A root's block is built once per stage, for the first vector
+    that lists it, and reused for every later one; a reused block counts
+    toward its vector's members at the point where it would have been
+    built, so every guard fires where it would without the reuse.
     """
     alts: list[list[np.ndarray]] = []
     for k, aset in enumerate(stage_sets):
@@ -280,24 +363,36 @@ def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
                 # one product per member: a single matrix product over all
                 # members may round differently
                 column = model.observation_fn[a][:, z]
-                got = np.stack([model.transition[a] @ (column * w) for w in prev_alts[p]])
+                got = np.array([model.transition[a] @ (column * w) for w in prev_alts[p]])
                 transformed[key] = got
             return got
 
+        # a root's block is kept from its first listing to its last
+        uses = Counter(root for i in range(len(aset)) for root in (i, *switch_sets[i]))
+        built: dict[int, np.ndarray] = {}
         stage_alts = []
         for i in range(len(aset)):
             blocks, count = [], 0
             for root in (i, *switch_sets[i]):
-                acc, *rest = [branch_values(aset.actions[root], z, p)
-                              for z, p in enumerate(aset.strategies[root])]
-                for values in rest[:-1]:
-                    _alt_guard(len(acc) * len(values), k + 1, i)
-                    acc = _minimal_members(_cross_sum(acc, values))
-                count += len(acc) * (len(rest[-1]) if rest else 1)
-                _alt_guard(count, k + 1, i)
-                if rest:
-                    acc = _cross_sum(acc, rest[-1])
-                blocks.append(model.reward + model.discount * acc)
+                block = built.get(root)
+                if block is not None:
+                    count += len(block)
+                    _alt_guard(count, k + 1, i)
+                else:
+                    acc, *rest = [branch_values(aset.actions[root], z, p)
+                                  for z, p in enumerate(aset.strategies[root])]
+                    for values in rest[:-1]:
+                        _alt_guard(len(acc) * len(values), k + 1, i)
+                        acc = _minimal_members(_cross_sum(acc, values))
+                    count += len(acc) * (len(rest[-1]) if rest else 1)
+                    _alt_guard(count, k + 1, i)
+                    if rest:
+                        acc = _cross_sum(acc, rest[-1])
+                    block = built[root] = model.reward + model.discount * acc
+                uses[root] -= 1
+                if not uses[root]:
+                    del built[root]
+                blocks.append(block)
             stage_alts.append(_minimal_members(np.concatenate(blocks)))
         alts.append(stage_alts)
     return alts

@@ -7,7 +7,9 @@ region's value gradients outside the preserved null space, and return one
 scheme per (stage, vector). All of them run one descent driver, which starts
 at the all-singletons root, always moves to the best child, and stops when
 merges would create 3-variable blocks, or early when the objective is already
-zero.
+zero. A search computes what every node shares once: the Walsh transform of
+each stage set a VS bound search tests, and the parity vectors and lattice
+edges the estimator searches read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .bounds import (METHODS, SCHEME_METHOD, alt_sets, bound_E_from_alts,
                      bound_from_switch_sets, scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, lattice_children, lattice_root,
-                         residual_sq_length, walsh_vector)
+                         residual_sq_length, walsh_transform, walsh_vector)
 from .solver import AlphaSet
 
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
@@ -126,7 +128,8 @@ def incremental_scores(prev_sq_lengths: np.ndarray, v_m: np.ndarray,
     """Per-gradient squared residuals after one more preserved marginal:
     each drops by the squared coordinate along the marginal's parity vector."""
     updated = prev_sq_lengths - (gradients @ v_m) ** 2
-    return np.clip(updated, 0.0, None)
+    # clamped at 0: np.clip with no upper bound computes this same maximum
+    return np.maximum(updated, 0.0)
 
 
 def _aggregate(values: np.ndarray, estimator: str) -> float:
@@ -135,22 +138,25 @@ def _aggregate(values: np.ndarray, estimator: str) -> float:
     return float(values.sum()) if estimator == "sum" else float(values.max())
 
 
-def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0):
+def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0,
+             children=None):
     """Greedy descent from the lattice root, whose objective is ``value``.
 
     While the objective is above ``floor``, move to the first child with the
     strictly lowest ``score(child, mask, state) -> (value, state)``; ``state``
-    carries what a child's score reuses from its parent. Returns the final
-    node and one ``{"merge": [...], label: value}`` trace entry per step.
+    carries what a child's score reuses from its parent. ``children(node)``
+    lists a node's (child, mask) pairs, :func:`lattice_children` by default.
+    Returns the final node and one ``{"merge": [...], label: value}`` trace
+    entry per step.
     """
     node = lattice_root(n)
     trace = []
     while value > floor:
-        children = lattice_children(node)
-        if not children:
+        edges = (children or lattice_children)(node)
+        if not edges:
             break
         best = None
-        for child, mask in children:
+        for child, mask in edges:
             child_value, child_state = score(child, mask, state)
             if best is None or child_value < best[0]:
                 best = (child_value, child, child_state, mask)
@@ -161,11 +167,26 @@ def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0)
 
 def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResult:
     """Per-region greedy descent for every vector of every stage set, scored by
-    the sum or max estimator and updated incrementally along each accepted edge."""
+    the sum or max estimator and updated incrementally along each accepted edge.
+
+    Every region descends the same lattice, so a search takes each pair
+    marginal's parity vector from :func:`walsh_vector` once, and each node's
+    children from :func:`lattice_children` once, for all its regions."""
     if estimator not in ("sum", "max"):
         raise InputError(f"unknown estimator {estimator!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
     root_basis = lattice_root(n).basis
+    edges: dict[ProjectionScheme, list] = {}
+
+    def children(node):
+        got = edges.get(node)
+        if got is None:
+            got = edges[node] = lattice_children(node)
+        return got
+
+    # the root's edges are every pair marginal that any descent step adds
+    parity = {mask: walsh_vector(mask, n) for _child, mask in children(lattice_root(n))}
+
     per_region: dict = {}
     traces: dict = {}
     for aset in stage_sets:
@@ -173,20 +194,20 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResul
             grads = _gradients(aset, i)
             if grads.shape[0]:
                 coords = grads @ root_basis.matrix.T
-                scores = np.clip((grads * grads).sum(axis=1) - (coords * coords).sum(axis=1),
-                                 0.0, None)
+                scores = np.maximum((grads * grads).sum(axis=1)
+                                    - (coords * coords).sum(axis=1), 0.0)
             else:
                 scores = np.zeros(0)
 
             def score(child, mask, parent_scores):
-                child_scores = incremental_scores(parent_scores, walsh_vector(mask, n), grads)
+                child_scores = incremental_scores(parent_scores, parity[mask], grads)
                 return _aggregate(child_scores, estimator), child_scores
 
             # zero within rounding counts as zero: for odd n the basis scale
             # 2^(-n/2) is inexact, so exact-zero residuals round to ~1e-16
             floor = 1e-12 * _aggregate((grads * grads).sum(axis=1), estimator)
             node, trace = _descend(n, _aggregate(scores, estimator), scores, score,
-                                   "score", floor)
+                                   "score", floor, children)
             per_region[(aset.stage, i)] = node
             traces[f"{aset.stage}:{i}"] = trace
     return SearchResult(f"vs-{estimator}", "all", per_region=per_region, trace=traces)
@@ -200,30 +221,42 @@ class NodeBound(NamedTuple):
     switch_sets: list
 
 
+def _tested_stages(stage_sets, bound: str, scope: str):
+    """The stage sets whose switch sets a bound reads: B reads only the stages
+    in scope, while E's alternative sets recurse through every stage."""
+    return stage_sets[SCOPES[scope]] if bound == "B" else stage_sets
+
+
 def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str,
-                  test: str, scope: str, parent: NodeBound | None = None) -> NodeBound:
+                  test: str, scope: str, parent: NodeBound | None = None,
+                  coefficients=None) -> NodeBound:
     """Aggregate bound of one lattice node over the stage scope.
 
-    B reads only the switch sets of the stages in scope, so only those are
-    tested; E's alternative sets recurse through every stage. With the
+    Only the stages :func:`_tested_stages` names are tested. With the
     accepted ``parent`` node, only pairs still positive there are retested
     (switch tests are monotone along edges), an LP test starting from the
     parent's LP decision for its pair (``positives`` maps each positive pair
-    (i, j), i < j, to its decision). B and E are functions of the switch
+    (i, j), i < j, to its LP decision, or to None under the VS test). B and E are functions of the switch
     sets alone, so a node whose switch sets equal its parent's takes the
     parent's value without rebuilding alternative sets or bounds.
+    ``coefficients`` optionally holds each tested stage's Walsh transform
+    for the VS test, made once per search.
     """
     scoped = stage_sets[SCOPES[scope]]
-    tested = scoped if bound == "B" else stage_sets
+    tested = _tested_stages(stage_sets, bound, scope)
+    if coefficients is None:
+        coefficients = [None] * len(tested)
     sw_per_stage = []
     new_positives = []
-    for s_idx, aset in enumerate(tested):
+    for s_idx, (aset, coeffs) in enumerate(zip(tested, coefficients)):
         cands = parent.positives[s_idx] if parent is not None else None
-        decisions = {}
-        sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions)
+        # only an LP test starts from its pair's decision at the parent
+        decisions = {} if test == "LP" else None
+        sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions,
+                               coefficients=coeffs)
         sw_per_stage.append(sw)
-        new_positives.append({pair: decision for pair, decision in decisions.items()
-                              if decision.switches})
+        new_positives.append({(i, j): decisions[(i, j)] if decisions is not None else None
+                              for i, targets in enumerate(sw) for j in targets if i < j})
     if parent is not None and sw_per_stage == parent.switch_sets:
         value = parent.value
     elif bound == "B":
@@ -237,18 +270,25 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
 
 def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "B",
                         test: str = "LP", scope: str = SearchConfig.scope) -> SearchResult:
-    """Greedy descent minimizing the chosen loss bound; returns one scheme."""
+    """Greedy descent minimizing the chosen loss bound; returns one scheme.
+    With the VS test, each tested stage set is Walsh-transformed once and
+    every lattice node decides its pairs from those coefficients."""
     if bound not in ("B", "E"):
         raise InputError(f"unknown bound {bound!r}")
     if test not in METHODS:
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
+    coefficients = None
+    if test == "VS":
+        coefficients = [walsh_transform(aset.matrix)
+                        for aset in _tested_stages(stage_sets, bound, scope)]
 
     def score(node, mask, parent):
-        got = _scoped_bound(model, stage_sets, node, bound, test, scope, parent)
+        got = _scoped_bound(model, stage_sets, node, bound, test, scope, parent, coefficients)
         return got.value, got
 
-    root = _scoped_bound(model, stage_sets, lattice_root(n), bound, test, scope)
+    root = _scoped_bound(model, stage_sets, lattice_root(n), bound, test, scope,
+                         coefficients=coefficients)
     node, trace = _descend(n, root.value, root, score, "bound")
     return SearchResult(f"{bound.lower()}-{test.lower()}", scope, scheme=node, trace=trace)
 

@@ -7,7 +7,7 @@ import pytest
 from beliefproj import (GuardError, InputError, LpResult, NumericalError, ProjectionScheme,
                         bounds, build_basis, displacement, lattice_children, lattice_root,
                         lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
-                        solve_lp, solver, vs_switch_test, walsh_vector)
+                        solve_lp, solver, vs_switch_test, walsh_transform, walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                                compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
@@ -227,14 +227,26 @@ def test_lp_switch_decided_by_vs_and_gradient_signs():
 
 
 def record_tests(monkeypatch, aset):
-    """Log the (i, j) row indices of every switch test stage_switch_sets runs."""
+    """Log the (i, j) row indices of every switch test stage_switch_sets runs:
+    each LP test, and each pair the stage-level VS pass decides (the keys of
+    its ``decisions``)."""
     rows = {row.tobytes(): k for k, row in enumerate(aset.matrix)}
     calls = []
-    for name in ("lp_switch_test", "vs_switch_test"):
-        def logged(a_i, a_j, *args, original=getattr(bounds, name)):
-            calls.append((rows[a_i.tobytes()], rows[a_j.tobytes()]))
-            return original(a_i, a_j, *args)
-        monkeypatch.setattr(bounds, name, logged)
+
+    def logged_lp(a_i, a_j, *args, original=bounds.lp_switch_test):
+        calls.append((rows[a_i.tobytes()], rows[a_j.tobytes()]))
+        return original(a_i, a_j, *args)
+
+    def logged_vs(coefficients, schemes, candidates=None, decisions=None,
+                  original=bounds.vs_switch_sets):
+        assert np.array_equal(coefficients, walsh_transform(aset.matrix))
+        decided = {} if decisions is None else decisions
+        sets = original(coefficients, schemes, candidates, decided)
+        calls.extend(decided)
+        return sets
+
+    monkeypatch.setattr(bounds, "lp_switch_test", logged_lp)
+    monkeypatch.setattr(bounds, "vs_switch_sets", logged_vs)
     return calls
 
 
@@ -469,6 +481,20 @@ def test_alt_sets_guard_fires_above_the_cap(monkeypatch):
     alt_sets(model, stages, sw)
     monkeypatch.setattr(bounds, "ALT_GUARD", 1)
     with pytest.raises(GuardError, match="alternative set for stage 2"):
+        alt_sets(model, stages, sw)
+
+
+def test_alt_sets_guard_counts_root_blocks_built_for_an_earlier_vector(monkeypatch):
+    """Vector 2 lists only roots whose blocks vectors 0 and 1 built, and holds
+    more members than either: a guard between them names vector 2."""
+    model, stages = small_stage_sets(3, horizon=2)
+    assert len(stages[1]) >= 3 and model.n_observations == 2
+    sw = [[()] * len(stages[0]), [(2,), (0,), (0, 1)] + [()] * (len(stages[1]) - 3)]
+    first = alt_sets(model, stages, sw)[0]
+    block = [math.prod(len(first[p]) for p in stages[1].strategies[root]) for root in range(3)]
+    totals = [block[0] + block[2], block[1] + block[0], block[2] + block[0] + block[1]]
+    monkeypatch.setattr(bounds, "ALT_GUARD", max(totals[:2]))
+    with pytest.raises(GuardError, match="alternative set for stage 2 vector 2 exceeds"):
         alt_sets(model, stages, sw)
 
 

@@ -4,7 +4,8 @@ import pytest
 from beliefproj import (InputError, LinearProgram, ProjectionScheme, bounds, build_basis,
                         estimator_max, estimator_sum, incremental_scores,
                         lattice_children, lattice_root, random_pomdp,
-                        residual_sq_length, solve, solve_lp, vs_search, walsh_vector)
+                        residual_sq_length, solve, solve_lp, vs_search, walsh_transform,
+                        walsh_vector)
 from beliefproj import search
 from beliefproj.bounds import SWITCH_TOL
 from beliefproj.search import (SearchConfig, _scoped_bound, greedy_bound_search,
@@ -239,11 +240,19 @@ def test_b_bound_with_scope_last_tests_only_last_stage_rows(monkeypatch, test):
     expected = greedy_bound_search(model, stages[-1:], "B", test, "all")
     last = stages[-1].matrix
     seen = []
-    for name in ("lp_switch_test", "vs_switch_test"):
-        def spy(alpha_i, alpha_j, *args, original=getattr(bounds, name)):
-            seen.append(np.shares_memory(alpha_i, last) and np.shares_memory(alpha_j, last))
-            return original(alpha_i, alpha_j, *args)
-        monkeypatch.setattr(bounds, name, spy)
+
+    def spy_lp(alpha_i, alpha_j, *args, original=bounds.lp_switch_test):
+        seen.append(np.shares_memory(alpha_i, last) and np.shares_memory(alpha_j, last))
+        return original(alpha_i, alpha_j, *args)
+
+    def spy_vs(coefficients, *args, original=bounds.vs_switch_sets):
+        # the stage-level VS pass reads the Walsh coefficients of the last
+        # stage's rows only
+        seen.append(np.array_equal(coefficients, walsh_transform(last)))
+        return original(coefficients, *args)
+
+    monkeypatch.setattr(bounds, "lp_switch_test", spy_lp)
+    monkeypatch.setattr(bounds, "vs_switch_sets", spy_vs)
     result = greedy_bound_search(model, stages, "B", test, "last")
     assert seen and all(seen)
     assert result.trace and result.trace == expected.trace
