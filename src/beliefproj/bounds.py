@@ -1,4 +1,4 @@
-"""Switch tests, switch sets, alternative-plan sets, and the loss bounds.
+"""Switch tests, switch sets, alternative-plan floors, and the loss bounds.
 
 Two switch tests decide whether monitoring through a projection scheme can
 make plan j look better than plan i from inside i's optimal region: an LP over
@@ -8,16 +8,16 @@ space). The LP test runs once per pair; the algebraic test decides a whole
 stage set at once from one Walsh transform of its matrix
 (:func:`vs_switch_sets`), and the per-pair :func:`vs_switch_test` is kept as
 its reference. Switch sets feed an upper bound on the loss of a single
-approximation (B) and, through alternative-plan sets, of successive
-approximations (E). A one-sided sampling oracle is kept as the reference the
-tests check both tests against. A scheme source is one global
+approximation (B) and, through each vector's floor (the pointwise minimum of
+its alternative plans' values, by a dynamic program over observation paths),
+of successive approximations (E). A one-sided sampling oracle is kept as the
+reference the tests check both tests against. A scheme source is one global
 ProjectionScheme or a per-region map keyed by (stage, vector index);
 :func:`scheme_of` reads both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -29,7 +29,7 @@ from .lpcore import EQUAL, GREATER, LinearProgram, LpResult, solve_lp
 from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, indicator_vector, project_batch,
                          residual_sq_length, walsh_transform)
-from .solver import AlphaSet, undominated
+from .solver import AlphaSet
 
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
 ALT_GUARD = 100_000
@@ -318,96 +318,90 @@ def bound_from_switch_sets(aset: AlphaSet, switch_sets) -> float:
     return _largest_gap(aset, (aset.matrix[[i, *sw]] for i, sw in enumerate(switch_sets)))
 
 
-def _minimal_members(members: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows and every row that pointwise-dominates another;
-    the survivors attain the same max of (alpha - member). Negation is exact,
-    so :func:`undominated` on the negated rows makes exactly these cuts."""
-    return members[undominated(-members)]
-
-
 def alt_sets(model: Pomdp, stage_sets: list[AlphaSet],
              switch_sets_per_stage) -> list[list[np.ndarray]]:
-    """Alternative-plan value vectors per stage per vector, one row per member.
+    """Each vector's floor per stage, as a one-row array: the pointwise
+    minimum of the value vectors of the plans that may take its place.
 
     Stage 1 alternatives are the vector itself plus its switch targets. At
-    stage k the plan may first switch at the root, then substitute any
-    alternative subplan per observation; every reachable plan's value vector
-    is produced by the backup formula. A root's members cross-sum its
-    per-observation branch values one observation at a time, observation 0
-    most significant, so they come in ``itertools.product`` order and each is
-    summed in observation order. Each partial cross-sum but the last, and
-    each vector's whole set, is reduced to its pointwise-minimal members,
-    which leaves the E bound unchanged: a partial sum that is >= another
-    everywhere only leads to members >= the other's, rounding included.
-    A partial cross-sum above ``ALT_GUARD`` members, or a last one that
-    would bring its vector's members above it, raises GuardError before it
-    is built. A root's block is built once per stage, for the first vector
-    that lists it, and reused for every later one; a reused block counts
-    toward its vector's members at the point where it would have been
-    built, so every guard fires where it would without the reuse.
+    stage k the plan may first switch at the root, then follow any
+    alternative of each continuation. The minimum of a linear functional C
+    over those members separates by observation, so in difference form
+    W(p, C) = min over members m of C (m - alpha_p) is the minimum over the
+    roots r of p of C (alpha_r - alpha_p) + gamma sum_z W(sigma_z(r), C M),
+    with M = T_a diag(O_a[:, z]) for r's action a, and the floor is
+    alpha_p + W(p, I). C is fixed by the (action, observation) path from
+    the top, so W has one entry per (stage, vector, path). A vector with no
+    switch target and only such vectors below it has W = 0 exactly and no
+    entry, so a belief-preserving scheme's floors are its vectors. The
+    entries are listed top down, and GuardError is raised at the first one
+    above ``ALT_GUARD``, before any product; their values are then computed
+    bottom up.
     """
-    alts: list[list[np.ndarray]] = []
+    plans = [(aset.actions.tolist(), aset.strategies.tolist()) for aset in stage_sets]
+    trivial = []  # stage 1 continues with the zero plan, which is trivial
+    for switch_sets, (_, strategies) in zip(switch_sets_per_stage, plans):
+        trivial.append([not targets and (not trivial or all(trivial[-1][c] for c in sigma))
+                        for targets, sigma in zip(switch_sets, strategies)])
+    paths = [(0, 0, 0)]  # path id -> (parent id, action, observation); 0 is the empty path
+    path_ids: dict[tuple[int, int, int], int] = {}
+    levels: list[dict] = [{} for _ in stage_sets]  # (vector, path id) -> W, per stage
+
+    def continuations(k, r, path):
+        """(vector, path id) of each of root r's non-trivial continuations."""
+        actions, strategies = plans[k]
+        for z, c in enumerate(strategies[r]):
+            if not trivial[k - 1][c]:
+                step = (path, actions[r], z)
+                if step not in path_ids:
+                    path_ids[step] = len(paths)
+                    paths.append(step)
+                yield c, path_ids[step]
+
+    entries = 0
+
+    def enter(k, key):
+        nonlocal entries
+        if key not in levels[k]:
+            entries += 1
+            if entries > ALT_GUARD:
+                raise GuardError(f"alternative set for stage {k + 1} vector {key[0]} needs "
+                                 f"more than {ALT_GUARD} entries")
+            levels[k][key] = None
+
+    for k in reversed(range(len(stage_sets))):
+        for p, flat in enumerate(trivial[k]):
+            if not flat:
+                enter(k, (p, 0))
+        for p, path in levels[k] if k else ():
+            for r in (p, *switch_sets_per_stage[k][p]):
+                for key in continuations(k, r, path):
+                    enter(k - 1, key)
+
+    floors = []
     for k, aset in enumerate(stage_sets):
-        switch_sets = switch_sets_per_stage[k]
-        if k == 0:
-            alts.append([_minimal_members(aset.matrix[[i, *switch_sets[i]]])
-                         for i in range(len(aset))])
-            continue
-        prev_alts = alts[-1]
-        transformed: dict[tuple[int, int, int], np.ndarray] = {}
-
-        def branch_values(a, z, p):
-            key = (a, z, p)
-            got = transformed.get(key)
-            if got is None:
-                # one product per member: a single matrix product over all
-                # members may round differently
-                column = model.observation_fn[a][:, z]
-                got = np.array([model.transition[a] @ (column * w) for w in prev_alts[p]])
-                transformed[key] = got
-            return got
-
-        # a root's block is kept from its first listing to its last
-        uses = Counter(root for i in range(len(aset)) for root in (i, *switch_sets[i]))
-        built: dict[int, np.ndarray] = {}
-        stage_alts = []
-        for i in range(len(aset)):
-            blocks, count = [], 0
-            for root in (i, *switch_sets[i]):
-                block = built.get(root)
-                if block is not None:
-                    count += len(block)
-                    _alt_guard(count, k + 1, i)
-                else:
-                    acc, *rest = [branch_values(aset.actions[root], z, p)
-                                  for z, p in enumerate(aset.strategies[root])]
-                    for values in rest[:-1]:
-                        _alt_guard(len(acc) * len(values), k + 1, i)
-                        acc = _minimal_members(_cross_sum(acc, values))
-                    count += len(acc) * (len(rest[-1]) if rest else 1)
-                    _alt_guard(count, k + 1, i)
-                    if rest:
-                        acc = _cross_sum(acc, rest[-1])
-                    block = built[root] = model.reward + model.discount * acc
-                uses[root] -= 1
-                if not uses[root]:
-                    del built[root]
-                blocks.append(block)
-            stage_alts.append(_minimal_members(np.concatenate(blocks)))
-        alts.append(stage_alts)
-    return alts
-
-
-def _alt_guard(members: int, stage: int, idx: int) -> None:
-    if members > ALT_GUARD:
-        raise GuardError(f"alternative set for stage {stage} vector {idx} "
-                         f"exceeds {ALT_GUARD} members")
-
-
-def _cross_sum(acc: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Every row of ``acc`` plus every row of ``values``, ``acc``'s rows most
-    significant."""
-    return (acc[:, np.newaxis] + values).reshape(-1, acc.shape[1])
+        switch_sets, level = switch_sets_per_stage[k], levels[k]
+        for p, path in level:
+            targets = list(switch_sets[p])
+            values = np.zeros((1 + len(targets), aset.matrix.shape[1]))
+            if targets:
+                # C (alpha_r - alpha_p), deepest step first as backup takes
+                # one, so no product of two tables is formed
+                columns, step = (aset.matrix[targets] - aset.matrix[p]).T, path
+                while step:
+                    step, a, z = paths[step]
+                    columns = model.transition[a] @ (model.observation_fn[a][:, z, None] * columns)
+                values[1:] = columns.T
+            for row, r in enumerate((p, *targets) if k else ()):
+                values[row] += model.discount * sum(levels[k - 1][key]
+                                                    for key in continuations(k, r, path))
+            level[p, path] = values.min(axis=0)
+        if k:
+            levels[k - 1] = {}
+        zero = np.zeros(aset.matrix.shape[1])
+        gaps = np.array([level.get((p, 0), zero) for p in range(len(aset))])
+        floors.append(list((aset.matrix + gaps)[:, np.newaxis]))
+    return floors
 
 
 def bound_E_from_alts(aset: AlphaSet, stage_alts) -> float:

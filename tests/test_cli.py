@@ -359,6 +359,23 @@ def test_alternative_set_guard_exits_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("guard error: alternative set") == 2
 
 
+def test_e_search_guards_a_deep_switching_policy_and_walks_a_deep_trivial_one(tmp_path, capsys):
+    """Forty stages whose plans switch need more alternative-set entries than
+    the guard allows; 1,500 stages of one plan that never switches need none."""
+    deep = solve_policy(tmp_path, gen_model(tmp_path, vars=2, seed=1), horizon=40)
+    capsys.readouterr()
+    assert run(["search", deep, "--method", "e-vs", "--out", tmp_path / "deep.json"]) == 3
+    err = capsys.readouterr().err
+    assert "guard error: alternative set" in err and "Traceback" not in err
+    model = tmp_path / "m111.json"
+    assert run(["gen", "--vars", 1, "--actions", 1, "--obs", 1, "--seed", 0,
+                "--out", model]) == 0
+    long = solve_policy(tmp_path, model, horizon=1500, name="long.json")
+    capsys.readouterr()
+    assert run(["search", long, "--method", "e-vs", "--out", tmp_path / "long_s.json"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_solved_policy_reloads_to_same_values(tmp_path):
     import numpy as np
     from beliefproj import compile_model, random_belief, solve, value_of

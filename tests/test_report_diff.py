@@ -20,15 +20,16 @@ def report_diff():
 
 @pytest.fixture
 def old_dir(tmp_path):
-    """A directory with a model, a policy and two eval reports with their
-    manifests and CSVs, as the CLI writes them."""
+    """A directory with a model, a policy, an e-vs search result and two eval
+    reports with their manifests and CSVs, as the CLI writes them."""
     d = tmp_path / "old"
     d.mkdir()
     model, policy, scheme = d / "model.json", d / "policy.json", d / "scheme.json"
     scheme.write_text(json.dumps([["x0"], ["x1"]]))
     commands = [["gen", "--vars", "2", "--actions", "2", "--obs", "2", "--seed", "3",
                  "--out", model],
-                ["solve", model, "--horizon", "2", "--out", policy]]
+                ["solve", model, "--horizon", "2", "--out", policy],
+                ["search", policy, "--method", "e-vs", "--out", d / "search_e-vs.json"]]
     for mode in ("single", "successive"):
         commands.append(["eval", model, policy, scheme, "--mode", mode, "--beliefs", "20",
                          "--seed", "0", "--out", d / f"eval_{mode}.json"])
@@ -48,7 +49,8 @@ def test_equal_reports_give_one_line_and_exit_0(report_diff, old_dir, tmp_path, 
     new = tmp_path / "new"
     shutil.copytree(old_dir, new)
     assert report_diff.main([str(old_dir), str(new)]) == 0
-    assert capsys.readouterr().out == "largest |delta average_loss|: 0.0 over 2 report pairs\n"
+    assert capsys.readouterr().out == ("largest |delta average_loss|: 0.0 over 2 report pairs; "
+                                       "largest relative change: 0.0 over 3 document pairs\n")
 
 
 def test_lists_every_differing_field_and_the_largest_loss_change_last(report_diff, old_dir,
@@ -66,10 +68,40 @@ def test_lists_every_differing_field_and_the_largest_loss_change_last(report_dif
     fields = [line.split(":")[0] for line in lines[:-1]]
     assert fields == [f"only in {new}", "eval_single.json average_loss",
                       "eval_successive.json B", "eval_successive.json average_loss"]
-    head, tail = lines[-1].split(" over ")
+    loss, change = lines[-1].split("; ")
+    head, tail = loss.split(" over ")
     assert head.startswith("largest |delta average_loss|: ")
     assert float(head.split(": ")[1]) == pytest.approx(1e-2)
     assert tail == "2 report pairs (eval_successive.json)"
+    head, tail = change.split(" over ")
+    assert head.startswith("largest relative change: ")
+    assert float(head.split(": ")[1]) == pytest.approx(1.0 / max(abs(successive["B"]), 1.0))
+    assert tail == "3 document pairs (eval_successive.json B)"
+
+
+def test_pairs_search_results_value_by_value(report_diff, old_dir, tmp_path, capsys):
+    """A search result pairs up as a report does; a changed trace bound is
+    named by its place in the trace, and its change is relative to the old
+    value, or absolute when that is near 0."""
+    new = tmp_path / "new"
+    shutil.copytree(old_dir, new)
+    trace = json.loads((old_dir / "search_e-vs.json").read_text())["trace"]
+    last = f"trace[{len(trace) - 1}].bound"
+
+    def set_bounds(old_bound, new_bound):
+        for d, bound in ((old_dir, old_bound), (new, new_bound)):
+            edit_report(d / "search_e-vs.json", trace=trace[:-1] + [{**trace[-1], "bound": bound}])
+        assert report_diff.main([str(old_dir), str(new)]) == 1
+        return capsys.readouterr().out.splitlines()
+
+    lines = set_bounds(4.0, 4.0 + 4e-12)
+    assert lines[:-1] == [f"search_e-vs.json {last}: 4.0 -> {4.0 + 4e-12!r}"]
+    change = lines[-1].split("; largest relative change: ")[1]
+    assert float(change.split(" ")[0]) == pytest.approx(1e-12, rel=1e-3)
+    assert change.endswith(f" over 3 document pairs (search_e-vs.json {last})")
+    lines = set_bounds(3e-15, 0.0)
+    assert lines[:-1] == [f"search_e-vs.json {last}: 3e-15 -> 0.0"]
+    assert lines[-1].split("; ")[1].startswith("largest relative change: 3e-15 over")
 
 
 def test_refuses_a_path_that_is_not_a_directory(report_diff, old_dir, tmp_path, capsys):
