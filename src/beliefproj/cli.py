@@ -34,7 +34,8 @@ from .errors import (GuardError, InputError, NumericalError,
 from .evaluate import MODES, EvalConfig, average_error, random_pomdp
 from .model import compile_model, model_to_spec
 from .search import ALL_METHODS, SCOPES, SearchConfig, result_from_doc, run_search
-from .solver import BACKUP_CAP, solve, stages_from_doc, stages_to_doc
+from .solver import (BACKUP_CAP, plan_vector, solve, stages_from_doc, stages_to_doc,
+                     zero_stage)
 
 VALUE_SLACK = 1e-9  # relative rounding allowance on the largest value a policy may hold
 SHA256_HEX = re.compile("[0-9a-f]{64}")
@@ -247,6 +248,17 @@ def _policy_from_doc(doc):
         if np.abs(aset.matrix).max() > limit * (1.0 + VALUE_SLACK):
             raise InputError(f"stage-{k} policy values exceed {limit:.6g}, the largest sum of "
                              f"{k} discounted rewards of the model (field 'values')")
+    # the bounds take a vector's values to be its plan's, so they are checked
+    prev = zero_stage(model).matrix
+    for aset in stages:
+        k, tolerance = aset.stage, VALUE_SLACK * model.value_limit(aset.stage)
+        for i, (values, action, strategy) in enumerate(zip(aset.matrix, aset.actions,
+                                                           aset.strategies)):
+            error = np.abs(values - plan_vector(model, action, prev[strategy])).max()
+            if error > tolerance:
+                raise InputError(f"stage-{k} policy vector {i} is off its plan's value by "
+                                 f"{error:.6g}, above {tolerance:.6g} (field 'values')")
+        prev = aset.matrix
     return model, stages, digest
 
 
@@ -333,11 +345,16 @@ def cmd_eval(args) -> int:
         # rerunning a pipeline reproduces artifacts byte for byte
         writer.writerow([report.method, report.mode, repr(report.average_loss),
                          repr(report.bound_B), repr(report.bound_E), ""])
+    # the bound on every belief's loss in this mode: B for one projection,
+    # E for a projection after every update
+    bound = report.bound_B if report.mode == "single" else report.bound_E
     print(f"{report.method} {report.mode}: average loss {report.average_loss:.6g} "
           f"(B={report.bound_B:.6g}, E={report.bound_E:.6g}) in {report.seconds:.3f}s")
     _write_manifest("eval", args, args.out, [args.out, csv_path],
                     {"eval": report.seconds, "total": time.perf_counter() - started},
-                    counters={"approx_restarts": report.approx_restarts})
+                    counters={"approx_restarts": report.approx_restarts,
+                              "loss_headroom": bound - report.worst_loss,
+                              "worst_belief": report.worst_belief})
     return 0
 
 

@@ -66,6 +66,10 @@ class EvalReport:
     # approximate tracks restarted from the exact posterior after their own
     # update found the observation impossible; manifests only, like seconds
     approx_restarts: int = 0
+    # the largest loss of any initial belief and that belief's index in draw
+    # order (the first on ties); manifests only, like seconds
+    worst_loss: float = 0.0
+    worst_belief: int = 0
 
     def to_doc(self) -> dict:
         return {
@@ -309,6 +313,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))
+    worst = int(np.argmax(losses))
     return EvalReport(
         method=method, mode=cfg.mode, average_loss=avg,
         bound_B=max(per_stage_B), bound_E=max(per_stage_E),
@@ -316,4 +321,5 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         num_beliefs=cfg.num_beliefs, seed=cfg.seed, horizon=horizon,
         n_vars=model.n_vars,
         scheme_doc=scheme_source_doc(scheme_source, model.variables),
-        seconds=time.perf_counter() - start, approx_restarts=restarts)
+        seconds=time.perf_counter() - start, approx_restarts=restarts,
+        worst_loss=float(losses[worst]), worst_belief=worst)

@@ -50,6 +50,20 @@ def test_relative_loss_is_the_median_worsening_over_the_parent_median(pairs):
     assert pairs.relative_loss([2.0, 2.0], [2.5, 2.5], "higher") == pytest.approx(-0.25)
 
 
+def test_ratio_interval_takes_the_widest_order_statistics_missing_at_most_a_tenth(pairs):
+    ratios = [1.09, 0.91, 1.05, 0.97, 1.01, 0.93, 1.07, 0.99, 1.03, 0.95]
+    # n = 10: 2·P(Bin(10, 1/2) <= 1) = 22/1024, while <= 2 would be 112/1024
+    lo, hi, coverage = pairs.ratio_interval(ratios)
+    assert (lo, hi) == (0.93, 1.07)
+    assert coverage == pytest.approx(1 - 22 / 1024)
+    # n = 5 is the least with an interval: its extremes, missing 2/32 of the time
+    assert pairs.ratio_interval([1.2, 0.8, 1.0, 0.9, 1.1]) == (0.8, 1.2, pytest.approx(0.9375))
+    assert pairs.ratio_interval([1.2, 0.8, 1.0, 0.9]) is None
+    assert pairs.ratio_interval([]) is None
+    # n = 20: 2·P(Bin(20, 1/2) <= 5) is 0.041, <= 6 would be 0.115
+    assert pairs.ratio_interval(list(range(20)))[:2] == (5, 14)
+
+
 def test_problems_name_a_failed_check_failed_ops_and_a_missing_result(pairs):
     assert pairs.problems({"correct": True, "failed": 0, "metrics": {}}) == []
     assert pairs.problems({"correct": False, "failed": 2}) == ["correct: false",
@@ -78,7 +92,7 @@ def test_main_alternates_the_first_side_and_reports_every_metric(pairs, capsys):
     summary = {line.split(" ")[0]: line for line in out[6:]}
     assert set(summary) == {"pass_s", "setup_s", "peak_rss_mb"}
     assert "change won 3/3 pairs" in summary["pass_s"]
-    assert summary["pass_s"].endswith("gain holds")
+    assert summary["pass_s"].endswith("ratio 0.5, no interval; gain holds")
     assert "change won 0/3 pairs" in summary["setup_s"]
     assert summary["setup_s"].endswith("gain does not hold")
 

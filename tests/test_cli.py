@@ -2,11 +2,14 @@ import argparse
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from beliefproj import cli
 from beliefproj.cli import main
-from beliefproj.model import compile_model, model_to_spec
+from beliefproj.evaluate import _block_values, _leaf_steps
+from beliefproj.model import compile_model, model_to_spec, sample_beliefs
+from beliefproj.search import result_from_doc
 
 
 def run(args):
@@ -46,8 +49,61 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0] == "method,mode,average_loss,B,E,seconds"
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    assert manifest["counters"] == {"approx_restarts": 0}
-    assert "approx_restarts" not in report_doc
+    assert set(manifest["counters"]) == {"approx_restarts", "loss_headroom", "worst_belief"}
+    assert manifest["counters"]["approx_restarts"] == 0
+    assert not {"approx_restarts", "loss_headroom", "worst_belief"} & set(report_doc)
+
+
+@pytest.mark.parametrize("mode", ["single", "successive"])
+def test_eval_manifest_carries_the_worst_beliefs_headroom(tmp_path, mode):
+    model = gen_model(tmp_path, vars=3, seed=1)
+    policy = solve_policy(tmp_path, model, horizon=3)
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "vs-sum", "--out", result]) == 0
+    report = tmp_path / "report.json"
+    # fewer beliefs than EVAL_BLOCK, so the report's losses come from one block
+    assert run(["eval", model, policy, result, "--mode", mode, "--beliefs", 50,
+                "--seed", 5, "--out", report]) == 0
+    counters = json.loads((tmp_path / "report.json.manifest.json").read_text())["counters"]
+    doc = json.loads(policy.read_text())
+    loaded, stages, _ = cli._policy_from_doc(doc)
+    source = result_from_doc(json.loads(result.read_text()), loaded.variables).per_region
+    beliefs = sample_beliefs(loaded.n_states, 50, np.random.default_rng(5))
+    optimal, achieved, _ = _block_values(loaded, stages, source, beliefs, mode,
+                                         _leaf_steps(loaded))
+    losses = np.maximum(0.0, optimal - achieved)
+    report_doc = json.loads(report.read_text())
+    bound = report_doc["B"] if mode == "single" else report_doc["E"]
+    assert counters["worst_belief"] == int(np.argmax(losses))
+    assert counters["loss_headroom"] == bound - losses.max()
+    assert counters["loss_headroom"] >= -1e-9
+
+
+def raised_value_policy(tmp_path):
+    """The grid's (3,2,2,3) gen seed 1 policy, its model and e-vs search
+    result, and a copy of the policy with stage-2 vector 0 raised by 0.5."""
+    model = gen_model(tmp_path, vars=3, seed=1)
+    policy = solve_policy(tmp_path, model, horizon=3)
+    result = tmp_path / "search.json"
+    assert run(["search", policy, "--method", "e-vs", "--out", result]) == 0
+    doc = json.loads(policy.read_text())
+    entry = doc["stages"][1][0]
+    entry["values"] = [v + 0.5 for v in entry["values"]]
+    raised = tmp_path / "raised.json"
+    raised.write_text(json.dumps(doc))
+    return model, raised, result
+
+
+def test_policy_values_that_are_not_their_plans_values_exit_2(tmp_path, capsys):
+    model, raised, result = raised_value_policy(tmp_path)
+    capsys.readouterr()
+    assert run(["search", raised, "--method", "e-vs", "--out", tmp_path / "s.json"]) == 2
+    assert run(["eval", model, raised, result, "--mode", "successive", "--beliefs", 10,
+                "--seed", 0, "--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("stage-2 policy vector 0 is off its plan's value by 0.5") == 2
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "r.json").exists()
 
 
 def test_gen_is_seed_deterministic(tmp_path):

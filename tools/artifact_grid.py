@@ -1,21 +1,49 @@
-"""Run the seven-instance gen -> solve -> search -> eval artifact grid.
+"""Fingerprint a checkout: run the seven-instance gen -> solve -> search ->
+eval artifact grid and list every artifact, LP and VS decision it makes.
 
     python tools/artifact_grid.py --out DIR
 
-Each instance is generated, solved, searched with the four bound methods
-under scopes ``all`` and ``last`` and the two estimator methods, which cover
-every stage, under ``all``, and every search result is evaluated in
-``single`` and ``successive`` mode at 300 beliefs: 32 commands per instance.
-The commands run in this process through ``beliefproj.cli.main`` on the
-``src`` tree next to this script, and write into a fresh directory ``DIR``.
+The run first makes the b-lp and e-lp searches of the (6, 2, 2) cross-check:
+``random_pomdp(6, 2, 2, rng 1000)`` solved to horizon 3. Then it runs the
+grid. Each instance is generated, solved, searched with the four bound
+methods under scopes ``all`` and ``last`` and the two estimator methods,
+which cover every stage, under ``all``, and every search result is evaluated
+in ``single`` and ``successive`` mode at 300 beliefs: 32 commands per
+instance. Everything runs in this process, on the ``src`` tree next to this
+script; the commands run through ``beliefproj.cli.main`` and write into a
+fresh directory ``DIR``. A command that fails shows in the exit column of
+its artifacts; the run goes on.
 
-Standard output gets one ``sha256 exit path`` line per artifact, in command
-order: the digest (``-`` when the command wrote nothing), the exit code of
-the command that writes it, and its path under ``DIR``. Manifests are left
-out, since they hold wall-clock times. Two checkouts write byte-identical
-artifacts with the same exit codes exactly when their outputs are equal, so
-comparing them is one ``diff``. A summary line with the counts of commands,
-artifacts and commands that exited non-zero goes to standard error.
+Three listings, each in call order:
+
+- standard output: one ``sha256 exit path`` line per artifact, in command
+  order: the digest (``-`` when the command wrote nothing), the exit code of
+  the command that writes it, and its path under ``DIR``. Manifests are left
+  out, since they hold wall-clock times.
+- ``DIR/lp_digest.txt``: one ``site status pivots rows cols sha256`` line per
+  program that ``bounds`` or ``solver`` hands to ``solve_lp`` in the
+  cross-check (its own witness LPs included) and in each instance's ``gen``
+  and ``solve``: the module that solved it, the result's status and pivot
+  count, the program's constraints and columns, and a SHA-256 over the
+  result's value (``repr``), final tableau and basis (of nothing when it has
+  none). x is read off the tableau and basis, so it adds nothing.
+- ``DIR/vs_digest.txt``: one ``stage scheme m positives sha256`` line per
+  call of ``bounds.stage_switch_sets`` with the VS test in the grid commands
+  (searches call it through ``search``, ``eval`` through
+  ``compute_bounds``): the stage set's stage, its scheme source, its vector
+  count, the number of pairs (i, j) with j in vector i's switch set, and a
+  SHA-256 over the ``repr`` of the switch sets. A global scheme is written
+  as its blocks, variables joined by ``-`` and blocks by ``|`` (``0-1|2``);
+  a per-region source as ``per-region:`` and the first 16 hex digits of a
+  SHA-256 over the schemes of the stage's vectors in index order.
+
+Two checkouts write the same artifacts with the same exit codes, solve the
+same programs pivot for pivot and bit for bit, and make the same VS
+decisions exactly when their listings are equal, so comparing them is three
+``diff``s. Three summary lines go to standard error: the counts of commands,
+artifacts and commands that exited non-zero; the LPs and pivots of the LP
+listing, then of each site in name order, as in ``7 LPs, 20 pivots (bounds
+4 LPs, 12 pivots; solver 3 LPs, 8 pivots)``; the VS calls and positives.
 """
 
 from __future__ import annotations
@@ -26,12 +54,19 @@ import hashlib
 import io
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from beliefproj import cli  # noqa: E402
-from beliefproj.search import ALL_METHODS, BOUND_METHODS  # noqa: E402
+import numpy as np  # noqa: E402
 
+from beliefproj import bounds, cli, search, solver  # noqa: E402
+from beliefproj.evaluate import random_pomdp  # noqa: E402
+from beliefproj.lpcore import solve_lp  # noqa: E402
+from beliefproj.projection import ProjectionScheme  # noqa: E402
+from beliefproj.search import ALL_METHODS, BOUND_METHODS, SearchConfig, run_search  # noqa: E402
+
+CROSS_CHECK = (6, 2, 2, 1000, 3)  # (variables, actions, observations, rng seed, horizon)
 # (variables, actions, observations, horizon, gen seed)
 INSTANCES = ((3, 2, 2, 3, 1), (6, 2, 2, 3, 2), (4, 2, 2, 3, 3), (2, 2, 3, 4, 4),
              (5, 2, 2, 2, 5), (3, 3, 2, 3, 6), (4, 2, 2, 3, 7))
@@ -39,6 +74,7 @@ SCOPES = ("all", "last")
 MODES = ("single", "successive")
 BELIEFS = 300
 EVAL_SEED = 0
+LISTED_LP_COMMANDS = ("gen", "solve")  # grid commands whose LPs are listed
 
 
 def instance_commands(index: int, instance, out: Path):
@@ -72,6 +108,78 @@ def run(argv: list[str]) -> int:
         return cli.main(argv)
 
 
+def lp_line(site: str, lp, result) -> str:
+    digest = hashlib.sha256()
+    if result.tableau is not None:
+        digest.update(repr(result.value).encode())
+        for array in result.tableau:
+            digest.update(array.tobytes())
+    return (f"{site} {result.status} {result.pivots} {len(lp.constraints)} "
+            f"{lp.objective.shape[0]} {digest.hexdigest()}")
+
+
+def scheme_text(scheme: ProjectionScheme) -> str:
+    return "|".join("-".join(map(str, block)) for block in scheme.blocks)
+
+
+def vs_line(aset, scheme_source, switch_sets) -> str:
+    if isinstance(scheme_source, ProjectionScheme):
+        source = scheme_text(scheme_source)
+    else:
+        schemes = ";".join(scheme_text(bounds.scheme_of(scheme_source, aset.stage, i))
+                           for i in range(len(aset)))
+        source = "per-region:" + hashlib.sha256(schemes.encode()).hexdigest()[:16]
+    positives = sum(map(len, switch_sets))
+    sha = hashlib.sha256(repr(switch_sets).encode()).hexdigest()
+    return f"{aset.stage} {source} {len(aset)} {positives} {sha}"
+
+
+@contextlib.contextmanager
+def listed(lps: list[str], vs: list[str]):
+    """Append one line to ``lps`` per solve of ``bounds`` and ``solver``, and
+    one to ``vs`` per VS call of ``stage_switch_sets`` by ``bounds`` or
+    ``search``."""
+    def solving(site):
+        def solve(lp):
+            result = solve_lp(lp)
+            lps.append(lp_line(site, lp, result))
+            return result
+        return solve
+
+    original = bounds.stage_switch_sets
+
+    def switch_sets(aset, scheme_source, method="LP", **kwargs):
+        sets = original(aset, scheme_source, method, **kwargs)
+        if method == "VS":
+            vs.append(vs_line(aset, scheme_source, sets))
+        return sets
+
+    with mock.patch.object(bounds, "solve_lp", solving("bounds")), \
+            mock.patch.object(solver, "solve_lp", solving("solver")), \
+            mock.patch.object(bounds, "stage_switch_sets", switch_sets), \
+            mock.patch.object(search, "stage_switch_sets", switch_sets):
+        yield
+
+
+def lp_summary(lines: list[str]) -> str:
+    """The LP and pivot counts of a listing, in all and per site."""
+    totals: dict[str, list[int]] = {}
+    for line in lines:
+        site, _status, pivots, *_ = line.split(" ")
+        counts = totals.setdefault(site, [0, 0])
+        counts[0] += 1
+        counts[1] += int(pivots)
+    sites = "; ".join(f"{site} {lps} LPs, {pivots} pivots"
+                      for site, (lps, pivots) in sorted(totals.items()))
+    pivots = sum(pivots for _lps, pivots in totals.values())
+    return f"{len(lines)} LPs, {pivots} pivots ({sites})"
+
+
+def vs_summary(lines: list[str]) -> str:
+    positives = sum(int(line.split(" ")[3]) for line in lines)
+    return f"{len(lines)} VS switch-set calls, {positives} positives"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="a directory that is empty or absent")
@@ -80,20 +188,35 @@ def main(argv=None) -> int:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         parser.error(f"{out} is not an empty directory")
     out.mkdir(parents=True, exist_ok=True)
+    lps: list[str] = []
+    vs: list[str] = []
     commands = artifacts = failed = 0
-    for index, instance in enumerate(INSTANCES):
-        for command, paths in instance_commands(index, instance, out):
-            code = run(command)
-            commands += 1
-            failed += code != 0
-            for path in paths:
-                if path.is_file():
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    artifacts += 1
-                else:
-                    digest = "-"
-                print(f"{digest} {code} {path.relative_to(out).as_posix()}", flush=True)
+    with listed(lps, vs):
+        n, actions, obs, seed, horizon = CROSS_CHECK
+        model = random_pomdp(n, actions, obs, np.random.default_rng(seed))
+        stages = solver.solve(model, horizon)
+        for method in ("b-lp", "e-lp"):
+            run_search(model, stages, SearchConfig(method=method))
+        for index, instance in enumerate(INSTANCES):
+            for command, paths in instance_commands(index, instance, out):
+                listed_lps = len(lps)
+                code = run(command)
+                if command[0] not in LISTED_LP_COMMANDS:
+                    del lps[listed_lps:]
+                commands += 1
+                failed += code != 0
+                for path in paths:
+                    if path.is_file():
+                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                        artifacts += 1
+                    else:
+                        digest = "-"
+                    print(f"{digest} {code} {path.relative_to(out).as_posix()}", flush=True)
+    for name, lines in (("lp_digest.txt", lps), ("vs_digest.txt", vs)):
+        (out / name).write_text("".join(f"{line}\n" for line in lines))
     print(f"{commands} commands, {artifacts} artifacts, {failed} failed", file=sys.stderr)
+    print(lp_summary(lps), file=sys.stderr)
+    print(vs_summary(vs), file=sys.stderr)
     return 0
 
 

@@ -11,9 +11,11 @@ The parent runs first in pairs 1, 3, 5, ... and the change in pairs 2, 4,
 Then, for each end-to-end metric that ``BENCHMARK.json`` declares, one line
 gives each side's median and quartiles (q1, q3), the pairs the change won
 (ties count for neither side), the change of the median against the
-metric's bound, and whether a gain may be claimed: the change must win at
-least nine tenths of the pairs, and its median must be better than the
-parent's by more than the distance between the parent's quartiles.
+metric's bound, the median of the per-pair ratios (change over parent) with
+a distribution-free interval of at least 90% from their order statistics
+(none below five pairs), and whether a gain may be claimed: the change must
+win at least nine tenths of the pairs, and its median must be better than
+the parent's by more than the distance between the parent's quartiles.
 
 Exits 1 as soon as a run reports ``correct: false``, a failed op or no
 result, naming the run; a comparison that rests on such a run shows
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -31,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GAIN_SHARE = 0.9  # share of the pairs the change must win to claim a gain
+RATIO_MISS = 0.10  # largest chance that the ratio interval misses the median ratio
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -68,6 +72,20 @@ def relative_loss(parent, change, better: str) -> float:
     return -improvement(parent_median, quartiles(change)[1], better) / parent_median
 
 
+def ratio_interval(ratios) -> tuple[float, float, float] | None:
+    """(lo, hi, coverage) of the order-statistic interval [r(k), r(n+1-k)]
+    of ``ratios`` for the largest k whose chance of missing their median,
+    2·P(Bin(n, 1/2) <= k-1), is at most ``RATIO_MISS``; None when even
+    [r(1), r(n)] misses more often."""
+    ratios, n = sorted(ratios), len(ratios)
+
+    def miss(k):
+        return 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+
+    k = max((k for k in range(1, n // 2 + 1) if miss(k) <= RATIO_MISS), default=0)
+    return (ratios[k - 1], ratios[n - k], 1 - miss(k)) if k else None
+
+
 def problems(result: dict | None) -> list[str]:
     """Why a run cannot be compared: no result, a failed check, failed ops."""
     if result is None:
@@ -96,11 +114,15 @@ def summary_line(name: str, unit: str, better: str, bound: float, parent, change
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     verdict = "holds" if gain_holds(parent, change, better) else "does not hold"
+    ratios = [c / p for p, c in zip(parent, change)]
+    interval = ratio_interval(ratios)
+    spread = (f"{interval[2]:.1%} interval [{interval[0]:.4g}, {interval[1]:.4g}]"
+              if interval else "no interval")
     return (f"{name} ({unit}, {better} is better): parent {pm:.4g} [{p1:.4g}, {p3:.4g}], "
             f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]; change won "
             f"{pairs_won(parent, change, better)}/{len(parent)} pairs; median "
             f"{relative_loss(parent, change, better):+.1%} worse (bound {bound:.0%}); "
-            f"gain {verdict}")
+            f"ratio {statistics.median(ratios):.4g}, {spread}; gain {verdict}")
 
 
 def main(argv=None, run=run_once) -> int:
