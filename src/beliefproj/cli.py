@@ -4,13 +4,15 @@ Every artifact file is byte-reproducible given the same inputs, flags, and
 seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json``
 run log, never into artifacts. Every JSON artifact and manifest goes through
 one writer, ``_write_json``, whose bytes are those of ``json.dump(doc, fh,
-indent=2, sort_keys=True)`` plus a newline; it hands each list of numbers to
-the C encoder in one call. The one value it writes otherwise is a
-:class:`JsonText`: ``solve`` embeds the model file's text that way,
-re-indented, so a policy's ``model`` is the very document its
-``model_sha256`` digests, and a model that ``gen`` wrote keeps the bytes
-``model_to_spec`` would give it. Exit codes: 0 ok, 2 input error, 3 guard
-or resource error, 4 numerical failure.
+indent=2, sort_keys=True)`` plus a newline. The float tables of models and
+policies reach it packed as base64 strings (``model.packed``), and a list
+of scalars goes to the C encoder in one call. A non-finite number exits 4
+and leaves no file, whether the encoder or the packing refuses it. The one
+value the writer writes otherwise is a :class:`JsonText`: ``solve`` embeds
+the model file's text that way, re-indented, so a policy's ``model`` is
+the very document its ``model_sha256`` digests, and a model that ``gen``
+wrote keeps the bytes ``model_to_spec`` would give it. Exit codes: 0 ok,
+2 input error, 3 guard or resource error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -201,7 +203,11 @@ def _write_json(path: str, doc) -> None:
     except ValueError:
         # NaN and the infinities have no JSON form; drop the partial file
         Path(path).unlink(missing_ok=True)
-        raise NumericalError(f"{path}: result holds a non-finite number") from None
+        raise _non_finite(path) from None
+
+
+def _non_finite(path: str) -> NumericalError:
+    return NumericalError(f"{path}: result holds a non-finite number")
 
 
 def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
@@ -285,9 +291,13 @@ def cmd_solve(args) -> int:
     solve_start = time.perf_counter()
     stages = solve(model, args.horizon, cap=args.cap)
     solve_seconds = time.perf_counter() - solve_start
+    try:
+        stages_doc = stages_to_doc(stages)
+    except ValueError:  # packing refuses what the writer would
+        raise _non_finite(args.out) from None
     # the model as read, so the policy's model is the document digested
     doc = {"model": JsonText(text), "model_sha256": digest,
-           "horizon": args.horizon, "stages": stages_to_doc(stages)}
+           "horizon": args.horizon, "stages": stages_doc}
     _write_json(args.out, doc)
     sizes = [len(s) for s in stages]
     for k, size in enumerate(sizes, start=1):
@@ -354,7 +364,9 @@ def cmd_eval(args) -> int:
                     {"eval": report.seconds, "total": time.perf_counter() - started},
                     counters={"approx_restarts": report.approx_restarts,
                               "loss_headroom": bound - report.worst_loss,
-                              "worst_belief": report.worst_belief})
+                              "loss_stderr": report.loss_stderr,
+                              "worst_belief": report.worst_belief,
+                              "zero_loss_beliefs": report.zero_loss_beliefs})
     return 0
 
 

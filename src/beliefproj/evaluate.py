@@ -70,6 +70,11 @@ class EvalReport:
     # order (the first on ties); manifests only, like seconds
     worst_loss: float = 0.0
     worst_belief: int = 0
+    # the standard error of average_loss (the losses' sample standard
+    # deviation over sqrt(num_beliefs); None for one belief) and how many
+    # beliefs lost exactly 0; manifests only, like seconds
+    loss_stderr: float | None = None
+    zero_loss_beliefs: int = 0
 
     def to_doc(self) -> dict:
         return {
@@ -314,6 +319,8 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         restarts += block_restarts
     avg = float(np.mean(losses))
     worst = int(np.argmax(losses))
+    n = cfg.num_beliefs
+    stderr = float(np.std(losses, ddof=1) / np.sqrt(n)) if n > 1 else None
     return EvalReport(
         method=method, mode=cfg.mode, average_loss=avg,
         bound_B=max(per_stage_B), bound_E=max(per_stage_E),
@@ -322,4 +329,5 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         n_vars=model.n_vars,
         scheme_doc=scheme_source_doc(scheme_source, model.variables),
         seconds=time.perf_counter() - start, approx_restarts=restarts,
-        worst_loss=float(losses[worst]), worst_belief=worst)
+        worst_loss=float(losses[worst]), worst_belief=worst, loss_stderr=stderr,
+        zero_loss_beliefs=int(np.count_nonzero(losses == 0.0)))

@@ -8,6 +8,8 @@ state 0 is the all-false instantiation.
 
 from __future__ import annotations
 
+import base64
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,10 +172,36 @@ def bool_among_numbers(raw, table: np.ndarray) -> bool:
     return False
 
 
+def packed(table) -> dict:
+    """The packed JSON form of a float table: ``{"f8": <base64 of its
+    little-endian float64 bytes, row-major>, "shape": [...]}``. JSON has no
+    NaN or infinity, so a table holding one is refused with ValueError, as
+    the JSON encoder refuses it."""
+    table = np.asarray(table, dtype="<f8")
+    if not np.isfinite(table).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return {"f8": base64.b64encode(table.tobytes()).decode("ascii"), "shape": list(table.shape)}
+
+
 def _numbers(value, what: str) -> np.ndarray:
-    """A model table of JSON numbers as a float array; InputError naming
-    ``what`` otherwise. Converting with ``dtype=float`` would accept numeric
-    strings and booleans, so the table's own dtype is checked first."""
+    """A table of numbers as a float array: packed (see :func:`packed`) or
+    nested lists of JSON numbers. InputError naming ``what`` otherwise.
+
+    A packed table has exactly the keys ``f8`` and ``shape``, a shape of
+    non-negative integers and strict base64 of 8 bytes per entry. Converting
+    a list with ``dtype=float`` would accept numeric strings and booleans,
+    so the list's own dtype is checked first."""
+    if isinstance(value, dict):
+        data, shape = value.get("f8"), value.get("shape")
+        if (len(value) == 2 and isinstance(data, str) and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            try:
+                raw = base64.b64decode(data, validate=True)
+                if len(raw) == 8 * math.prod(shape):
+                    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+            except (ValueError, OverflowError):  # not base64, or a shape numpy cannot hold
+                pass
+        raise InputError(f"{what} is not a table of numbers")
     try:
         table = np.asarray(value)
         if table.dtype.kind in "iuf" and not bool_among_numbers(value, table):
@@ -240,7 +268,8 @@ def compile_model(spec: dict) -> Pomdp:
     Expected keys: ``variables``, ``actions``, ``observations``, ``transitions``
     (per action either ``{"flat": [[...]]}`` or ``{"cpts": {var: {"parents": [...],
     "rows": [[p_true, p_false], ...]}}}``), ``observation`` (per action, 2^n x |Z|
-    rows over arrival states), ``reward`` (length 2^n), ``discount``.
+    rows over arrival states), ``reward`` (length 2^n), ``discount``. Each
+    table may also be given packed (see :func:`packed`).
     """
     if not isinstance(spec, dict):
         raise InputError(f"model document must be an object, got {type(spec).__name__}")
@@ -301,16 +330,17 @@ def compile_model(spec: dict) -> Pomdp:
 
 
 def model_to_spec(model: Pomdp) -> dict:
-    """Dense JSON document for a model (flat transition tables)."""
+    """Dense JSON document for a model: flat transition tables, and every
+    table packed."""
     return {
         "variables": list(model.variables),
         "actions": list(model.actions),
         "observations": list(model.observations),
-        "transitions": {a: {"flat": model.transition[ai].tolist()}
+        "transitions": {a: {"flat": packed(model.transition[ai])}
                         for ai, a in enumerate(model.actions)},
-        "observation": {a: model.observation_fn[ai].tolist()
+        "observation": {a: packed(model.observation_fn[ai])
                         for ai, a in enumerate(model.actions)},
-        "reward": model.reward.tolist(),
+        "reward": packed(model.reward),
         "discount": model.discount,
     }
 

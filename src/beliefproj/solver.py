@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
-from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
-                    bool_among_numbers, observation_probabilities)
+from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, _numbers, belief_update,
+                    bool_among_numbers, observation_probabilities, packed)
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -242,13 +242,23 @@ def brute_force_value(model: Pomdp, b: np.ndarray, k: int) -> float:
 
 def stages_to_doc(stages: list[AlphaSet]) -> list:
     """JSON form of solved stage sets: per stage, a list of
-    {values, action, strategy} entries."""
+    {values, action, strategy} entries, each entry's values packed."""
     return [
-        [{"values": values, "action": action, "strategy": strategy}
-         for values, action, strategy in zip(aset.matrix.tolist(), aset.actions.tolist(),
+        [{"values": packed(values), "action": action, "strategy": strategy}
+         for values, action, strategy in zip(aset.matrix, aset.actions.tolist(),
                                              aset.strategies.tolist())]
         for aset in stages
     ]
+
+
+def _packed_values(raw: list, k: int) -> bool:
+    """Whether a stage's ``values`` fields are packed tables, which its
+    entries give all or none of."""
+    forms = {isinstance(v, dict) for v in raw}
+    if len(forms) > 1:
+        raise InputError(f"stage-{k} policy values mix packed tables and number lists "
+                         f"(field 'values')")
+    return forms == {True}
 
 
 def stages_from_doc(doc: list) -> list[AlphaSet]:
@@ -269,7 +279,13 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
         for key, dtype in (("values", float), ("action", np.intp), ("strategy", np.intp)):
             try:
                 raw = [e[key] for e in entries]
+                packed_values = key == "values" and _packed_values(raw, k)
+                if packed_values:
+                    raw = [_numbers(v, f"stage-{k} policy entry {i} 'values'")
+                           for i, v in enumerate(raw)]
                 fields.append(np.array(raw, dtype=dtype))
+            except InputError:  # a ValueError whose message stands as it is
+                raise
             except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise InputError(f"malformed stage-{k} policy entry: {err} "
                                  f"(field {key!r})") from None
@@ -278,8 +294,9 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
             # are checked; values that are no rows are left to the caller's
             # row-shape check
             if dtype is float:
-                if fields[-1].ndim == 2 and (np.asarray(raw).dtype.kind not in "iuf"
-                                             or bool_among_numbers(raw, fields[-1])):
+                if fields[-1].ndim == 2 and not packed_values and (
+                        np.asarray(raw).dtype.kind not in "iuf"
+                        or bool_among_numbers(raw, fields[-1])):
                     raise InputError(f"stage-{k} policy values must be numbers (field 'values')")
                 continue
             bad = [v for v in np.array(raw, dtype=object).flat if type(v) is not int]

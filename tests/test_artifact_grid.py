@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ from beliefproj import LinearProgram, ProjectionScheme, lattice_root, solve_lp
 from beliefproj.solver import AlphaSet
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_grid.py"
+COMMITTED = Path(__file__).resolve().parent / "data" / "grid"
+LISTINGS = ("artifacts.txt", "lp_digest.txt", "vs_digest.txt")
+SHOWN = 5  # differing lines shown per listing
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +128,38 @@ def test_a_line_names_the_stage_source_and_hashes_the_switch_sets(grid):
     source = {(2, i): lattice_root(3) for i in range(3)}
     regions = hashlib.sha256(b"0|1|2;0|1|2;0|1|2").hexdigest()[:16]
     assert grid.vs_line(aset, source, sets) == f"2 per-region:{regions} 3 3 {sha}"
+
+
+def first_differences(name: str, committed: list[str], fresh: list[str]) -> list[str]:
+    """Up to ``SHOWN`` lines on which two listings differ, by line number."""
+    shown = []
+    for number, (old, new) in enumerate(itertools.zip_longest(committed, fresh), start=1):
+        if old != new and len(shown) < SHOWN:
+            shown.append(f"{name} line {number}:\n  committed: {old}\n  this tree: {new}")
+    return shown
+
+
+def test_the_grid_reproduces_the_committed_listings(grid, tmp_path):
+    """The fingerprint in tier-1: every artifact, LP and VS line of the grid
+    equals the committed listing's. A change that means to alter some
+    regenerates the listings with the command in ``tools/artifact_grid.py``."""
+    fresh = tmp_path / "listings"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert grid.main(["--out", str(tmp_path / "out"), "--listings", str(fresh)]) == 0
+    differences = []
+    for name in LISTINGS:
+        committed = (COMMITTED / name).read_text().splitlines()
+        differences += first_differences(name, committed, (fresh / name).read_text().splitlines())
+    environment = (COMMITTED / "environment.txt").read_text()
+    if differences and grid.environment() != environment:
+        differences.insert(0, f"the listings were made in another environment:\n{environment}"
+                              f"this one is:\n{grid.environment()}")
+    assert not differences, "\n".join(differences)
+
+
+def test_a_differing_listing_shows_its_first_differing_lines():
+    committed = [f"line {i}" for i in range(10)]
+    fresh = committed[:3] + ["changed"] + committed[4:] + ["extra"]
+    assert first_differences("lp_digest.txt", committed, fresh) == [
+        "lp_digest.txt line 4:\n  committed: line 3\n  this tree: changed",
+        "lp_digest.txt line 11:\n  committed: None\n  this tree: extra"]

@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from beliefproj import cli
 from beliefproj.cli import main
 from beliefproj.evaluate import _block_values, _leaf_steps
-from beliefproj.model import compile_model, model_to_spec, sample_beliefs
+from beliefproj.model import _numbers, compile_model, model_to_spec, sample_beliefs
 from beliefproj.search import result_from_doc
 
 
@@ -27,6 +29,18 @@ def solve_policy(tmp_path, model, horizon=2, name="policy.json"):
     path = tmp_path / name
     assert run(["solve", model, "--horizon", horizon, "--out", path]) == 0
     return path
+
+
+def listed(doc):
+    """``doc`` with every packed table turned back into nested lists of
+    numbers, the form a hand-written document gives."""
+    if isinstance(doc, dict):
+        if doc.keys() == {"f8", "shape"}:
+            return _numbers(doc, "table").tolist()
+        return {key: listed(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [listed(value) for value in doc]
+    return doc
 
 
 def test_pipeline_end_to_end(tmp_path, capsys):
@@ -49,9 +63,11 @@ def test_pipeline_end_to_end(tmp_path, capsys):
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.splitlines()[0] == "method,mode,average_loss,B,E,seconds"
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
-    assert set(manifest["counters"]) == {"approx_restarts", "loss_headroom", "worst_belief"}
+    counters = {"approx_restarts", "loss_headroom", "loss_stderr", "worst_belief",
+                "zero_loss_beliefs"}
+    assert set(manifest["counters"]) == counters
     assert manifest["counters"]["approx_restarts"] == 0
-    assert not {"approx_restarts", "loss_headroom", "worst_belief"} & set(report_doc)
+    assert not counters & set(report_doc)
 
 
 @pytest.mark.parametrize("mode", ["single", "successive"])
@@ -77,6 +93,22 @@ def test_eval_manifest_carries_the_worst_beliefs_headroom(tmp_path, mode):
     assert counters["worst_belief"] == int(np.argmax(losses))
     assert counters["loss_headroom"] == bound - losses.max()
     assert counters["loss_headroom"] >= -1e-9
+    assert counters["loss_stderr"] == pytest.approx(statistics.stdev(losses) / 50 ** 0.5,
+                                                    rel=1e-12)
+    assert counters["zero_loss_beliefs"] == sum(loss == 0.0 for loss in losses.tolist())
+    assert "loss_stderr" not in report_doc and "zero_loss_beliefs" not in report_doc
+
+
+def test_eval_of_one_belief_writes_no_standard_error(tmp_path):
+    model = gen_model(tmp_path)
+    policy = solve_policy(tmp_path, model)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([["x0"], ["x1"]]))
+    assert run(["eval", model, policy, scheme, "--mode", "single", "--beliefs", 1,
+                "--seed", 0, "--out", tmp_path / "r.json"]) == 0
+    counters = json.loads((tmp_path / "r.json.manifest.json").read_text())["counters"]
+    assert counters["loss_stderr"] is None
+    assert counters["zero_loss_beliefs"] in (0, 1)
 
 
 def raised_value_policy(tmp_path):
@@ -86,7 +118,7 @@ def raised_value_policy(tmp_path):
     policy = solve_policy(tmp_path, model, horizon=3)
     result = tmp_path / "search.json"
     assert run(["search", policy, "--method", "e-vs", "--out", result]) == 0
-    doc = json.loads(policy.read_text())
+    doc = listed(json.loads(policy.read_text()))
     entry = doc["stages"][1][0]
     entry["values"] = [v + 0.5 for v in entry["values"]]
     raised = tmp_path / "raised.json"
@@ -610,7 +642,7 @@ def _deterministic_first_row(table, entry):
      "cpt rows for 'x0' is not a table of numbers"),
 ], ids=["reward-true", "reward-false", "flat-true", "observation-true", "cpt-true"])
 def test_a_lone_bool_among_model_numbers_exits_2(tmp_path, capsys, edit, message):
-    doc = json.loads(gen_model(tmp_path).read_text())
+    doc = listed(json.loads(gen_model(tmp_path).read_text()))
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -623,7 +655,7 @@ def test_a_lone_bool_among_model_numbers_exits_2(tmp_path, capsys, edit, message
 @pytest.mark.parametrize("entry", [True, False])
 def test_a_lone_bool_among_policy_values_exits_2(tmp_path, capsys, entry):
     model = gen_model(tmp_path)
-    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    doc = listed(json.loads(solve_policy(tmp_path, model).read_text()))
     doc["stages"][1][0]["values"][2] = entry
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -705,7 +737,7 @@ def test_a_scheme_block_naming_a_variable_twice_exits_2(tmp_path, capsys, scheme
         "values-numeric-string"])
 def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, message):
     model = gen_model(tmp_path)
-    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    doc = listed(json.loads(solve_policy(tmp_path, model).read_text()))
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -726,7 +758,7 @@ def test_malformed_policy_exits_2_naming_the_problem(tmp_path, capsys, edit, mes
     ("reward", lambda doc: doc["reward"].__setitem__(2, "NaN")),
 ], ids=["transition", "observation", "reward"])
 def test_nan_model_entry_exits_2_naming_the_table(tmp_path, capsys, table, edit):
-    doc = json.loads(gen_model(tmp_path).read_text())
+    doc = listed(json.loads(gen_model(tmp_path).read_text()))
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc).replace('"NaN"', "NaN"))
@@ -751,7 +783,7 @@ def test_rewards_whose_values_overflow_exit_2_naming_the_reward_and_horizon(tmp_
 
 def test_policy_values_beyond_the_reward_bound_exit_2(tmp_path, capsys):
     model = gen_model(tmp_path)
-    doc = json.loads(solve_policy(tmp_path, model).read_text())
+    doc = listed(json.loads(solve_policy(tmp_path, model).read_text()))
     doc["stages"][1][0]["values"][:2] = [1e308, -1e308]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -786,6 +818,29 @@ def test_non_finite_result_exits_4_without_writing_it(tmp_path, monkeypatch, cap
                 "--beliefs", 20, "--out", tmp_path / "r.json"]) == 4
     assert "non-finite number" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_non_finite_policy_value_exits_4_without_writing_it(tmp_path, monkeypatch, capsys):
+    """A policy's values are packed before the writer sees them, so packing
+    refuses a non-finite value in the writer's words."""
+    model = gen_model(tmp_path)
+    real_solve = cli.solve
+
+    def nan_solve(*args, **kwargs):
+        stages = real_solve(*args, **kwargs)
+        top = stages[-1]
+        matrix = top.matrix.copy()
+        matrix[0, 1] = np.nan
+        # an AlphaSet refuses non-finite values, so the stand-in is not one
+        return stages[:-1] + [SimpleNamespace(matrix=matrix, actions=top.actions,
+                                              strategies=top.strategies)]
+    monkeypatch.setattr(cli, "solve", nan_solve)
+    policy = tmp_path / "p.json"
+    capsys.readouterr()
+    assert run(["solve", model, "--horizon", 2, "--out", policy]) == 4
+    err = capsys.readouterr().err
+    assert f"numerical failure: {policy}: result holds a non-finite number" in err
+    assert "Traceback" not in err and not policy.exists()
 
 
 @pytest.mark.parametrize("command,flag", [

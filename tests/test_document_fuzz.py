@@ -1,9 +1,12 @@
 """Malformed documents: whatever one node of a solved policy is replaced by,
 `search` and `eval` end with a documented exit code, and so does `eval`
-whatever one node of a search result is replaced by."""
+whatever one node of a search result is replaced by. A spoiled packed table
+in a model or a policy exits 2 naming the table."""
 
+import base64
 import copy
 import json
+import struct
 
 import pytest
 
@@ -92,3 +95,87 @@ def test_search_result_with_one_node_replaced_exits_documented_code(searched, da
     for mode in ("single", "successive"):
         assert run(["eval", model, d / "policy.json", bad, "--mode", mode, "--beliefs", 20,
                     "--seed", 0, "--out", d / "r.json"]) in {0, 2, 3, 4}
+
+
+def _with_bytes(table, data):
+    return dict(table, f8=base64.b64encode(data).decode("ascii"))
+
+
+def _nan_entry(table):
+    data = bytearray(base64.b64decode(table["f8"]))
+    data[8:16] = struct.pack("<d", float("nan"))
+    return _with_bytes(table, bytes(data))
+
+
+# each edit spoils one packed table; "nan" keeps its form and spoils a value
+PACKED_EDITS = {
+    "bad-base64": lambda t: dict(t, f8="*" + t["f8"][1:]),
+    "wrong-length": lambda t: _with_bytes(t, base64.b64decode(t["f8"])[:-8]),
+    # the spoiled shapes below keep the product of the true one
+    "bool-shape": lambda t: dict(t, shape=[True, *t["shape"]]),
+    "negative-shape": lambda t: dict(t, shape=[-1, -t["shape"][0], *t["shape"][1:]]),
+    "float-shape": lambda t: dict(t, shape=[float(d) for d in t["shape"]]),
+    "extra-key": lambda t: dict(t, dtype="<f8"),
+    "non-string-f8": lambda t: dict(t, f8=list(base64.b64decode(t["f8"]))),
+    "nan": _nan_entry,
+}
+# (where a model table sits, what the error calls it, what a NaN error calls it)
+MODEL_TABLES = {
+    "reward": (("reward",), "model reward", "model reward"),
+    "flat": (("transitions", "a0", "flat"), "flat transition for 'a0'",
+             "model transition table"),
+    "observation": (("observation", "a1"), "observation table for 'a1'",
+                    "model observation table"),
+}
+
+
+def _edited(doc, path, edit):
+    table = doc
+    for key in path:
+        table = table[key]
+    return replaced(doc, path, edit(table))
+
+
+@pytest.mark.parametrize("edit", PACKED_EDITS)
+@pytest.mark.parametrize("table", MODEL_TABLES)
+def test_a_spoiled_packed_model_table_exits_2_naming_it(solved, capsys, table, edit):
+    d, model, _, _, _ = solved
+    path, what, nan_what = MODEL_TABLES[table]
+    bad = d / "bad_model.json"
+    bad.write_text(json.dumps(_edited(json.loads(model.read_text()), path,
+                                      PACKED_EDITS[edit])))
+    capsys.readouterr()
+    assert run(["solve", bad, "--horizon", 2, "--out", d / "p.json"]) == 2
+    err = capsys.readouterr().err
+    message = (f"{nan_what} has non-finite entries" if edit == "nan"
+               else f"{what} is not a table of numbers")
+    assert err == f"error: {bad}: {message}\n"
+
+
+def _mixed_forms(doc):
+    """Stage 2's first entry gives its values as a list, its second packed."""
+    doc = copy.deepcopy(doc)
+    entry = doc["stages"][1][0]
+    entry["values"] = list(struct.unpack(f"<{entry['values']['shape'][0]}d",
+                                         base64.b64decode(entry["values"]["f8"])))
+    return doc
+
+
+@pytest.mark.parametrize("edit", [*PACKED_EDITS, "mixed-forms"])
+def test_a_spoiled_packed_policy_value_table_exits_2_naming_it(solved, capsys, edit):
+    d, model, scheme, doc, _ = solved
+    if edit == "mixed-forms":
+        bad_doc = _mixed_forms(doc)
+        message = "stage-2 policy values mix packed tables and number lists (field 'values')"
+    else:
+        bad_doc = _edited(doc, ("stages", 1, 1, "values"), PACKED_EDITS[edit])
+        message = ("stage-2 alpha vectors have non-finite values" if edit == "nan"
+                   else "stage-2 policy entry 1 'values' is not a table of numbers")
+    bad = d / "bad_policy.json"
+    bad.write_text(json.dumps(bad_doc))
+    for command in (["search", bad, "--method", "b-vs", "--out", d / "s.json"],
+                    ["eval", model, bad, scheme, "--mode", "single", "--beliefs", 20,
+                     "--seed", 0, "--out", d / "r.json"]):
+        capsys.readouterr()
+        assert run(command) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"

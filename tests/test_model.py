@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from beliefproj import (InputError, Pomdp, ZeroProbabilityObservation,
                         belief_update, compile_model, model_to_spec,
-                        observation_probabilities, predicted_belief, value_of)
+                        observation_probabilities, predicted_belief, random_pomdp, value_of)
+from beliefproj.model import _numbers, packed
 
 UNIFORM_OBS = [[0.5, 0.5], [0.5, 0.5]]
 
@@ -99,6 +102,40 @@ def test_model_spec_roundtrip():
     again = compile_model(model_to_spec(model))
     np.testing.assert_array_equal(model.transition, again.transition)
     np.testing.assert_array_equal(model.observation_fn, again.observation_fn)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, -2.5]
+
+
+@pytest.mark.parametrize("shape", [(10,), (2, 5), (5, 2, 1), (0,), (0, 3)])
+def test_a_packed_table_reads_back_byte_for_byte(shape):
+    table = np.resize(np.array(EDGE_FLOATS), shape)
+    doc = json.loads(json.dumps(packed(table)))
+    assert sorted(doc) == ["f8", "shape"] and doc["shape"] == list(shape)
+    again = _numbers(doc, "table")
+    assert again.shape == shape and again.dtype == np.float64
+    assert again.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_packing_refuses_a_non_finite_entry(value):
+    with pytest.raises(ValueError):
+        packed(np.array([[0.5, value]]))
+
+
+def test_a_model_reads_the_same_from_packed_and_listed_tables():
+    model = random_pomdp(3, 2, 2, np.random.default_rng(4))
+    spec = model_to_spec(model)
+    listed = dict(spec, reward=model.reward.tolist(),
+                  observation={a: model.observation_fn[i].tolist()
+                               for i, a in enumerate(model.actions)},
+                  transitions={a: {"flat": model.transition[i].tolist()}
+                               for i, a in enumerate(model.actions)})
+    for doc in (spec, listed):
+        again = compile_model(doc)
+        for table in ("transition", "observation_fn", "reward"):
+            assert getattr(again, table).tobytes() == getattr(model, table).tobytes()
 
 
 def test_belief_update_uninformative_is_identity():

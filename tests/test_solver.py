@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -301,6 +302,17 @@ def test_policy_doc_roundtrip():
     assert stages_to_doc(again) == doc
     for a, b in zip(stages, again):
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def test_policy_doc_roundtrip_keeps_every_bit():
+    # a signed zero, subnormals and values near the float limit survive packing
+    rows = [[-0.0, 5e-324, 1e308, -1e308], [0.0, -5e-324, 2.2250738585072014e-308 / 3, 0.1]]
+    stages = [alpha_set(rows[:1], stage=1, strategy=()), alpha_set(rows, stage=2)]
+    again = stages_from_doc(json.loads(json.dumps(stages_to_doc(stages))))
+    for a, b in zip(stages, again):
+        assert b.matrix.tobytes() == a.matrix.tobytes()
+        np.testing.assert_array_equal(b.actions, a.actions)
+        np.testing.assert_array_equal(b.strategies, a.strategies)
 
 
 def unseeded_prune(aset):

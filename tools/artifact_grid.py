@@ -1,7 +1,7 @@
 """Fingerprint a checkout: run the seven-instance gen -> solve -> search ->
 eval artifact grid and list every artifact, LP and VS decision it makes.
 
-    python tools/artifact_grid.py --out DIR
+    python tools/artifact_grid.py --out DIR [--listings LISTINGS]
 
 The run first makes the b-lp and e-lp searches of the (6, 2, 2) cross-check:
 ``random_pomdp(6, 2, 2, rng 1000)`` solved to horizon 3. Then it runs the
@@ -44,6 +44,15 @@ decisions exactly when their listings are equal, so comparing them is three
 artifacts and commands that exited non-zero; the LPs and pivots of the LP
 listing, then of each site in name order, as in ``7 LPs, 20 pivots (bounds
 4 LPs, 12 pivots; solver 3 LPs, 8 pivots)``; the VS calls and positives.
+
+With ``--listings LISTINGS`` the run also writes the three listings as
+``artifacts.txt``, ``lp_digest.txt`` and ``vs_digest.txt`` into the
+directory ``LISTINGS``, with ``environment.txt``: the Python, numpy and BLAS
+build that made them (see :func:`environment`). ``tests/test_artifact_grid.py``
+compares a fresh run against the copy committed in ``tests/data/grid``,
+which this command regenerates:
+
+    python tools/artifact_grid.py --out "$(mktemp -d)/grid" --listings tests/data/grid
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 from pathlib import Path
 from unittest import mock
@@ -180,9 +190,19 @@ def vs_summary(lines: list[str]) -> str:
     return f"{len(lines)} VS switch-set calls, {positives} positives"
 
 
+def environment() -> str:
+    """The interpreter, numpy and BLAS build that a listing depends on, one
+    ``name value`` line each."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return (f"python {platform.python_version()} {platform.machine()}\n"
+            f"numpy {np.__version__}\n"
+            f"blas {blas['name']} {blas['version']}\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="a directory that is empty or absent")
+    parser.add_argument("--listings", help="a directory to write the listings to as well")
     args = parser.parse_args(argv)
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -190,6 +210,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lps: list[str] = []
     vs: list[str] = []
+    rows: list[str] = []
     commands = artifacts = failed = 0
     with listed(lps, vs):
         n, actions, obs, seed, horizon = CROSS_CHECK
@@ -211,9 +232,17 @@ def main(argv=None) -> int:
                         artifacts += 1
                     else:
                         digest = "-"
-                    print(f"{digest} {code} {path.relative_to(out).as_posix()}", flush=True)
-    for name, lines in (("lp_digest.txt", lps), ("vs_digest.txt", vs)):
-        (out / name).write_text("".join(f"{line}\n" for line in lines))
+                    rows.append(f"{digest} {code} {path.relative_to(out).as_posix()}")
+                    print(rows[-1], flush=True)
+    texts = {name: "".join(f"{line}\n" for line in lines) for name, lines
+             in (("artifacts.txt", rows), ("lp_digest.txt", lps), ("vs_digest.txt", vs))}
+    for name in ("lp_digest.txt", "vs_digest.txt"):
+        (out / name).write_text(texts[name])
+    if args.listings:
+        listings = Path(args.listings)
+        listings.mkdir(parents=True, exist_ok=True)
+        for name, text in {**texts, "environment.txt": environment()}.items():
+            (listings / name).write_text(text)
     print(f"{commands} commands, {artifacts} artifacts, {failed} failed", file=sys.stderr)
     print(lp_summary(lps), file=sys.stderr)
     print(vs_summary(vs), file=sys.stderr)
