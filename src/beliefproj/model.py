@@ -183,7 +183,7 @@ def packed(table) -> dict:
     return {"f8": base64.b64encode(table.tobytes()).decode("ascii"), "shape": list(table.shape)}
 
 
-def _numbers(value, what: str) -> np.ndarray:
+def table_of_numbers(value, what: str) -> np.ndarray:
     """A table of numbers as a float array: packed (see :func:`packed`) or
     nested lists of JSON numbers. InputError naming ``what`` otherwise.
 
@@ -231,7 +231,7 @@ def _cpt_truth_probs(var: str, cpt: dict, variables: tuple[str, ...], n: int) ->
     rows = cpt.get("rows")
     if rows is None:
         raise InputError(f"cpt for {var!r} has no rows")
-    rows = _numbers(rows, f"cpt rows for {var!r}")
+    rows = table_of_numbers(rows, f"cpt rows for {var!r}")
     expected = 1 << len(parents)
     if rows.shape != (expected, 2):
         raise InputError(
@@ -302,7 +302,7 @@ def compile_model(spec: dict) -> Pomdp:
         if not isinstance(entry, dict):
             raise InputError(f"transitions for {a!r} must be an object, got {type(entry).__name__}")
         if "flat" in entry:
-            table = _numbers(entry["flat"], f"flat transition for {a!r}")
+            table = table_of_numbers(entry["flat"], f"flat transition for {a!r}")
             if table.shape != (s, s):
                 raise InputError(f"flat transition for {a!r} has shape {table.shape}, expected {(s, s)}")
         elif "cpts" in entry:
@@ -319,13 +319,13 @@ def compile_model(spec: dict) -> Pomdp:
         table = spec["observation"].get(a)
         if table is None:
             raise InputError(f"observation missing action {a!r}")
-        table = _numbers(table, f"observation table for {a!r}")
+        table = table_of_numbers(table, f"observation table for {a!r}")
         if table.shape != (s, len(observations)):
             raise InputError(
                 f"observation table for {a!r} has shape {table.shape}, expected {(s, len(observations))}")
         obs[ai] = table
 
-    reward = _numbers(spec["reward"], "model reward")
+    reward = table_of_numbers(spec["reward"], "model reward")
     return Pomdp(variables, actions, observations, trans, obs, reward, discount)
 
 

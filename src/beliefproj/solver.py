@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
-from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, _numbers, belief_update,
-                    bool_among_numbers, observation_probabilities, packed)
+from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
+                    bool_among_numbers, observation_probabilities, packed, table_of_numbers)
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -281,7 +281,7 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
                 raw = [e[key] for e in entries]
                 packed_values = key == "values" and _packed_values(raw, k)
                 if packed_values:
-                    raw = [_numbers(v, f"stage-{k} policy entry {i} 'values'")
+                    raw = [table_of_numbers(v, f"stage-{k} policy entry {i} 'values'")
                            for i, v in enumerate(raw)]
                 fields.append(np.array(raw, dtype=dtype))
             except InputError:  # a ValueError whose message stands as it is

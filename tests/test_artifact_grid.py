@@ -48,6 +48,8 @@ def test_one_instance_lists_every_artifact_with_its_digest_and_exit(one_instance
         assert code == "0", rel
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
     assert len({rel for _, _, rel in lines}) == len(lines)
+    # the listing is also written beside the LP and VS listings
+    assert (out / "artifacts.txt").read_text() == stdout
 
 
 def test_one_instance_lists_every_lp_with_its_shape_and_digest(one_instance):
@@ -143,9 +145,9 @@ def test_the_grid_reproduces_the_committed_listings(grid, tmp_path):
     """The fingerprint in tier-1: every artifact, LP and VS line of the grid
     equals the committed listing's. A change that means to alter some
     regenerates the listings with the command in ``tools/artifact_grid.py``."""
-    fresh = tmp_path / "listings"
+    fresh = tmp_path / "out"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert grid.main(["--out", str(tmp_path / "out"), "--listings", str(fresh)]) == 0
+        assert grid.main(["--out", str(fresh)]) == 0
     differences = []
     for name in LISTINGS:
         committed = (COMMITTED / name).read_text().splitlines()

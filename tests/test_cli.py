@@ -10,7 +10,7 @@ import pytest
 from beliefproj import cli
 from beliefproj.cli import main
 from beliefproj.evaluate import _block_values, _leaf_steps
-from beliefproj.model import _numbers, compile_model, model_to_spec, sample_beliefs
+from beliefproj.model import compile_model, model_to_spec, sample_beliefs, table_of_numbers
 from beliefproj.search import result_from_doc
 
 
@@ -36,7 +36,7 @@ def listed(doc):
     numbers, the form a hand-written document gives."""
     if isinstance(doc, dict):
         if doc.keys() == {"f8", "shape"}:
-            return _numbers(doc, "table").tolist()
+            return table_of_numbers(doc, "table").tolist()
         return {key: listed(value) for key, value in doc.items()}
     if isinstance(doc, list):
         return [listed(value) for value in doc]

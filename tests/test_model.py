@@ -6,7 +6,7 @@ import pytest
 from beliefproj import (InputError, Pomdp, ZeroProbabilityObservation,
                         belief_update, compile_model, model_to_spec,
                         observation_probabilities, predicted_belief, random_pomdp, value_of)
-from beliefproj.model import _numbers, packed
+from beliefproj.model import packed, table_of_numbers
 
 UNIFORM_OBS = [[0.5, 0.5], [0.5, 0.5]]
 
@@ -113,7 +113,7 @@ def test_a_packed_table_reads_back_byte_for_byte(shape):
     table = np.resize(np.array(EDGE_FLOATS), shape)
     doc = json.loads(json.dumps(packed(table)))
     assert sorted(doc) == ["f8", "shape"] and doc["shape"] == list(shape)
-    again = _numbers(doc, "table")
+    again = table_of_numbers(doc, "table")
     assert again.shape == shape and again.dtype == np.float64
     assert again.tobytes() == table.tobytes()
 

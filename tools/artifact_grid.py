@@ -1,7 +1,7 @@
 """Fingerprint a checkout: run the seven-instance gen -> solve -> search ->
 eval artifact grid and list every artifact, LP and VS decision it makes.
 
-    python tools/artifact_grid.py --out DIR [--listings LISTINGS]
+    python tools/artifact_grid.py --out DIR
 
 The run first makes the b-lp and e-lp searches of the (6, 2, 2) cross-check:
 ``random_pomdp(6, 2, 2, rng 1000)`` solved to horizon 3. Then it runs the
@@ -16,10 +16,11 @@ its artifacts; the run goes on.
 
 Three listings, each in call order:
 
-- standard output: one ``sha256 exit path`` line per artifact, in command
-  order: the digest (``-`` when the command wrote nothing), the exit code of
-  the command that writes it, and its path under ``DIR``. Manifests are left
-  out, since they hold wall-clock times.
+- ``DIR/artifacts.txt``, also printed to standard output as the run goes:
+  one ``sha256 exit path`` line per artifact, in command order: the digest
+  (``-`` when the command wrote nothing), the exit code of the command that
+  writes it, and its path under ``DIR``. Manifests are left out, since they
+  hold wall-clock times.
 - ``DIR/lp_digest.txt``: one ``site status pivots rows cols sha256`` line per
   program that ``bounds`` or ``solver`` hands to ``solve_lp`` in the
   cross-check (its own witness LPs included) and in each instance's ``gen``
@@ -45,14 +46,14 @@ artifacts and commands that exited non-zero; the LPs and pivots of the LP
 listing, then of each site in name order, as in ``7 LPs, 20 pivots (bounds
 4 LPs, 12 pivots; solver 3 LPs, 8 pivots)``; the VS calls and positives.
 
-With ``--listings LISTINGS`` the run also writes the three listings as
-``artifacts.txt``, ``lp_digest.txt`` and ``vs_digest.txt`` into the
-directory ``LISTINGS``, with ``environment.txt``: the Python, numpy and BLAS
-build that made them (see :func:`environment`). ``tests/test_artifact_grid.py``
-compares a fresh run against the copy committed in ``tests/data/grid``,
-which this command regenerates:
+Beside the listings the run writes ``DIR/environment.txt``: the Python,
+numpy and BLAS build that made them (see :func:`environment`).
+``tests/test_artifact_grid.py`` compares a fresh run against the copy
+committed in ``tests/data/grid``, which these commands regenerate:
 
-    python tools/artifact_grid.py --out "$(mktemp -d)/grid" --listings tests/data/grid
+    D="$(mktemp -d)/grid"
+    python tools/artifact_grid.py --out "$D"
+    cp "$D"/{artifacts,lp_digest,vs_digest,environment}.txt tests/data/grid/
 """
 
 from __future__ import annotations
@@ -202,7 +203,6 @@ def environment() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="a directory that is empty or absent")
-    parser.add_argument("--listings", help="a directory to write the listings to as well")
     args = parser.parse_args(argv)
     out = Path(args.out)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
@@ -234,15 +234,9 @@ def main(argv=None) -> int:
                         digest = "-"
                     rows.append(f"{digest} {code} {path.relative_to(out).as_posix()}")
                     print(rows[-1], flush=True)
-    texts = {name: "".join(f"{line}\n" for line in lines) for name, lines
-             in (("artifacts.txt", rows), ("lp_digest.txt", lps), ("vs_digest.txt", vs))}
-    for name in ("lp_digest.txt", "vs_digest.txt"):
-        (out / name).write_text(texts[name])
-    if args.listings:
-        listings = Path(args.listings)
-        listings.mkdir(parents=True, exist_ok=True)
-        for name, text in {**texts, "environment.txt": environment()}.items():
-            (listings / name).write_text(text)
+    for name, lines in (("artifacts.txt", rows), ("lp_digest.txt", lps), ("vs_digest.txt", vs)):
+        (out / name).write_text("".join(f"{line}\n" for line in lines))
+    (out / "environment.txt").write_text(environment())
     print(f"{commands} commands, {artifacts} artifacts, {failed} failed", file=sys.stderr)
     print(lp_summary(lps), file=sys.stderr)
     print(vs_summary(vs), file=sys.stderr)
