@@ -3,16 +3,16 @@
 Every artifact file is byte-reproducible given the same inputs, flags, and
 seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json``
 run log, never into artifacts. Every JSON artifact and manifest goes through
-one writer, ``_write_json``, whose bytes are those of ``json.dump(doc, fh,
+one writer, ``_write_json``, whose bytes are those of ``json.dumps(doc,
 indent=2, sort_keys=True)`` plus a newline. The float tables of models and
-policies reach it packed as base64 strings (``model.packed``), and a list
-of scalars goes to the C encoder in one call. A non-finite number exits 4
-and leaves no file, whether the encoder or the packing refuses it. The one
-value the writer writes otherwise is a :class:`JsonText`: ``solve`` embeds
-the model file's text that way, re-indented, so a policy's ``model`` is
-the very document its ``model_sha256`` digests, and a model that ``gen``
-wrote keeps the bytes ``model_to_spec`` would give it. Exit codes: 0 ok,
-2 input error, 3 guard or resource error, 4 numerical failure.
+policies reach it packed as base64 strings (``model.packed``). A non-finite
+number exits 4 and leaves no file, whether the encoder or the packing
+refuses it. The one value the writer does not encode is a policy's
+``model``: ``solve`` splices in the model file's text as read, re-indented,
+so a policy's ``model`` is the very document its ``model_sha256`` digests,
+and a model that ``gen`` wrote keeps the bytes ``model_to_spec`` would give
+it. Exit codes: 0 ok, 2 input error, 3 guard or resource error, 4
+numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,110 +99,36 @@ def _open_output(path: str, newline: str | None = None):
         raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
-INDENT = "  "
 JSON_SPACE = " \t\n\r"  # the whitespace a JSON text may hold between tokens
-TEXT_SLICE = 1 << 16  # characters of a JsonText re-indented at a time
+TEXT_SLICE = 1 << 16  # characters of an embedded model text re-indented at a time
+MODEL_KEY = '\n  "model": '  # a policy's top-level "model" key as json.dumps writes it
 
 
-@dataclass(frozen=True)
-class JsonText:
-    """A JSON text that :func:`_json_chunks` writes as it is, re-indented to
-    its depth. Its leading and trailing whitespace is left out."""
-
-    text: str
-
-
-def _json_chunks(doc):
-    """The text of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
-    in pieces, raising what it raises, except that a :class:`JsonText` is
-    written as its own text: any JSON text, compact, unsorted or with CRLF
-    line ends.
-
-    Dicts and lists are walked the way the stdlib's indented encoder walks
-    them, in Python. A list of scalars instead goes to the C encoder in one
-    call, with the item separator of its depth, and is wrapped in brackets.
-    Only a container that is not empty encodes differently there, and its
-    text holds a brace or a bracket, so a list whose text holds neither past
-    its opening bracket qualifies. One list's text is held at a time.
-
-    A JsonText nested at depth d gets ``2·d`` more spaces after each of its
-    newlines, in slices of ``TEXT_SLICE`` characters. A JSON string cannot
-    hold a raw newline, so that changes whitespace only, and the text of a
-    document this function wrote comes out as it writes the same document
-    at that depth.
-    """
-    encoders = []
-
-    def encoder(depth):
-        while len(encoders) <= depth:
-            encoders.append(json.JSONEncoder(
-                sort_keys=True, allow_nan=False,
-                separators=(",\n" + INDENT * len(encoders), ": ")).encode)
-        return encoders[depth]
-
-    def walk(o, depth):
-        inner = "\n" + INDENT * (depth + 1)
-        if isinstance(o, dict):
-            if not o:
-                yield "{}"
-                return
-            encode, sep = encoder(0), "{" + inner
-            for key, value in sorted(o.items()):
-                if not isinstance(key, str):
-                    if key is not None and not isinstance(key, (int, float)):
-                        raise TypeError("keys must be str, int, float, bool or None, "
-                                        f"not {key.__class__.__name__}")
-                    key = encode(key)
-                yield sep + encode(key) + ": "
-                sep = "," + inner
-                yield from walk(value, depth + 1)
-            yield "\n" + INDENT * depth + "}"
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                yield "[]"
-                return
-            # a list that starts with a container would mostly fail the test
-            if not isinstance(o[0], (list, tuple, dict)):
-                try:
-                    text = encoder(depth + 1)(o)
-                except TypeError:
-                    # a JsonText item, which the walk writes, or one the
-                    # walk refuses with the same error
-                    text = None
-                if text is not None and "{" not in text and text.find("[", 1) < 0:
-                    yield "[" + inner + text[1:-1] + "\n" + INDENT * depth + "]"
-                    return
-            sep = "[" + inner
-            for value in o:
-                yield sep
-                sep = "," + inner
-                yield from walk(value, depth + 1)
-            yield "\n" + INDENT * depth + "]"
-        elif isinstance(o, JsonText):
-            text, newline = o.text, "\n" + INDENT * depth
-            start, end = 0, len(text)
-            while start < end and text[start] in JSON_SPACE:
+def _write_json(path: str, doc, model_text: str | None = None) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline to
+    ``path``. With ``model_text``, the policy ``doc``'s top-level ``"model":
+    null`` gets that text instead, without its outer whitespace and with two
+    spaces after each newline; a JSON string holds no raw newline, so that
+    only re-indents it. The text is re-indented in slices, so a large model
+    is never copied whole. A non-finite number exits 4 before the file is
+    opened."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and the infinities have no JSON form
+        raise _non_finite(path) from None
+    with _open_output(path) as fh:
+        if model_text is not None:
+            head, text = text.split(MODEL_KEY + "null", 1)
+            fh.write(head + MODEL_KEY)
+            start, end = 0, len(model_text)
+            while start < end and model_text[start] in JSON_SPACE:
                 start += 1
-            while end > start and text[end - 1] in JSON_SPACE:
+            while end > start and model_text[end - 1] in JSON_SPACE:
                 end -= 1
             for lo in range(start, end, TEXT_SLICE):
-                yield text[lo:min(lo + TEXT_SLICE, end)].replace("\n", newline)
-        else:
-            yield encoder(0)(o)
-
-    return walk(doc, 0)
-
-
-def _write_json(path: str, doc) -> None:
-    fh = _open_output(path)
-    try:
-        with fh:
-            fh.writelines(_json_chunks(doc))
-            fh.write("\n")
-    except ValueError:
-        # NaN and the infinities have no JSON form; drop the partial file
-        Path(path).unlink(missing_ok=True)
-        raise _non_finite(path) from None
+                fh.write(model_text[lo:min(lo + TEXT_SLICE, end)].replace("\n", "\n  "))
+        fh.write(text)
+        fh.write("\n")
 
 
 def _non_finite(path: str) -> NumericalError:
@@ -296,9 +221,9 @@ def cmd_solve(args) -> int:
     except ValueError:  # packing refuses what the writer would
         raise _non_finite(args.out) from None
     # the model as read, so the policy's model is the document digested
-    doc = {"model": JsonText(text), "model_sha256": digest,
-           "horizon": args.horizon, "stages": stages_doc}
-    _write_json(args.out, doc)
+    doc = {"model": None, "model_sha256": digest, "horizon": args.horizon,
+           "stages": stages_doc}
+    _write_json(args.out, doc, model_text=text)
     sizes = [len(s) for s in stages]
     for k, size in enumerate(sizes, start=1):
         print(f"stage {k}: {size} vector{'s' if size != 1 else ''}")

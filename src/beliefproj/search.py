@@ -234,11 +234,12 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
 
     Only the stages :func:`_tested_stages` names are tested. With the
     accepted ``parent`` node, only pairs still positive there are retested
-    (switch tests are monotone along edges), an LP test starting from the
-    parent's LP decision for its pair (``positives`` maps each positive pair
-    (i, j), i < j, to its LP decision, or to None under the VS test). B and E are functions of the switch
-    sets alone, so a node whose switch sets equal its parent's takes the
-    parent's value without rebuilding alternative sets or bounds.
+    (switch tests are monotone along edges). ``positives`` maps each
+    positive pair (i, j), i < j, to its LP decision, or to None under the
+    VS test, and an LP test of a pair starts from the parent's decision.
+    B and E are functions of the switch sets alone, so a node whose switch
+    sets equal its parent's takes the parent's value without rebuilding
+    alternative sets or bounds.
     ``coefficients`` optionally holds each tested stage's Walsh transform
     for the VS test, made once per search.
     """

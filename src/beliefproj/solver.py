@@ -251,16 +251,6 @@ def stages_to_doc(stages: list[AlphaSet]) -> list:
     ]
 
 
-def _packed_values(raw: list, k: int) -> bool:
-    """Whether a stage's ``values`` fields are packed tables, which its
-    entries give all or none of."""
-    forms = {isinstance(v, dict) for v in raw}
-    if len(forms) > 1:
-        raise InputError(f"stage-{k} policy values mix packed tables and number lists "
-                         f"(field 'values')")
-    return forms == {True}
-
-
 def stages_from_doc(doc: list) -> list[AlphaSet]:
     """Stage sets from their JSON form, each field of a stage's entries
     stacked into one array. Checks that every strategy index points into the
@@ -279,10 +269,9 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
         for key, dtype in (("values", float), ("action", np.intp), ("strategy", np.intp)):
             try:
                 raw = [e[key] for e in entries]
-                packed_values = key == "values" and _packed_values(raw, k)
-                if packed_values:
+                if key == "values":  # a packed entry is decoded, a list is read as it is
                     raw = [table_of_numbers(v, f"stage-{k} policy entry {i} 'values'")
-                           for i, v in enumerate(raw)]
+                           if isinstance(v, dict) else v for i, v in enumerate(raw)]
                 fields.append(np.array(raw, dtype=dtype))
             except InputError:  # a ValueError whose message stands as it is
                 raise
@@ -291,12 +280,13 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
                                  f"(field {key!r})") from None
             # the conversion reads a numeric string as its number, true as 1
             # and a fraction as its integer part, so the entries' own types
-            # are checked; values that are no rows are left to the caller's
-            # row-shape check
+            # are checked (a decoded packed entry holds only floats); values
+            # that are no rows are left to the caller's row-shape check
             if dtype is float:
-                if fields[-1].ndim == 2 and not packed_values and (
-                        np.asarray(raw).dtype.kind not in "iuf"
-                        or bool_among_numbers(raw, fields[-1])):
+                listed = [v for v in raw if not isinstance(v, np.ndarray)]
+                if fields[-1].ndim == 2 and listed and (
+                        np.asarray(listed).dtype.kind not in "iuf"
+                        or bool_among_numbers(listed, fields[-1])):
                     raise InputError(f"stage-{k} policy values must be numbers (field 'values')")
                 continue
             bad = [v for v in np.array(raw, dtype=object).flat if type(v) is not int]

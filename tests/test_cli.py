@@ -1003,6 +1003,22 @@ def test_policy_of_a_generated_model_has_the_bytes_of_the_re_encoded_model(tmp_p
     assert policy.read_text(encoding="utf-8") == expected
 
 
+def test_every_artifact_of_a_pipeline_is_indented_sorted_json(tmp_path):
+    model = gen_model(tmp_path, vars=3, seed=4)
+    policy = solve_policy(tmp_path, model, horizon=3)
+    for method in ("vs-sum", "b-lp"):
+        search = tmp_path / f"{method}.json"
+        assert run(["search", policy, "--method", method, "--out", search]) == 0
+    for mode, search in (("successive", "vs-sum"), ("single", "b-lp")):
+        assert run(["eval", model, policy, tmp_path / f"{search}.json", "--mode", mode,
+                    "--beliefs", 20, "--seed", 1, "--out", tmp_path / f"{mode}.json"]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert len(written) == 12
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
 def _cpt_transitions(doc):
     doc["transitions"] = {a: {"cpts": {"x0": {"parents": ["x0"], "rows": [[0.1, 0.9], [0.8, 0.2]]},
                                        "x1": {"rows": [[0.5, 0.5]]}}}
@@ -1022,13 +1038,23 @@ def _integer_entries(doc):
     _cpt_transitions,
     lambda doc: json.dumps(dict(doc, notes={"by": "hand", "sizes": [2, 2, 2]}), indent=2),
     lambda doc: "\r\n" + json.dumps(doc, indent=4).replace("\n", "\r\n") + "\r\n",
-], ids=["compact", "integers", "cpts", "extra-key", "crlf"])
-def test_policy_embeds_a_hand_written_model_as_read(tmp_path, write):
+    # a number that decodes to infinity, which the writer would refuse to encode
+    lambda doc: json.dumps(dict(doc, notes="TOKEN"), indent=2).replace('"TOKEN"', "1e400"),
+], ids=["compact", "integers", "cpts", "extra-key", "crlf", "overflowing-extra-key"])
+def test_policy_embeds_a_hand_written_model_as_read(tmp_path, monkeypatch, write):
+    """The policy holds the model file's text spliced in as read: without
+    its outer whitespace and with two spaces after each newline, however
+    the text is cut into slices."""
     doc = json.loads(gen_model(tmp_path).read_text())
     model = tmp_path / "hand.json"
     model.write_bytes(write(doc).encode("utf-8"))
     policy = solve_policy(tmp_path, model)
-    assert json.loads(policy.read_text())["model"] == json.loads(model.read_text())
+    written = policy.read_bytes()
+    embedded = model.read_bytes().strip(b" \t\n\r").replace(b"\n", b"\n  ")
+    assert b'\n  "model": ' + embedded + b',\n  "model_sha256": ' in written
+    assert json.loads(written)["model"] == json.loads(model.read_text())
+    monkeypatch.setattr(cli, "TEXT_SLICE", 3)
+    assert solve_policy(tmp_path, model, name="sliced.json").read_bytes() == written
     search = tmp_path / "search.json"
     assert run(["search", policy, "--method", "b-vs", "--out", search]) == 0
     assert run(["eval", model, policy, search, "--mode", "successive", "--beliefs", 20,

@@ -8,6 +8,7 @@ import copy
 import json
 import struct
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from beliefproj.cli import main  # noqa: E402
+from beliefproj.solver import stages_from_doc  # noqa: E402
 
 LEAVES = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
           | st.text(max_size=3))
@@ -161,16 +163,12 @@ def _mixed_forms(doc):
     return doc
 
 
-@pytest.mark.parametrize("edit", [*PACKED_EDITS, "mixed-forms"])
+@pytest.mark.parametrize("edit", PACKED_EDITS)
 def test_a_spoiled_packed_policy_value_table_exits_2_naming_it(solved, capsys, edit):
     d, model, scheme, doc, _ = solved
-    if edit == "mixed-forms":
-        bad_doc = _mixed_forms(doc)
-        message = "stage-2 policy values mix packed tables and number lists (field 'values')"
-    else:
-        bad_doc = _edited(doc, ("stages", 1, 1, "values"), PACKED_EDITS[edit])
-        message = ("stage-2 alpha vectors have non-finite values" if edit == "nan"
-                   else "stage-2 policy entry 1 'values' is not a table of numbers")
+    bad_doc = _edited(doc, ("stages", 1, 1, "values"), PACKED_EDITS[edit])
+    message = ("stage-2 alpha vectors have non-finite values" if edit == "nan"
+               else "stage-2 policy entry 1 'values' is not a table of numbers")
     bad = d / "bad_policy.json"
     bad.write_text(json.dumps(bad_doc))
     for command in (["search", bad, "--method", "b-vs", "--out", d / "s.json"],
@@ -179,3 +177,22 @@ def test_a_spoiled_packed_policy_value_table_exits_2_naming_it(solved, capsys, e
         capsys.readouterr()
         assert run(command) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_a_stage_mixing_packed_and_listed_values_reads_as_the_packed_one(solved):
+    d, _, _, doc, _ = solved
+    mixed_doc = _mixed_forms(doc)
+    assert [type(e["values"]) for e in mixed_doc["stages"][1][:2]] == [list, dict]
+    for packed_set, mixed_set in zip(stages_from_doc(doc["stages"]),
+                                     stages_from_doc(mixed_doc["stages"]), strict=True):
+        np.testing.assert_array_equal(mixed_set.matrix, packed_set.matrix)
+        np.testing.assert_array_equal(mixed_set.actions, packed_set.actions)
+        np.testing.assert_array_equal(mixed_set.strategies, packed_set.strategies)
+    mixed = d / "mixed_policy.json"
+    mixed.write_text(json.dumps(mixed_doc))
+    results = []
+    for policy in (d / "policy.json", mixed):
+        out = d / f"{policy.stem}_b-vs.json"
+        assert run(["search", policy, "--method", "b-vs", "--out", out]) == 0
+        results.append(out.read_bytes())
+    assert results[0] == results[1]
