@@ -4,10 +4,11 @@ Two switch tests decide whether monitoring through a projection scheme can
 make plan j look better than plan i from inside i's optimal region: an LP over
 belief pairs with matching preserved marginals, and the algebraic subspace
 test (nonzero residual of the value gradient outside the preserved null
-space). The LP test runs once per pair; the algebraic test decides a whole
-stage set at once from one Walsh transform of its matrix
-(:func:`vs_switch_sets`), and the per-pair :func:`vs_switch_test` is kept as
-its reference. Switch sets feed an upper bound on the loss of a single
+space). One walk, :func:`stage_switch_sets`, picks the pairs of a stage
+set that either test decides: the LP test runs once per pair, and the
+algebraic test decides each row's pairs at once from one Walsh transform of
+the stage's matrix, with the per-pair :func:`vs_switch_test` kept as its
+reference. Switch sets feed an upper bound on the loss of a single
 approximation (B) and, through each vector's floor (the pointwise minimum of
 its alternative plans' values, by a dynamic program over observation paths),
 of successive approximations (E). A one-sided sampling oracle is kept as the
@@ -200,73 +201,44 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
     given, receives the SwitchDecision of each pair tested, keyed (i, j) as
     tested, in row order.
 
-    The VS decisions of the whole stage come from one Walsh transform of its
-    matrix (:func:`vs_switch_sets`); ``coefficients``, when given, is that
-    transform, which a search makes once for all its lattice nodes.
+    Rows are grouped by scheme and decided one at a time: row i against
+    every candidate j != i but a j < i of its own scheme, since both tests
+    are symmetric in (i, j) under one scheme and row j decided the pair.
+
+    The VS test decides a row's pairs at once from the unnormalised Walsh
+    coefficients C of the stage's rows; ``coefficients``, when given, is
+    that transform (``walsh_transform(aset.matrix)``), which a search makes
+    once for all its lattice nodes. Pair (i, j) switches iff the sum over
+    the masks outside the scheme's family of (C_i - C_j)^2 exceeds
+    ``SWITCH_TOL^2`` times that sum over every mask, which is 2^n * |a_i -
+    a_j|^2 (Parseval): :func:`vs_switch_test`'s criterion, both sides scaled
+    by 2^n. The sum runs over the outside masks themselves, so a pair that
+    differs only inside the family reads exactly 0 (|d|^2 minus the inside
+    sum would leave rounding there). A decision's ``objective`` is the
+    outside sum over 2^n, the squared residual. Beside ``coefficients``, no
+    step holds more floats than it does.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
     m = len(aset)
-    schemes = [scheme_of(scheme_source, aset.stage, i) for i in range(m)]
-    if method == "VS":
-        if m > 1 and coefficients is None:
-            coefficients = walsh_transform(aset.matrix)
-        return vs_switch_sets(coefficients, schemes, candidates, decisions)
-    sets: list[set[int]] = [set() for _ in range(m)]
-    for i, scheme in enumerate(schemes):
-        for j in range(m):
-            if j == i or (candidates is not None and (min(i, j), max(i, j)) not in candidates):
-                continue
-            if j < i and schemes[j] == scheme:
-                # both tests are symmetric in (i, j) under one scheme, so the
-                # decision made at (j, i) stands
-                switches = i in sets[j]
-            else:
-                warm = candidates.get((i, j)) if candidates is not None else None
-                decision = lp_switch_test(aset.matrix[i], aset.matrix[j], scheme, warm)
-                if decisions is not None:
-                    decisions[(i, j)] = decision
-                switches = decision.switches
-            if switches:
-                sets[i].add(j)
-    return [tuple(sorted(s)) for s in sets]
-
-
-def vs_switch_sets(coefficients: np.ndarray | None, schemes, candidates=None,
-                   decisions: dict | None = None) -> list[tuple[int, ...]]:
-    """The VS switch sets of one stage set, under row i's scheme ``schemes[i]``,
-    from the unnormalised Walsh coefficients of its rows
-    (``walsh_transform(aset.matrix)``, None when there is no pair to test);
-    :func:`stage_switch_sets` gives ``candidates`` and ``decisions`` their
-    meaning.
-
-    Pair (i, j) switches iff the sum over the masks outside the scheme's
-    family of (C_i - C_j)^2 exceeds ``SWITCH_TOL^2`` times that sum over
-    every mask, which is 2^n * |a_i - a_j|^2 (Parseval): :func:`vs_switch_test`'s
-    criterion, both sides scaled by 2^n. The sum runs over the outside masks
-    themselves, so a pair that differs only inside the family reads exactly
-    0 (|d|^2 minus the inside sum would leave rounding there). A decision's
-    ``objective`` is the outside sum over 2^n, the squared residual.
-
-    Rows are grouped by scheme, so each scheme's family is read once, and
-    decided one row at a time: row i against every candidate j != i but a
-    j < i of its own scheme, whose row decided the pair. Beside
-    ``coefficients``, no step holds more floats than it does.
-    """
-    m = len(schemes)
+    group: dict[ProjectionScheme, int] = {}
+    ids = [group.setdefault(scheme_of(scheme_source, aset.stage, i), len(group))
+           for i in range(m)]
+    schemes = list(group)
     if m < 2:
         return [()] * m
-    dim = coefficients.shape[1]
+    if method == "VS":
+        if coefficients is None:
+            coefficients = walsh_transform(aset.matrix)
+        dim = coefficients.shape[1]
+        # per scheme, one column of 1.0 at the masks outside its family (0.0
+        # inside) and one of 1.0 at every mask
+        weights = []
+        for scheme in schemes:
+            columns = np.ones((dim, 2))
+            columns[list(scheme.family.subsets), 0] = 0.0
+            weights.append(columns)
     sets: list[set[int]] = [set() for _ in range(m)]
-    group: dict[ProjectionScheme, int] = {}
-    ids = [group.setdefault(scheme, len(group)) for scheme in schemes]
-    # per group, one column of 1.0 at the masks outside its family (0.0
-    # inside) and one of 1.0 at every mask
-    weights = []
-    for scheme in group:
-        columns = np.ones((dim, 2))
-        columns[list(scheme.family.subsets), 0] = 0.0
-        weights.append(columns)
     partners = None
     if candidates is not None:
         partners = [set() for _ in range(m)]
@@ -278,12 +250,19 @@ def vs_switch_sets(coefficients: np.ndarray | None, schemes, candidates=None,
               and (partners is None or j in partners[i])]
         if not js:
             continue
-        sums = _squared_gap_sums(coefficients, i, js, weights[g])
-        residual = sums[:, 0]
-        switches = (residual > SWITCH_TOL ** 2 * sums[:, 1]).tolist()
+        if method == "VS":
+            sums = _squared_gap_sums(coefficients, i, js, weights[g])
+            switches = (sums[:, 0] > SWITCH_TOL ** 2 * sums[:, 1]).tolist()
+            # the decisions are made only for a caller that keeps them
+            row = (map(SwitchDecision, switches, (sums[:, 0] / dim).tolist())
+                   if decisions is not None else ())
+        else:
+            row = [lp_switch_test(aset.matrix[i], aset.matrix[j], schemes[g],
+                                  candidates.get((i, j)) if candidates is not None else None)
+                   for j in js]
+            switches = [decision.switches for decision in row]
         if decisions is not None:
-            for j, res, sw in zip(js, (residual / dim).tolist(), switches):
-                decisions[(i, j)] = SwitchDecision(sw, res)
+            decisions.update(zip([(i, j) for j in js], row))
         for j in compress(js, switches):
             sets[i].add(j)
             if j > i and ids[j] == g:

@@ -7,7 +7,8 @@ one writer, ``_write_json``, whose bytes are those of ``json.dumps(doc,
 indent=2, sort_keys=True)`` plus a newline. The float tables of models and
 policies reach it packed as base64 strings (``model.packed``). A non-finite
 number exits 4 and leaves no file, whether the encoder or the packing
-refuses it. The one value the writer does not encode is a policy's
+refuses it; a command that cannot write its manifest or CSV removes the
+outputs it wrote. The one value the writer does not encode is a policy's
 ``model``: ``solve`` splices in the model file's text as read, re-indented,
 so a policy's ``model`` is the very document its ``model_sha256`` digests,
 and a model that ``gen`` wrote keeps the bytes ``model_to_spec`` would give
@@ -18,6 +19,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -101,7 +103,6 @@ def _open_output(path: str, newline: str | None = None):
 
 JSON_SPACE = " \t\n\r"  # the whitespace a JSON text may hold between tokens
 TEXT_SLICE = 1 << 16  # characters of an embedded model text re-indented at a time
-MODEL_KEY = '\n  "model": '  # a policy's top-level "model" key as json.dumps writes it
 
 
 def _write_json(path: str, doc, model_text: str | None = None) -> None:
@@ -109,17 +110,20 @@ def _write_json(path: str, doc, model_text: str | None = None) -> None:
     ``path``. With ``model_text``, the policy ``doc``'s top-level ``"model":
     null`` gets that text instead, without its outer whitespace and with two
     spaces after each newline; a JSON string holds no raw newline, so that
-    only re-indents it. The text is re-indented in slices, so a large model
-    is never copied whole. A non-finite number exits 4 before the file is
-    opened."""
+    only re-indents it. The document is encoded to the encoder's chunks,
+    never joined, and the text is re-indented in slices, so neither a large
+    document nor a large model is copied whole. A non-finite number exits 4
+    before the file is opened."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        chunks = list(json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+                      .iterencode(doc))
     except ValueError:  # NaN and the infinities have no JSON form
         raise _non_finite(path) from None
     with _open_output(path) as fh:
         if model_text is not None:
-            head, text = text.split(MODEL_KEY + "null", 1)
-            fh.write(head + MODEL_KEY)
+            at = chunks.index("null", chunks.index('"model"'))
+            fh.writelines(chunks[:at])
+            del chunks[:at + 1]
             start, end = 0, len(model_text)
             while start < end and model_text[start] in JSON_SPACE:
                 start += 1
@@ -127,12 +131,24 @@ def _write_json(path: str, doc, model_text: str | None = None) -> None:
                 end -= 1
             for lo in range(start, end, TEXT_SLICE):
                 fh.write(model_text[lo:min(lo + TEXT_SLICE, end)].replace("\n", "\n  "))
-        fh.write(text)
+        fh.writelines(chunks)
         fh.write("\n")
 
 
 def _non_finite(path: str) -> NumericalError:
     return NumericalError(f"{path}: result holds a non-finite number")
+
+
+@contextlib.contextmanager
+def _removed_on_failure(outputs: list[str]):
+    """Remove ``outputs``, the files a command has written, if the block
+    raises, so a command that fails leaves none of them behind."""
+    try:
+        yield
+    except BaseException:
+        for path in outputs:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
@@ -145,7 +161,8 @@ def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
     }
     if counters is not None:
         doc["counters"] = counters
-    _write_json(str(out_path) + ".manifest.json", doc)
+    with _removed_on_failure(outputs):
+        _write_json(str(out_path) + ".manifest.json", doc)
 
 
 def _policy_from_doc(doc):
@@ -267,12 +284,8 @@ def cmd_eval(args) -> int:
     report = average_error(model, stages, source, cfg, method=result.method)
     _write_json(args.out, report.to_doc())
     csv_path = str(Path(args.out).with_suffix(".csv"))
-    try:
+    with _removed_on_failure([args.out]):
         fh = _open_output(csv_path, newline="")
-    except InputError:
-        # a failed eval leaves no report behind
-        Path(args.out).unlink(missing_ok=True)
-        raise
     with fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "mode", "average_loss", "B", "E", "seconds"])

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
 from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
-                    bool_among_numbers, observation_probabilities, packed, table_of_numbers)
+                    observation_probabilities, packed, table_of_numbers)
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -269,26 +269,20 @@ def stages_from_doc(doc: list) -> list[AlphaSet]:
         for key, dtype in (("values", float), ("action", np.intp), ("strategy", np.intp)):
             try:
                 raw = [e[key] for e in entries]
-                if key == "values":  # a packed entry is decoded, a list is read as it is
+                if key == "values":  # packed or listed, each entry is read as numbers
                     raw = [table_of_numbers(v, f"stage-{k} policy entry {i} 'values'")
-                           if isinstance(v, dict) else v for i, v in enumerate(raw)]
+                           for i, v in enumerate(raw)]
                 fields.append(np.array(raw, dtype=dtype))
             except InputError:  # a ValueError whose message stands as it is
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise InputError(f"malformed stage-{k} policy entry: {err} "
                                  f"(field {key!r})") from None
+            if dtype is float:  # values that are no rows fail the caller's row-shape check
+                continue
             # the conversion reads a numeric string as its number, true as 1
             # and a fraction as its integer part, so the entries' own types
-            # are checked (a decoded packed entry holds only floats); values
-            # that are no rows are left to the caller's row-shape check
-            if dtype is float:
-                listed = [v for v in raw if not isinstance(v, np.ndarray)]
-                if fields[-1].ndim == 2 and listed and (
-                        np.asarray(listed).dtype.kind not in "iuf"
-                        or bool_among_numbers(listed, fields[-1])):
-                    raise InputError(f"stage-{k} policy values must be numbers (field 'values')")
-                continue
+            # are checked
             bad = [v for v in np.array(raw, dtype=object).flat if type(v) is not int]
             if bad:
                 raise InputError(f"stage-{k} policy {key} entry {bad[0]!r} is not an integer "

@@ -50,6 +50,22 @@ def test_relative_loss_is_the_median_worsening_over_the_parent_median(pairs):
     assert pairs.relative_loss([2.0, 2.0], [2.5, 2.5], "higher") == pytest.approx(-0.25)
 
 
+def test_regression_is_worse_past_the_bound_and_unresolved_on_a_wide_parent(pairs):
+    # PARENT spreads (q3 - q1) / median = 3.5%, inside a 25% bound
+    assert pairs.regression(PARENT, [p * 1.2 for p in PARENT], "lower", 0.25) == "none"
+    assert pairs.regression(PARENT, [p * 1.3 for p in PARENT], "lower", 0.25) == "worse"
+    assert pairs.regression(PARENT, [p * 0.7 for p in PARENT], "higher", 0.25) == "worse"
+    # a parent spreading 40% cannot rule out a 25% loss ...
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]
+    assert pairs.regression(wide, [1.1] * 5, "lower", 0.25) == "unresolved"
+    assert pairs.regression(wide, list(wide), "lower", 0.25) == "unresolved"
+    # ... unless every change run beats every parent run
+    assert pairs.regression(wide, [0.5] * 5, "lower", 0.25) == "none"
+    assert pairs.regression(wide, [1.5] * 5, "higher", 0.25) == "none"
+    # the loss past the bound is worse even on a wide parent
+    assert pairs.regression(wide, [1.3] * 5, "lower", 0.25) == "worse"
+
+
 def test_ratio_interval_takes_the_widest_order_statistics_missing_at_most_a_tenth(pairs):
     ratios = [1.09, 0.91, 1.05, 0.97, 1.01, 0.93, 1.07, 0.99, 1.03, 0.95]
     # n = 10: 2·P(Bin(10, 1/2) <= 1) = 22/1024, while <= 2 would be 112/1024
@@ -92,9 +108,9 @@ def test_main_alternates_the_first_side_and_reports_every_metric(pairs, capsys):
     summary = {line.split(" ")[0]: line for line in out[6:]}
     assert set(summary) == {"pass_s", "setup_s", "peak_rss_mb"}
     assert "change won 3/3 pairs" in summary["pass_s"]
-    assert summary["pass_s"].endswith("ratio 0.5, no interval; gain holds")
+    assert summary["pass_s"].endswith("ratio 0.5, no interval; gain holds; regression: none")
     assert "change won 0/3 pairs" in summary["setup_s"]
-    assert summary["setup_s"].endswith("gain does not hold")
+    assert summary["setup_s"].endswith("gain does not hold; regression: none")
 
 
 @pytest.mark.parametrize("bad", [fake_result(0.5, correct=False), fake_result(0.5, failed=1),

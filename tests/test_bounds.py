@@ -229,8 +229,7 @@ def test_lp_switch_decided_by_vs_and_gradient_signs():
 
 def record_tests(monkeypatch, aset):
     """Log the (i, j) row indices of every switch test stage_switch_sets runs:
-    each LP test, and each pair the stage-level VS pass decides (the keys of
-    its ``decisions``)."""
+    each LP test, and each pair a row's VS product decides."""
     rows = {row.tobytes(): k for k, row in enumerate(aset.matrix)}
     calls = []
 
@@ -238,16 +237,13 @@ def record_tests(monkeypatch, aset):
         calls.append((rows[a_i.tobytes()], rows[a_j.tobytes()]))
         return original(a_i, a_j, *args)
 
-    def logged_vs(coefficients, schemes, candidates=None, decisions=None,
-                  original=bounds.vs_switch_sets):
+    def logged_vs(coefficients, i, js, *args, original=bounds._squared_gap_sums):
         assert np.array_equal(coefficients, walsh_transform(aset.matrix))
-        decided = {} if decisions is None else decisions
-        sets = original(coefficients, schemes, candidates, decided)
-        calls.extend(decided)
-        return sets
+        calls.extend((i, j) for j in js)
+        return original(coefficients, i, js, *args)
 
     monkeypatch.setattr(bounds, "lp_switch_test", logged_lp)
-    monkeypatch.setattr(bounds, "vs_switch_sets", logged_vs)
+    monkeypatch.setattr(bounds, "_squared_gap_sums", logged_vs)
     return calls
 
 
@@ -294,6 +290,28 @@ def test_one_scheme_callable_matches_fixed_scheme(monkeypatch, method):
     source = {(aset.stage, i): scheme for i in range(m)}
     assert stage_switch_sets(aset, source, method) == fixed
     assert sorted(calls) == list(itertools.combinations(range(m), 2))
+
+
+def test_lp_and_vs_tests_walk_the_same_pairs_in_the_same_order(monkeypatch):
+    """Under per-vector schemes and candidates, the LP and VS tests are asked
+    about the same (i, j) pairs in the same order: a pair across two schemes
+    from both of its rows, a pair within one scheme from its lower row."""
+    _, stages = small_stage_sets(1)
+    aset = stages[-1]
+    m = len(aset)
+    schemes = alternating_schemes(m)
+    source = {(aset.stage, i): scheme for i, scheme in enumerate(schemes)}
+    candidates = dict.fromkeys(list(itertools.combinations(range(m), 2))[::2])
+    calls = record_tests(monkeypatch, aset)
+    walks = {}
+    for method in ("LP", "VS"):
+        stage_switch_sets(aset, source, method, candidates=candidates)
+        walks[method], calls[:] = list(calls), []
+    assert walks["LP"] == walks["VS"]
+    assert walks["LP"] == [(i, j) for i in range(m) for j in range(m)
+                           if (min(i, j), max(i, j)) in candidates
+                           and (i < j or schemes[i] != schemes[j])]
+    assert any(i > j for i, j in walks["LP"])
 
 
 def test_per_region_source_without_a_vectors_entry_names_it():

@@ -662,7 +662,7 @@ def test_a_lone_bool_among_policy_values_exits_2(tmp_path, capsys, entry):
     capsys.readouterr()
     assert run(["search", bad, "--method", "vs-sum", "--out", tmp_path / "s.json"]) == 2
     err = capsys.readouterr().err
-    assert "stage-2 policy values must be numbers (field 'values')" in err
+    assert "stage-2 policy entry 0 'values' is not a table of numbers" in err
     assert "Traceback" not in err
 
 
@@ -686,14 +686,14 @@ def test_a_scheme_block_naming_a_variable_twice_exits_2(tmp_path, capsys, scheme
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: doc.__setitem__("horizon", "x"), "policy horizon 'x' is not an integer"),
     (lambda doc: doc["stages"][0][0].__setitem__("values", ["p"] * 4),
-     "malformed stage-1 policy entry: could not convert string to float: 'p'"),
+     "stage-1 policy entry 0 'values' is not a table of numbers"),
     (lambda doc: doc.__setitem__("stages", 3), "policy 'stages' must be a list of stages, got int"),
     (lambda doc: doc["stages"].__setitem__(0, 3),
      "stage 1 of the policy must be a list of entries, got int"),
     (lambda doc: doc["stages"][0][0].__setitem__("values", 5),
      "stage-1 policy values must be rows of 4 numbers"),
     (lambda doc: doc["stages"][0][0].__setitem__("values", "5"),
-     "stage-1 policy values must be rows of 4 numbers"),
+     "stage-1 policy entry 0 'values' is not a table of numbers"),
     (lambda doc: doc["stages"][1][0].__setitem__("values", 5), "(field 'values')"),
     (lambda doc: [e.__setitem__("values", [[v] for v in e["values"]]) for e in doc["stages"][0]],
      "stage-1 policy values must be rows of 4 numbers"),
@@ -727,7 +727,7 @@ def test_a_scheme_block_naming_a_variable_twice_exits_2(tmp_path, capsys, scheme
     (lambda doc: doc["stages"][1][0]["strategy"].__setitem__(0, 0.9),
      "stage-2 policy strategy entry 0.9 is not an integer (field 'strategy')"),
     (lambda doc: doc["stages"][1][0]["values"].__setitem__(0, "1.5"),
-     "stage-2 policy values must be numbers (field 'values')"),
+     "stage-2 policy entry 0 'values' is not a table of numbers"),
 ], ids=["horizon-string", "values-strings", "stages-number", "stage-number", "values-number",
         "values-string", "values-ragged", "values-nested", "strategy-short", "action-range",
         "model-number", "missing-key", "horizon-mismatch", "stage-empty", "stages-empty",
@@ -901,6 +901,20 @@ def test_eval_csv_path_that_is_a_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"cannot write {tmp_path / 'r.csv'}" in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "search", "eval"])
+def test_a_manifest_that_cannot_be_written_leaves_no_outputs(tmp_path, capsys, command):
+    argv = pipeline_commands(tmp_path)[command]
+    out = tmp_path / "out" / "x.json"
+    out.parent.mkdir()
+    manifest = out.parent / "x.json.manifest.json"
+    manifest.mkdir()
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {manifest}" in err and "Traceback" not in err
+    assert sorted(p.name for p in out.parent.iterdir()) == [manifest.name]
 
 
 @pytest.mark.parametrize("command,position", [

@@ -245,14 +245,14 @@ def test_b_bound_with_scope_last_tests_only_last_stage_rows(monkeypatch, test):
         seen.append(np.shares_memory(alpha_i, last) and np.shares_memory(alpha_j, last))
         return original(alpha_i, alpha_j, *args)
 
-    def spy_vs(coefficients, *args, original=bounds.vs_switch_sets):
-        # the stage-level VS pass reads the Walsh coefficients of the last
+    def spy_vs(coefficients, *args, original=bounds._squared_gap_sums):
+        # each row's VS product reads the Walsh coefficients of the last
         # stage's rows only
         seen.append(np.array_equal(coefficients, walsh_transform(last)))
         return original(coefficients, *args)
 
     monkeypatch.setattr(bounds, "lp_switch_test", spy_lp)
-    monkeypatch.setattr(bounds, "vs_switch_sets", spy_vs)
+    monkeypatch.setattr(bounds, "_squared_gap_sums", spy_vs)
     result = greedy_bound_search(model, stages, "B", test, "last")
     assert seen and all(seen)
     assert result.trace and result.trace == expected.trace

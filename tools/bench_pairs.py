@@ -13,9 +13,13 @@ gives each side's median and quartiles (q1, q3), the pairs the change won
 (ties count for neither side), the change of the median against the
 metric's bound, the median of the per-pair ratios (change over parent) with
 a distribution-free interval of at least 90% from their order statistics
-(none below five pairs), and whether a gain may be claimed: the change must
-win at least nine tenths of the pairs, and its median must be better than
-the parent's by more than the distance between the parent's quartiles.
+(none below five pairs), whether a gain may be claimed (the change must win
+at least nine tenths of the pairs, and its median must be better than the
+parent's by more than the distance between the parent's quartiles), and the
+no-regression verdict: ``worse`` when the median loses more than the bound,
+``unresolved`` when the parent's own spread, (q3 - q1) / median, is wider
+than the bound and not every change run beats every parent run, ``none``
+otherwise.
 
 Exits 1 as soon as a run reports ``correct: false``, a failed op or no
 result, naming the run; a comparison that rests on such a run shows
@@ -72,6 +76,20 @@ def relative_loss(parent, change, better: str) -> float:
     return -improvement(parent_median, quartiles(change)[1], better) / parent_median
 
 
+def regression(parent, change, better: str, bound: float) -> str:
+    """Whether the change reads worse than the parent: "worse" when its
+    median loses more than ``bound``; "unresolved" when the parent's runs
+    spread wider than ``bound`` ((q3 - q1) / median), unless every change
+    run beats every parent run; "none" otherwise."""
+    if relative_loss(parent, change, better) > bound:
+        return "worse"
+    q1, median, q3 = quartiles(parent)
+    if (q3 - q1) / median > bound and not all(improvement(p, c, better) > 0
+                                              for p in parent for c in change):
+        return "unresolved"
+    return "none"
+
+
 def ratio_interval(ratios) -> tuple[float, float, float] | None:
     """(lo, hi, coverage) of the order-statistic interval [r(k), r(n+1-k)]
     of ``ratios`` for the largest k whose chance of missing their median,
@@ -122,7 +140,8 @@ def summary_line(name: str, unit: str, better: str, bound: float, parent, change
             f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]; change won "
             f"{pairs_won(parent, change, better)}/{len(parent)} pairs; median "
             f"{relative_loss(parent, change, better):+.1%} worse (bound {bound:.0%}); "
-            f"ratio {statistics.median(ratios):.4g}, {spread}; gain {verdict}")
+            f"ratio {statistics.median(ratios):.4g}, {spread}; gain {verdict}; "
+            f"regression: {regression(parent, change, better, bound)}")
 
 
 def main(argv=None, run=run_once) -> int:
