@@ -9,8 +9,11 @@ after every update.
 
 :func:`achieved_value` walks the tree for one belief by recursion.
 :func:`average_error` moves its initial beliefs through the same tree in
-blocks of ``EVAL_BLOCK`` rows, one level per step, and agrees with the
-recursion up to the summation order of the matrix products.
+blocks of ``EVAL_BLOCK`` rows, one level per step: one transition product
+per action, then one posterior pass per observation over all of the block's
+rows. It agrees with the recursion up to summation order: the matrix
+products group rows differently, and a branch's probability is its
+posterior's own sum rather than a product with the observation table.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ from .solver import AlphaSet
 MODES = ("single", "successive")
 BELIEF_GUARD = 1_000_000  # initial beliefs per evaluation
 # initial beliefs per block: large enough to amortise the per-level Python
-# work, small enough that a block's working set stays a few hundred KiB
-EVAL_BLOCK = 64
+# and numpy call overhead, small enough that the walk's working set (about
+# 12 arrays of EVAL_BLOCK x states floats at horizon 3) stays under 1 MiB at
+# 64 states
+EVAL_BLOCK = 128
 
 
 @dataclass
@@ -220,14 +225,17 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     ``model``.
 
     Each call of ``walk`` handles one level of the observation tree for a
-    whole block, and recurses once per observation on the rows that reach
-    it, so at most one block per level is alive at a time. A leaf reads only
-    the reward of its exact posterior, so the level above the leaves forms
-    no posterior: per action it is two products with ``leaf_steps``, one for
-    the branch probabilities of both tracks, which count restarts, and one
-    for the leaves' rewards.
+    whole block: one transition product per action on the rows that chose
+    it, then one posterior pass per observation over all of the rows, which
+    recurses once on the rows whose branch is walked, so at most one block
+    per level is alive at a time. A leaf reads only the reward of its exact
+    posterior, so the level above the leaves forms no posterior: per action
+    it is two products with ``leaf_steps``, one for the branch probabilities
+    of both tracks, which count restarts, and one for the leaves' rewards.
     """
     step_obs, step_gain = leaf_steps
+    # per action and observation, the likelihood column O_a[:, z] as a row
+    likelihood = model.observation_fn.transpose(0, 2, 1)
     restarts = 0
 
     def walk(exact, approx, k):
@@ -237,45 +245,52 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
             return total
         idx = np.argmax(approx @ stage_sets[k - 1].matrix.T, axis=1)
         chosen = stage_sets[k - 1].actions[idx]
+        actions = np.flatnonzero(np.bincount(chosen))
+        # the rows that chose each action: a slice (views, not copies) when
+        # every row chose the same one
+        rows_of = [slice(None)] if actions.size == 1 else [chosen == a for a in actions]
         acc = np.zeros(exact.shape[0])
-        for a in np.flatnonzero(np.bincount(chosen)):
-            rows = np.flatnonzero(chosen == a)
-            if k == 2:
+        if k == 2:
+            for a, rows in zip(actions, rows_of):
                 block = exact[rows]
                 live = block @ step_obs[a] >= BRANCH_TOL
                 acc[rows] = np.where(live, block @ step_gain[a], 0.0).sum(axis=1)
                 restarts += int(np.count_nonzero(
                     live & (approx[rows] @ step_obs[a] < ZERO_OBS_TOL)))
+            return total + model.discount * acc
+        pred_exact, pred_approx = np.empty_like(exact), np.empty_like(approx)
+        for a, rows in zip(actions, rows_of):
+            pred_exact[rows] = exact[rows] @ model.transition[a]
+            pred_approx[rows] = approx[rows] @ model.transition[a]
+        for z in range(model.n_observations):
+            column = likelihood[chosen, z]
+            next_exact = pred_exact * column
+            # the branch probability is the posterior's own norm, so a walked
+            # branch (at least BRANCH_TOL) always has a norm to divide by
+            pz = next_exact.sum(axis=1)
+            live = pz >= BRANCH_TOL
+            if not live.any():
                 continue
-            pred_exact = exact[rows] @ model.transition[a]
-            pred_approx = approx[rows] @ model.transition[a]
-            pz = pred_exact @ model.observation_fn[a]
-            for z in range(model.n_observations):
-                live = pz[:, z] >= BRANCH_TOL
-                if not live.any():
-                    continue
-                column = model.observation_fn[a][:, z]
-                next_exact = pred_exact[live] * column
-                norm = next_exact.sum(axis=1)
-                if np.any(norm < ZERO_OBS_TOL):
-                    raise ZeroProbabilityObservation(
-                        f"observation {z} has probability {norm.min()} under action {a}")
-                next_exact /= norm[:, np.newaxis]
-                next_approx = pred_approx[live] * column
-                norm = next_approx.sum(axis=1)
-                ok = norm >= ZERO_OBS_TOL
-                restarts += int(ok.size - np.count_nonzero(ok))
-                np.divide(next_approx, norm[:, np.newaxis], out=next_approx,
-                          where=ok[:, np.newaxis])
-                if mode == "successive" and ok.any():
-                    next_approx[ok] = _project_rows(next_approx[ok], idx[rows[live][ok]],
-                                                    scheme_source, k)
-                # a branch with positive true probability that the
-                # approximate track finds impossible restarts that track
-                # from the exact posterior, unprojected
-                next_approx[~ok] = next_exact[~ok]
-                child = walk(next_exact, next_approx, k - 1)
-                acc[rows[live]] += pz[live, z] * child
+            # a slice when every branch is walked: views instead of copies
+            live = slice(None) if live.all() else live
+            next_exact = next_exact[live]
+            next_exact /= pz[live, np.newaxis]
+            next_approx = pred_approx[live] * column[live]
+            del column  # not held through the projection and the recursion
+            norm = next_approx.sum(axis=1)
+            ok = norm >= ZERO_OBS_TOL
+            restarts += int(ok.size - np.count_nonzero(ok))
+            # a row that cannot be normalised divides by 1; it restarts below
+            next_approx /= np.where(ok, norm, 1.0)[:, np.newaxis]
+            if mode == "successive" and ok.any():
+                kept = slice(None) if ok.all() else ok
+                next_approx[kept] = _project_rows(next_approx[kept], idx[live][kept],
+                                                  scheme_source, k)
+            # a branch with positive true probability that the approximate
+            # track finds impossible restarts that track from the exact
+            # posterior, unprojected
+            next_approx[~ok] = next_exact[~ok]
+            acc[live] += pz[live] * walk(next_exact, next_approx, k - 1)
         return total + model.discount * acc
 
     horizon = len(stage_sets)

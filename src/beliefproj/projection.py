@@ -59,20 +59,15 @@ class ProjectionScheme:
         return sum(len(b) for b in self.blocks)
 
     @cached_property
-    def block_keys(self) -> tuple[np.ndarray, ...]:
-        """Per block, each state's restriction to the block packed into a
-        small index. Computed on first use and kept with the scheme, since the
-        belief dimension is always 2^n."""
-        dim = num_states(self.n)
-        keys = tuple(packed_bits(block, dim) for block in self.blocks)
-        for k in keys:
-            k.setflags(write=False)
-        return keys
+    def gather_plan(self) -> GatherPlan:
+        """:class:`GatherPlan` of the scheme, built on first use and kept
+        with it, since the belief dimension is always 2^n."""
+        return GatherPlan.of(self)
 
     @cached_property
     def basis(self) -> WalshBasis:
         """:func:`build_basis` of the scheme, built on first use and kept
-        with it, like ``block_keys``."""
+        with it, like ``gather_plan``."""
         return build_basis(self)
 
     @cached_property
@@ -103,6 +98,39 @@ class ProjectionScheme:
         if missing:
             raise InputError(f"scheme leaves out variables {missing}")
         return ProjectionScheme(blocks)
+
+
+@dataclass(frozen=True)
+class GatherPlan:
+    """Index arrays that project (count, 2^n) beliefs through a scheme with
+    one gather per block and one gather back.
+
+    Row b of ``order`` is a column order for block b: read as a
+    (2^n / size, size) array, its column k lists, in increasing order, the
+    states whose restriction to the block packs into k, so a sum down that
+    axis adds each bin's states in state order. ``spread`` gives, per state,
+    its index in the outer product of the block marginals taken in block
+    order.
+    """
+
+    order: np.ndarray
+    spread: np.ndarray
+
+    def __post_init__(self):
+        self.order.setflags(write=False)
+        self.spread.setflags(write=False)
+
+    @staticmethod
+    def of(scheme: ProjectionScheme) -> "GatherPlan":
+        dim = num_states(scheme.n)
+        order = np.empty((len(scheme.blocks), dim), dtype=np.intp)
+        spread = np.zeros(dim, dtype=np.intp)
+        for row, block in zip(order, scheme.blocks):
+            size = 1 << len(block)
+            keys = packed_bits(block, dim)
+            row[:] = np.argsort(keys, kind="stable").reshape(size, -1).T.reshape(-1)
+            spread = spread * size + keys
+        return GatherPlan(order, spread)
 
 
 @dataclass(frozen=True)
@@ -218,21 +246,25 @@ def project(b: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:
 def project_batch(beliefs: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:
     """Row-wise :func:`project` for a (count, 2^n) array of beliefs.
 
-    Each row's marginals are summed in state order by one ``bincount`` over
-    row-offset keys, so a row's result does not depend on the other rows.
+    Per block, one gather through the scheme's :class:`GatherPlan` turns
+    the rows into columns with the block's bins side by side, and one sum
+    down the first axis adds each bin's states in state order, so a row's
+    marginals, and its result, do not depend on the other rows. The outer
+    product of the marginals, in block order, is gathered back to state
+    order once.
     """
     count, dim = beliefs.shape
     if dim != num_states(scheme.n):
         raise InputError(f"belief dimension {dim} != 2^{scheme.n}")
-    weights = np.ascontiguousarray(beliefs, dtype=float).reshape(-1)
-    rows = np.arange(count)[:, np.newaxis]
-    out = np.ones((count, dim))
-    for block, keys in zip(scheme.blocks, scheme.block_keys):
+    plan = scheme.gather_plan
+    columns = np.ascontiguousarray(beliefs.T, dtype=float)
+    product = np.ones((1, count))
+    for order, block in zip(plan.order, scheme.blocks):
         size = 1 << len(block)
-        offsets = keys + size * rows  # row r's marginals occupy bins r*size ...
-        marg = np.bincount(offsets.reshape(-1), weights=weights, minlength=count * size)
-        out *= marg.take(offsets)
-    return out
+        marg = columns.take(order, axis=0).reshape(-1, size * count).sum(axis=0)
+        product = (product[:, np.newaxis, :] * marg.reshape(1, size, count)).reshape(-1, count)
+    del columns  # not held through the gather back
+    return np.ascontiguousarray(product.take(plan.spread, axis=0).T)
 
 
 def displacement(b: np.ndarray, scheme: ProjectionScheme) -> np.ndarray:

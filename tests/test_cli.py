@@ -9,7 +9,7 @@ import pytest
 
 from beliefproj import cli
 from beliefproj.cli import main
-from beliefproj.evaluate import _block_values, _leaf_steps
+from beliefproj.evaluate import EVAL_BLOCK, _block_values, _leaf_steps
 from beliefproj.model import compile_model, model_to_spec, sample_beliefs, table_of_numbers
 from beliefproj.search import result_from_doc
 
@@ -78,6 +78,7 @@ def test_eval_manifest_carries_the_worst_beliefs_headroom(tmp_path, mode):
     assert run(["search", policy, "--method", "vs-sum", "--out", result]) == 0
     report = tmp_path / "report.json"
     # fewer beliefs than EVAL_BLOCK, so the report's losses come from one block
+    assert 50 < EVAL_BLOCK
     assert run(["eval", model, policy, result, "--mode", mode, "--beliefs", 50,
                 "--seed", 5, "--out", report]) == 0
     counters = json.loads((tmp_path / "report.json.manifest.json").read_text())["counters"]

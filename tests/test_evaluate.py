@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         observation_probabilities, project, random_belief,
                         random_pomdp, solve, value_of, vs_search)
 from beliefproj.bounds import scheme_of
-from beliefproj.evaluate import BRANCH_TOL, DEPTH_GUARD, _block_values, _leaf_steps
+from beliefproj.evaluate import (BRANCH_TOL, DEPTH_GUARD, EVAL_BLOCK, _block_values,
+                                 _leaf_steps)
 from beliefproj.errors import ZeroProbabilityObservation
 from beliefproj.model import ZERO_OBS_TOL, sample_beliefs
 from beliefproj.solver import plan_vector
@@ -423,7 +426,7 @@ def test_leaf_branches_under_branch_tol_match_recursive(monkeypatch, case):
 def test_restart_path_matches_recursive_and_is_counted():
     model, stages = restart_instance()
     scheme = lattice_root(2)
-    num_beliefs = 70  # two blocks, the second one partial
+    num_beliefs = EVAL_BLOCK + 6  # two blocks, the second one partial
     for mode, restarts_per_belief in (("single", 0), ("successive", 2)):
         beliefs = sample_beliefs(4, num_beliefs, np.random.default_rng(4))
         _, achieved, restarts = _block_values(model, stages, scheme,
@@ -436,6 +439,28 @@ def test_restart_path_matches_recursive_and_is_counted():
                                EvalConfig(num_beliefs=num_beliefs, seed=4, mode=mode))
         assert report.approx_restarts == restarts_per_belief * num_beliefs
         assert "approx_restarts" not in report.to_doc()
+
+
+# a bound on the peak traced bytes of one average_error, in arrays of
+# EVAL_BLOCK x states floats: the walk holds about 12 of them at horizon 3
+# (the live intermediates of each level and the projection's gathers)
+WORKING_SET_BLOCKS = 16
+
+
+@pytest.mark.parametrize("n, horizon, num_beliefs", [(6, 3, 5000), (10, 2, 300)])
+def test_the_evals_working_set_is_a_few_blocks_whatever_the_belief_count(n, horizon,
+                                                                          num_beliefs):
+    model = random_pomdp(n, 2, 2, np.random.default_rng(1000))
+    stages = solve(model, horizon)
+    cfg = EvalConfig(num_beliefs=num_beliefs, seed=1, mode="successive")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        average_error(model, stages, lattice_root(n), cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < WORKING_SET_BLOCKS * EVAL_BLOCK * model.n_states * 8
 
 
 def test_average_error_checks_guard_before_sampling(monkeypatch):

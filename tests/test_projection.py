@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefproj import (InputError, ProjectionScheme, build_basis,
                         constraint_family, displacement, lattice_children,
                         lattice_root, marginal_true, project, project_batch,
                         residual_sq_length, walsh_vector)
+from beliefproj.model import packed_bits
 from beliefproj.projection import indicator_vector, mask_of
 
 from conftest import random_partition
@@ -35,6 +37,60 @@ def test_project_batch_matches_project(rng):
     batch = project_batch(beliefs, scheme)
     for row, b in zip(batch, beliefs):
         np.testing.assert_array_equal(row, project(b, scheme))
+
+
+def bincount_projection(beliefs, scheme):
+    """The reference: each block's marginals summed in state order by one
+    ``bincount`` over row-offset keys, multiplied into the rows block by block."""
+    count, dim = beliefs.shape
+    weights = np.ascontiguousarray(beliefs, dtype=float).reshape(-1)
+    rows = np.arange(count)[:, np.newaxis]
+    out = np.ones((count, dim))
+    for block in scheme.blocks:
+        size = 1 << len(block)
+        offsets = packed_bits(block, dim) + size * rows
+        marg = np.bincount(offsets.reshape(-1), weights=weights, minlength=count * size)
+        out *= marg.take(offsets)
+    return out
+
+
+@st.composite
+def partitions(draw):
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    blocks, block = [], [order[0]]
+    for var, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append(tuple(block))
+            block = []
+        block.append(var)
+    return ProjectionScheme(tuple(blocks) + (tuple(block),))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scheme=partitions(), count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-40, 1e-3, 1.0, 7.0, 1e30]),
+       zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+       negative_zeros=st.sampled_from([0.0, 0.5, 1.0]), integer=st.booleans())
+def test_project_batch_matches_the_bincount_reference_bit_for_bit(scheme, count, seed, scale,
+                                                                  zeros, negative_zeros,
+                                                                  integer):
+    """Rows need not be normalised, and may hold zeros of either sign or be
+    integers; every result bit, the sign of a zero included, is the
+    reference's."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 1 << scheme.n)
+    if integer:
+        beliefs = rng.integers(0, 5, shape)
+    else:
+        beliefs = rng.standard_exponential(shape) * scale
+        dropped = rng.random(shape) < zeros
+        beliefs[dropped] = np.where(rng.random(shape) < negative_zeros, -0.0, 0.0)[dropped]
+    got = project_batch(beliefs, scheme)
+    want = bincount_projection(beliefs, scheme)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_marginal_true_empty_set_and_point_mass():

@@ -49,8 +49,8 @@ def test_equal_reports_give_one_line_and_exit_0(report_diff, old_dir, tmp_path, 
     new = tmp_path / "new"
     shutil.copytree(old_dir, new)
     assert report_diff.main([str(old_dir), str(new)]) == 0
-    assert capsys.readouterr().out == ("largest |delta average_loss|: 0.0 over 2 report pairs; "
-                                       "largest relative change: 0.0 over 3 document pairs\n")
+    assert capsys.readouterr().out == ("largest |delta average_loss|: 0.0 over 4 report pairs; "
+                                       "largest relative change: 0.0 over 5 document pairs\n")
 
 
 def test_lists_every_differing_field_and_the_largest_loss_change_last(report_diff, old_dir,
@@ -72,11 +72,11 @@ def test_lists_every_differing_field_and_the_largest_loss_change_last(report_dif
     head, tail = loss.split(" over ")
     assert head.startswith("largest |delta average_loss|: ")
     assert float(head.split(": ")[1]) == pytest.approx(1e-2)
-    assert tail == "2 report pairs (eval_successive.json)"
+    assert tail == "4 report pairs (eval_successive.json)"
     head, tail = change.split(" over ")
     assert head.startswith("largest relative change: ")
     assert float(head.split(": ")[1]) == pytest.approx(1.0 / max(abs(successive["B"]), 1.0))
-    assert tail == "3 document pairs (eval_successive.json B)"
+    assert tail == "5 document pairs (eval_successive.json B)"
 
 
 def test_pairs_search_results_value_by_value(report_diff, old_dir, tmp_path, capsys):
@@ -98,10 +98,33 @@ def test_pairs_search_results_value_by_value(report_diff, old_dir, tmp_path, cap
     assert lines[:-1] == [f"search_e-vs.json {last}: 4.0 -> {4.0 + 4e-12!r}"]
     change = lines[-1].split("; largest relative change: ")[1]
     assert float(change.split(" ")[0]) == pytest.approx(1e-12, rel=1e-3)
-    assert change.endswith(f" over 3 document pairs (search_e-vs.json {last})")
+    assert change.endswith(f" over 5 document pairs (search_e-vs.json {last})")
     lines = set_bounds(3e-15, 0.0)
     assert lines[:-1] == [f"search_e-vs.json {last}: 3e-15 -> 0.0"]
     assert lines[-1].split("; ")[1].startswith("largest relative change: 3e-15 over")
+
+
+def test_pairs_eval_csvs_by_their_numbers(report_diff, old_dir, tmp_path, capsys):
+    """A CSV pairs up by path and its average_loss, B and E cells compare as
+    numbers: a CSV that drifts from its unchanged report shows, and counts
+    toward both maxima; a cell rewritten in another spelling of the same
+    number does not."""
+    new = tmp_path / "new"
+    shutil.copytree(old_dir, new)
+    header, row = (old_dir / "eval_single.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    loss, bound_e = float(cells["average_loss"]), float(cells["E"])
+    edited = {**cells, "average_loss": repr(loss + 1e-1), "E": format(bound_e, ".17e")}
+    (new / "eval_single.csv").write_text(
+        header + "\n" + ",".join(edited[field] for field in header.split(",")) + "\n")
+    assert report_diff.main([str(old_dir), str(new)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [f"eval_single.csv average_loss: {loss!r} -> {loss + 1e-1!r}"]
+    head, change = lines[-1].split("; ")
+    assert head.startswith("largest |delta average_loss|: ")
+    assert float(head.split(": ")[1].split(" ")[0]) == pytest.approx(1e-1)
+    assert head.endswith(" over 4 report pairs (eval_single.csv)")
+    assert change.endswith(" over 5 document pairs (eval_single.csv average_loss)")
 
 
 def test_refuses_a_path_that_is_not_a_directory(report_diff, old_dir, tmp_path, capsys):

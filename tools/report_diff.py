@@ -4,34 +4,46 @@
 
 An eval report is a ``*.json`` file under a directory whose document is an
 object with an ``average_loss`` field, and a search result one with a
-``trace`` field; documents are paired by their path under the two
+``trace`` field; an eval CSV is a ``*.csv`` file whose first row under its
+header has ``average_loss``, ``B`` and ``E`` cells, which are read as
+numbers. Documents and CSVs are paired by their path under the two
 directories. For each pair, every value that differs gets one
 ``path field: old -> new`` line, where ``field`` names the value inside
-nested lists and objects (``trace[2].bound``), and a document found under
-only one directory gets an ``only in DIR: path`` line. The last line gives
-the largest |Δ average_loss| over all report pairs and the report it comes
+nested lists and objects (``trace[2].bound``), and a file found under only
+one directory gets an ``only in DIR: path`` line. The last line gives the
+largest |Δ average_loss| over all report and CSV pairs and the file it comes
 from, then the largest relative change of any differing number and where it
 is, relative to max(|old|, 1) so that a change near 0 reads as an absolute
 one; a change that moves only rounding shows as that one line. Exits 0 when
-every document pairs up with equal values, 1 otherwise, as ``diff`` does.
+every file pairs up with equal values, 1 otherwise, as ``diff`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
 
+CSV_FIELDS = ("average_loss", "B", "E")
+
+
 def documents(root: Path) -> dict[str, dict]:
-    """Each eval report and search result under ``root``, by its POSIX path
-    under ``root``."""
+    """Each eval report, search result and eval CSV under ``root``, by its
+    POSIX path under ``root``; a CSV as its ``CSV_FIELDS`` cells, as numbers."""
     docs = {}
     for path in sorted(root.rglob("*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
         if isinstance(doc, dict) and ("average_loss" in doc or "trace" in doc):
             docs[path.relative_to(root).as_posix()] = doc
+    for path in sorted(root.rglob("*.csv")):
+        with path.open(newline="", encoding="utf-8") as fh:
+            row = next(csv.DictReader(fh), None)
+        if row is not None and all(row.get(field) for field in CSV_FIELDS):
+            docs[path.relative_to(root).as_posix()] = {
+                field: float(row[field]) for field in CSV_FIELDS}
     return docs
 
 
