@@ -6,15 +6,15 @@ belief pairs with matching preserved marginals, and the algebraic subspace
 test (nonzero residual of the value gradient outside the preserved null
 space). One walk, :func:`stage_switch_sets`, picks the pairs of a stage
 set that either test decides: the LP test runs once per pair, and the
-algebraic test decides each row's pairs at once from one Walsh transform of
-the stage's matrix, with the per-pair :func:`vs_switch_test` kept as its
-reference. Switch sets feed an upper bound on the loss of a single
-approximation (B) and, through each vector's floor (the pointwise minimum of
-its alternative plans' values, by a dynamic program over observation paths),
-of successive approximations (E). A one-sided sampling oracle is kept as the
-reference the tests check both tests against. A scheme source is one global
-ProjectionScheme or a per-region map keyed by (stage, vector index);
-:func:`scheme_of` reads both.
+algebraic test decides each row's pairs at once from the Walsh transform
+that the stage set keeps (``AlphaSet.walsh``), with the per-pair
+:func:`vs_switch_test` kept as its reference. Switch sets feed an upper
+bound on the loss of a single approximation (B) and, through each vector's
+floor (the pointwise minimum of its alternative plans' values, by a dynamic
+program over observation paths), of successive approximations (E). A
+one-sided sampling oracle is kept as the reference the tests check both
+tests against. A scheme source is one global ProjectionScheme or a
+per-region map keyed by (stage, vector index); :func:`scheme_of` reads both.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, GREATER, LinearProgram, LpResult, solve_lp
 from .model import Pomdp, sample_beliefs
 from .projection import (ProjectionScheme, WalshBasis, indicator_vector, project_batch,
-                         residual_sq_length, walsh_transform)
+                         residual_sq_length)
 from .solver import AlphaSet
 
 SWITCH_TOL = 1e-7  # strict-positivity threshold shared by the LP and VS tests
@@ -188,8 +188,7 @@ def oracle_switch_sets(aset: AlphaSet, scheme: ProjectionScheme,
 
 
 def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
-                      candidates=None, decisions: dict | None = None,
-                      coefficients: np.ndarray | None = None) -> list[tuple[int, ...]]:
+                      candidates=None, decisions: dict | None = None) -> list[tuple[int, ...]]:
     """Switch sets for every vector of one stage set.
 
     Vector i's own scheme, ``scheme_of(scheme_source, aset.stage, i)``,
@@ -206,17 +205,17 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
     are symmetric in (i, j) under one scheme and row j decided the pair.
 
     The VS test decides a row's pairs at once from the unnormalised Walsh
-    coefficients C of the stage's rows; ``coefficients``, when given, is
-    that transform (``walsh_transform(aset.matrix)``), which a search makes
-    once for all its lattice nodes. Pair (i, j) switches iff the sum over
-    the masks outside the scheme's family of (C_i - C_j)^2 exceeds
-    ``SWITCH_TOL^2`` times that sum over every mask, which is 2^n * |a_i -
-    a_j|^2 (Parseval): :func:`vs_switch_test`'s criterion, both sides scaled
-    by 2^n. The sum runs over the outside masks themselves, so a pair that
-    differs only inside the family reads exactly 0 (|d|^2 minus the inside
-    sum would leave rounding there). A decision's ``objective`` is the
-    outside sum over 2^n, the squared residual. Beside ``coefficients``, no
-    step holds more floats than it does.
+    coefficients C of the stage's rows, ``aset.walsh``, which the set
+    transforms once and keeps, so every lattice node of a search reads the
+    same table. Pair (i, j) switches iff the sum over the masks outside the
+    scheme's family of (C_i - C_j)^2 exceeds ``SWITCH_TOL^2`` times that sum
+    over every mask, which is 2^n * |a_i - a_j|^2 (Parseval):
+    :func:`vs_switch_test`'s criterion, both sides scaled by 2^n. The sum
+    runs over the outside masks themselves, so a pair that differs only
+    inside the family reads exactly 0 (|d|^2 minus the inside sum would
+    leave rounding there). A decision's ``objective`` is the outside sum
+    over 2^n, the squared residual. Beside C, no step holds more floats
+    than C does.
     """
     if method not in METHODS:
         raise InputError(f"unknown switch-test method {method!r}")
@@ -228,8 +227,7 @@ def stage_switch_sets(aset: AlphaSet, scheme_source, method: str = "LP", *,
     if m < 2:
         return [()] * m
     if method == "VS":
-        if coefficients is None:
-            coefficients = walsh_transform(aset.matrix)
+        coefficients = aset.walsh
         dim = coefficients.shape[1]
         # per scheme, one column of 1.0 at the masks outside its family (0.0
         # inside) and one of 1.0 at every mask

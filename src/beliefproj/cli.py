@@ -270,6 +270,9 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
+    if Path(args.out).suffix == ".csv":  # the CSV report's path would be the report's own
+        raise InputError(f"--out {args.out} is also the path of the CSV report; "
+                         "give the report a name that does not end in .csv")
     model, stages, digest = _decode(args.policy, _policy_from_doc)
     # the loss is measured against the values solved for the policy's own
     # model, so the model file must be the very bytes it was solved from

@@ -207,22 +207,12 @@ def _project_rows(beliefs: np.ndarray, idx: np.ndarray, scheme_source, stage: in
     return out
 
 
-def _leaf_steps(model: Pomdp) -> tuple[np.ndarray, np.ndarray]:
-    """The (A, S, Z) arrays ``T_a @ O_a`` and ``T_a @ (O_a * r)``: row b of
-    action a times the first gives P(z | b, a), times the second
-    P(z | b, a) * r.b'_z, for the posterior b'_z that a leaf would price."""
-    return (model.transition @ model.observation_fn,
-            model.transition @ (model.observation_fn * model.reward[:, np.newaxis]))
-
-
 def _block_values(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
-                  beliefs: np.ndarray, mode: str,
-                  leaf_steps: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, int]:
+                  beliefs: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Row-block form of ``value_of`` and :func:`achieved_value` at the full
     horizon of ``stage_sets``: the optimal and the achieved value of each
     initial belief (one per row), and how many approximate tracks restarted
-    from the exact posterior. ``leaf_steps`` is :func:`_leaf_steps` of
-    ``model``.
+    from the exact posterior.
 
     Each call of ``walk`` handles one level of the observation tree for a
     whole block: one transition product per action on the rows that chose
@@ -230,10 +220,11 @@ def _block_values(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
     recurses once on the rows whose branch is walked, so at most one block
     per level is alive at a time. A leaf reads only the reward of its exact
     posterior, so the level above the leaves forms no posterior: per action
-    it is two products with ``leaf_steps``, one for the branch probabilities
+    it is two products with the tables ``model.leaf_steps``, which the model
+    builds once and keeps for every block, one for the branch probabilities
     of both tracks, which count restarts, and one for the leaves' rewards.
     """
-    step_obs, step_gain = leaf_steps
+    step_obs, step_gain = model.leaf_steps
     # per action and observation, the likelihood column O_a[:, z] as a row
     likelihood = model.observation_fn.transpose(0, 2, 1)
     restarts = 0
@@ -321,7 +312,6 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         raise GuardError(f"{cfg.num_beliefs} initial beliefs, above the cap of {BELIEF_GUARD}")
     start = time.perf_counter()
     per_stage_B, per_stage_E = compute_bounds(model, stage_sets, scheme_source)
-    leaf_steps = _leaf_steps(model)
     rng = np.random.default_rng(cfg.seed)
     losses = np.empty(cfg.num_beliefs)
     restarts = 0
@@ -329,7 +319,7 @@ def average_error(model: Pomdp, stage_sets: list[AlphaSet], scheme_source,
         count = min(EVAL_BLOCK, cfg.num_beliefs - first)
         beliefs = sample_beliefs(model.n_states, count, rng)
         optimal, achieved, block_restarts = _block_values(
-            model, stage_sets, scheme_source, beliefs, cfg.mode, leaf_steps)
+            model, stage_sets, scheme_source, beliefs, cfg.mode)
         losses[first:first + count] = np.maximum(0.0, optimal - achieved)
         restarts += block_restarts
     avg = float(np.mean(losses))

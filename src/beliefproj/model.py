@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,8 +136,22 @@ class Pomdp:
 
     def value_limit(self, steps: int) -> float:
         """The largest |value| of a plan of ``steps`` steps: it collects that
-        many rewards, discounted by gamma^t at step t."""
-        return float(np.abs(self.reward).max()) * sum(self.discount ** t for t in range(steps))
+        many rewards, discounted by gamma^t at step t, whose weights sum to
+        (1 - gamma^k) / (1 - gamma), or k when gamma is 1."""
+        gamma = self.discount
+        weights = steps if gamma == 1.0 else -math.expm1(steps * math.log(gamma)) / (1.0 - gamma)
+        return float(np.abs(self.reward).max()) * weights
+
+    @cached_property
+    def leaf_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (A, S, Z) arrays ``T_a @ O_a`` and ``T_a @ (O_a * r)``,
+        kept with the model: row b of action a times the first gives P(z | b, a),
+        times the second P(z | b, a) * r.b'_z, for the posterior b'_z a leaf prices."""
+        steps = (self.transition @ self.observation_fn,
+                 self.transition @ (self.observation_fn * self.reward[:, np.newaxis]))
+        for table in steps:
+            table.setflags(write=False)
+        return steps
 
     @property
     def n_vars(self) -> int:

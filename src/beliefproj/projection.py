@@ -75,6 +75,20 @@ class ProjectionScheme:
         """:func:`constraint_family` of the scheme, kept like ``basis``."""
         return constraint_family(self)
 
+    @cached_property
+    def children(self) -> tuple[tuple[ProjectionScheme, int], ...]:
+        """Children that merge two singleton blocks, each with the new
+        preserved marginal as its edge label, kept like ``basis``. Merges
+        creating blocks of 3+ variables are not generated, so descents stop
+        at pair partitions."""
+        singles = [b[0] for b in self.blocks if len(b) == 1]
+        others = tuple(b for b in self.blocks if len(b) > 1)
+        children = []
+        for i, j in combinations(singles, 2):
+            rest = tuple((k,) for k in singles if k not in (i, j))
+            children.append((ProjectionScheme(rest + ((i, j),) + others), mask_of((i, j))))
+        return tuple(children)
+
     @staticmethod
     def full(n: int) -> "ProjectionScheme":
         return ProjectionScheme((tuple(range(n)),))
@@ -289,14 +303,5 @@ def lattice_root(n: int) -> ProjectionScheme:
 
 
 def lattice_children(scheme: ProjectionScheme) -> list[tuple[ProjectionScheme, int]]:
-    """Children that merge two singleton blocks, with the new preserved marginal
-    as the edge label. Merges creating blocks of 3+ variables are not generated,
-    so descents stop at pair partitions."""
-    singles = [b[0] for b in scheme.blocks if len(b) == 1]
-    others = [b for b in scheme.blocks if len(b) > 1]
-    children = []
-    for i, j in combinations(sorted(singles), 2):
-        rest = [(k,) for k in singles if k not in (i, j)]
-        child = ProjectionScheme(tuple(rest) + ((i, j),) + tuple(others))
-        children.append((child, mask_of((i, j))))
-    return children
+    """``scheme.children`` as a new list, so a caller cannot change the kept one."""
+    return list(scheme.children)

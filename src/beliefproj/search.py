@@ -7,9 +7,9 @@ region's value gradients outside the preserved null space, and return one
 scheme per (stage, vector). All of them run one descent driver, which starts
 at the all-singletons root, always moves to the best child, and stops when
 merges would create 3-variable blocks, or early when the objective is already
-zero. A search computes what every node shares once: the Walsh transform of
-each stage set a VS bound search tests, and the parity vectors and lattice
-edges the estimator searches read.
+zero. What nodes share is kept by its owner: a stage set its Walsh transform
+(``AlphaSet.walsh``), a lattice node its children, and an estimator search
+each pair marginal's parity vector and the one root all its regions descend.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bounds import (METHODS, SCHEME_METHOD, alt_sets, bound_E_from_alts,
                      bound_from_switch_sets, scheme_source_doc, stage_switch_sets)
 from .model import Pomdp
 from .projection import (ProjectionScheme, lattice_children, lattice_root,
-                         residual_sq_length, walsh_transform, walsh_vector)
+                         residual_sq_length, walsh_vector)
 from .solver import AlphaSet
 
 BOUND_METHODS = ("b-lp", "b-vs", "e-lp", "e-vs")
@@ -138,21 +138,21 @@ def _aggregate(values: np.ndarray, estimator: str) -> float:
     return float(values.sum()) if estimator == "sum" else float(values.max())
 
 
-def _descend(n: int, value: float, state, score, label: str, floor: float = 0.0,
-             children=None):
-    """Greedy descent from the lattice root, whose objective is ``value``.
+def _descend(root: ProjectionScheme, value: float, state, score, label: str,
+             floor: float = 0.0):
+    """Greedy descent from the lattice ``root``, whose objective is ``value``.
 
     While the objective is above ``floor``, move to the first child with the
     strictly lowest ``score(child, mask, state) -> (value, state)``; ``state``
-    carries what a child's score reuses from its parent. ``children(node)``
-    lists a node's (child, mask) pairs, :func:`lattice_children` by default.
+    carries what a child's score reuses from its parent. A node keeps its
+    :func:`lattice_children`, so descents from one root build them once.
     Returns the final node and one ``{"merge": [...], label: value}`` trace
     entry per step.
     """
-    node = lattice_root(n)
+    node, n = root, root.n
     trace = []
     while value > floor:
-        edges = (children or lattice_children)(node)
+        edges = lattice_children(node)
         if not edges:
             break
         best = None
@@ -169,23 +169,15 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResul
     """Per-region greedy descent for every vector of every stage set, scored by
     the sum or max estimator and updated incrementally along each accepted edge.
 
-    Every region descends the same lattice, so a search takes each pair
-    marginal's parity vector from :func:`walsh_vector` once, and each node's
-    children from :func:`lattice_children` once, for all its regions."""
+    Every region descends from one root, so a search takes each pair
+    marginal's parity vector from :func:`walsh_vector` once, and builds
+    each node's children once, for all its regions."""
     if estimator not in ("sum", "max"):
         raise InputError(f"unknown estimator {estimator!r}")
     n = stage_sets[-1].matrix.shape[1].bit_length() - 1
-    root_basis = lattice_root(n).basis
-    edges: dict[ProjectionScheme, list] = {}
-
-    def children(node):
-        got = edges.get(node)
-        if got is None:
-            got = edges[node] = lattice_children(node)
-        return got
-
+    root = lattice_root(n)
     # the root's edges are every pair marginal that any descent step adds
-    parity = {mask: walsh_vector(mask, n) for _child, mask in children(lattice_root(n))}
+    parity = {mask: walsh_vector(mask, n) for _child, mask in lattice_children(root)}
 
     per_region: dict = {}
     traces: dict = {}
@@ -193,7 +185,7 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResul
         for i in range(len(aset)):
             grads = _gradients(aset, i)
             if grads.shape[0]:
-                coords = grads @ root_basis.matrix.T
+                coords = grads @ root.basis.matrix.T
                 scores = np.maximum((grads * grads).sum(axis=1)
                                     - (coords * coords).sum(axis=1), 0.0)
             else:
@@ -206,8 +198,8 @@ def vs_search(stage_sets: list[AlphaSet], estimator: str = "sum") -> SearchResul
             # zero within rounding counts as zero: for odd n the basis scale
             # 2^(-n/2) is inexact, so exact-zero residuals round to ~1e-16
             floor = 1e-12 * _aggregate((grads * grads).sum(axis=1), estimator)
-            node, trace = _descend(n, _aggregate(scores, estimator), scores, score,
-                                   "score", floor, children)
+            node, trace = _descend(root, _aggregate(scores, estimator), scores, score,
+                                   "score", floor)
             per_region[(aset.stage, i)] = node
             traces[f"{aset.stage}:{i}"] = trace
     return SearchResult(f"vs-{estimator}", "all", per_region=per_region, trace=traces)
@@ -221,40 +213,29 @@ class NodeBound(NamedTuple):
     switch_sets: list
 
 
-def _tested_stages(stage_sets, bound: str, scope: str):
-    """The stage sets whose switch sets a bound reads: B reads only the stages
-    in scope, while E's alternative sets recurse through every stage."""
-    return stage_sets[SCOPES[scope]] if bound == "B" else stage_sets
-
-
 def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str,
-                  test: str, scope: str, parent: NodeBound | None = None,
-                  coefficients=None) -> NodeBound:
+                  test: str, scope: str, parent: NodeBound | None = None) -> NodeBound:
     """Aggregate bound of one lattice node over the stage scope.
 
-    Only the stages :func:`_tested_stages` names are tested. With the
-    accepted ``parent`` node, only pairs still positive there are retested
-    (switch tests are monotone along edges). ``positives`` maps each
+    B reads only the switch sets of the stages in scope, while E's
+    alternative sets recurse through every stage. With the accepted
+    ``parent`` node, only pairs still positive there are retested (switch
+    tests are monotone along edges). ``positives`` maps each
     positive pair (i, j), i < j, to its LP decision, or to None under the
     VS test, and an LP test of a pair starts from the parent's decision.
     B and E are functions of the switch sets alone, so a node whose switch
     sets equal its parent's takes the parent's value without rebuilding
     alternative sets or bounds.
-    ``coefficients`` optionally holds each tested stage's Walsh transform
-    for the VS test, made once per search.
     """
     scoped = stage_sets[SCOPES[scope]]
-    tested = _tested_stages(stage_sets, bound, scope)
-    if coefficients is None:
-        coefficients = [None] * len(tested)
+    tested = scoped if bound == "B" else stage_sets
     sw_per_stage = []
     new_positives = []
-    for s_idx, (aset, coeffs) in enumerate(zip(tested, coefficients)):
+    for s_idx, aset in enumerate(tested):
         cands = parent.positives[s_idx] if parent is not None else None
         # only an LP test starts from its pair's decision at the parent
         decisions = {} if test == "LP" else None
-        sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions,
-                               coefficients=coeffs)
+        sw = stage_switch_sets(aset, scheme, test, candidates=cands, decisions=decisions)
         sw_per_stage.append(sw)
         new_positives.append({(i, j): decisions[(i, j)] if decisions is not None else None
                               for i, targets in enumerate(sw) for j in targets if i < j})
@@ -272,25 +253,20 @@ def _scoped_bound(model: Pomdp, stage_sets, scheme: ProjectionScheme, bound: str
 def greedy_bound_search(model: Pomdp, stage_sets: list[AlphaSet], bound: str = "B",
                         test: str = "LP", scope: str = SearchConfig.scope) -> SearchResult:
     """Greedy descent minimizing the chosen loss bound; returns one scheme.
-    With the VS test, each tested stage set is Walsh-transformed once and
-    every lattice node decides its pairs from those coefficients."""
+    With the VS test, every lattice node decides its pairs from the Walsh
+    transform that each tested stage set keeps (``AlphaSet.walsh``)."""
     if bound not in ("B", "E"):
         raise InputError(f"unknown bound {bound!r}")
     if test not in METHODS:
         raise InputError(f"bound search needs the LP or VS test, got {test!r}")
-    n = stage_sets[-1].matrix.shape[1].bit_length() - 1
-    coefficients = None
-    if test == "VS":
-        coefficients = [walsh_transform(aset.matrix)
-                        for aset in _tested_stages(stage_sets, bound, scope)]
+    root = lattice_root(stage_sets[-1].matrix.shape[1].bit_length() - 1)
 
     def score(node, mask, parent):
-        got = _scoped_bound(model, stage_sets, node, bound, test, scope, parent, coefficients)
+        got = _scoped_bound(model, stage_sets, node, bound, test, scope, parent)
         return got.value, got
 
-    root = _scoped_bound(model, stage_sets, lattice_root(n), bound, test, scope,
-                         coefficients=coefficients)
-    node, trace = _descend(n, root.value, root, score, "bound")
+    start = _scoped_bound(model, stage_sets, root, bound, test, scope)
+    node, trace = _descend(root, start.value, start, score, "bound")
     return SearchResult(f"{bound.lower()}-{test.lower()}", scope, scheme=node, trace=trace)
 
 

@@ -10,6 +10,7 @@ plan accrues exactly k rewards.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import GuardError, InputError, NumericalError
 from .lpcore import EQUAL, LESS, LinearProgram, solve_lp
 from .model import (BRANCH_GUARD, BRANCH_TOL, DEPTH_GUARD, Pomdp, belief_update,
                     observation_probabilities, packed, table_of_numbers)
+from .projection import walsh_transform
 
 BACKUP_CAP = 1_000_000
 DOMINANCE_TOL = 1e-9
@@ -46,6 +48,13 @@ class AlphaSet:
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def walsh(self) -> np.ndarray:
+        """:func:`walsh_transform` of ``matrix``, read-only, kept with the set."""
+        coefficients = walsh_transform(self.matrix)
+        coefficients.setflags(write=False)
+        return coefficients
 
     def take(self, idx) -> AlphaSet:
         """The plans at ``idx``, in that order."""

@@ -8,7 +8,8 @@ import pytest
 from beliefproj import (GuardError, InputError, LpResult, NumericalError, ProjectionScheme,
                         bounds, build_basis, displacement, lattice_children, lattice_root,
                         lp_switch_test, oracle_switch_test, project, random_pomdp, solve,
-                        solve_lp, solver, vs_switch_test, walsh_transform, walsh_vector)
+                        solve_lp, solver, vs_search, vs_switch_test, walsh_transform,
+                        walsh_vector)
 from beliefproj.bounds import (alt_sets, bound_E_from_alts, bound_from_switch_sets,
                                compute_bounds, oracle_switch_sets, stage_switch_sets)
 from beliefproj.solver import AlphaSet, plan_vector
@@ -580,3 +581,24 @@ def test_relative_error_rate_bounded_by_residual(rng):
             continue
         rate = abs(float(inside / norm @ grad))
         assert rate <= np.sqrt(residual_sq_length(grad, basis)) + 1e-8
+
+
+def test_compute_bounds_transforms_each_stage_once(monkeypatch):
+    """Each stage set of two or more vectors keeps its transform, so the VS
+    switch sets of every scheme group, and of a second call, read the one
+    built first."""
+    model, stages = small_stage_sets(5)
+    per_region = vs_search(stages, "sum").per_region
+    assert len(set(per_region.values())) > 1
+    transformed = []
+
+    def counted(matrix, original=solver.walsh_transform):
+        transformed.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(solver, "walsh_transform", counted)
+    for source in (per_region, lattice_root(3)):
+        compute_bounds(model, stages, source)
+    tested = [aset for aset in stages if len(aset) > 1]
+    assert len(transformed) == len(tested) > 1
+    assert all(matrix is aset.matrix for matrix, aset in zip(transformed, tested))

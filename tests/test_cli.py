@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import signal
 import statistics
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from beliefproj import cli
 from beliefproj.cli import main
-from beliefproj.evaluate import EVAL_BLOCK, _block_values, _leaf_steps
+from beliefproj.evaluate import EVAL_BLOCK, _block_values
 from beliefproj.model import compile_model, model_to_spec, sample_beliefs, table_of_numbers
 from beliefproj.search import result_from_doc
 
@@ -86,8 +88,7 @@ def test_eval_manifest_carries_the_worst_beliefs_headroom(tmp_path, mode):
     loaded, stages, _ = cli._policy_from_doc(doc)
     source = result_from_doc(json.loads(result.read_text()), loaded.variables).per_region
     beliefs = sample_beliefs(loaded.n_states, 50, np.random.default_rng(5))
-    optimal, achieved, _ = _block_values(loaded, stages, source, beliefs, mode,
-                                         _leaf_steps(loaded))
+    optimal, achieved, _ = _block_values(loaded, stages, source, beliefs, mode)
     losses = np.maximum(0.0, optimal - achieved)
     report_doc = json.loads(report.read_text())
     bound = report_doc["B"] if mode == "single" else report_doc["E"]
@@ -902,6 +903,42 @@ def test_eval_csv_path_that_is_a_directory_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"cannot write {tmp_path / 'r.csv'}" in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_out_that_is_its_csv_path_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    argv = pipeline_commands(tmp_path)["eval"]
+    decoded, decode = [], cli._policy_from_doc
+    monkeypatch.setattr(cli, "_policy_from_doc", lambda *a: decoded.append(a) or decode(*a))
+    out = tmp_path / "r.csv"
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out} is also the path of the CSV report" in err and "Traceback" not in err
+    assert decoded == []
+    assert not out.exists() and not (tmp_path / "r.csv.manifest.json").exists()
+
+
+def test_solve_of_a_vast_horizon_reaches_its_guard_at_once(tmp_path, capsys):
+    """The reward bound checked before the first stage does not walk the
+    horizon, so a backup cap of 1 exits 3 as soon as it is read."""
+    model = gen_model(tmp_path)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("solve did not reach its guard within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        code = run(["solve", model, "--horizon", 10 ** 12, "--cap", 1,
+                    "--out", tmp_path / "p.json"])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and elapsed < 1.0
+    assert "above the cap of 1" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "solve", "search", "eval"])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,7 @@ from beliefproj import (AlphaSet, EvalConfig, GuardError, InputError,
                         observation_probabilities, project, random_belief,
                         random_pomdp, solve, value_of, vs_search)
 from beliefproj.bounds import scheme_of
-from beliefproj.evaluate import (BRANCH_TOL, DEPTH_GUARD, EVAL_BLOCK, _block_values,
-                                 _leaf_steps)
+from beliefproj.evaluate import BRANCH_TOL, DEPTH_GUARD, EVAL_BLOCK, _block_values
 from beliefproj.errors import ZeroProbabilityObservation
 from beliefproj.model import ZERO_OBS_TOL, sample_beliefs
 from beliefproj.solver import plan_vector
@@ -315,8 +315,7 @@ def test_batched_evaluation_matches_recursive_per_belief(n, obs, horizon, seed):
     beliefs = sample_beliefs(model.n_states, 40, np.random.default_rng(seed))
     for name, source in sources.items():
         for mode in ("single", "successive"):
-            optimal, achieved, _ = _block_values(model, stages, source,
-                                                 beliefs, mode, _leaf_steps(model))
+            optimal, achieved, _ = _block_values(model, stages, source, beliefs, mode)
             for row, b0 in enumerate(beliefs):
                 want, _ = value_of(b0, stages[-1])
                 assert abs(optimal[row] - want) <= 1e-12, (name, mode, row)
@@ -408,8 +407,7 @@ def test_leaf_branches_under_branch_tol_match_recursive(monkeypatch, case):
     num_beliefs = 70
     for mode in ("single", "successive"):
         beliefs = sample_beliefs(model.n_states, num_beliefs, np.random.default_rng(6))
-        _, achieved, restarts = _block_values(model, stages, source,
-                                              beliefs, mode, _leaf_steps(model))
+        _, achieved, restarts = _block_values(model, stages, source, beliefs, mode)
         recursion_restarts = 0
         for row, b0 in enumerate(beliefs):
             want = achieved_value(model, stages, source, b0, mode)
@@ -429,8 +427,7 @@ def test_restart_path_matches_recursive_and_is_counted():
     num_beliefs = EVAL_BLOCK + 6  # two blocks, the second one partial
     for mode, restarts_per_belief in (("single", 0), ("successive", 2)):
         beliefs = sample_beliefs(4, num_beliefs, np.random.default_rng(4))
-        _, achieved, restarts = _block_values(model, stages, scheme,
-                                              beliefs, mode, _leaf_steps(model))
+        _, achieved, restarts = _block_values(model, stages, scheme, beliefs, mode)
         assert restarts == restarts_per_belief * num_beliefs
         for row, b0 in enumerate(beliefs):
             want = achieved_value(model, stages, scheme, b0, mode)
@@ -499,8 +496,7 @@ def test_only_levels_above_the_leaves_project_the_approximate_track(monkeypatch,
     levels = horizon - 1 if mode == "successive" else min(horizon - 1, 1)
     for source in sources.values():
         projected.clear()
-        _, achieved, restarts = _block_values(model, stages, source,
-                                              beliefs, mode, _leaf_steps(model))
+        _, achieved, restarts = _block_values(model, stages, source, beliefs, mode)
         # a dense model reaches every observation at every level
         assert sum(projected) == 20 * sum(model.n_observations ** level
                                           for level in range(levels))
@@ -508,3 +504,21 @@ def test_only_levels_above_the_leaves_project_the_approximate_track(monkeypatch,
         for row, b0 in enumerate(beliefs):
             want = achieved_value(model, stages, source, b0, mode)
             assert abs(achieved[row] - want) <= 1e-12
+
+
+def test_average_error_of_several_blocks_builds_the_leaf_tables_once():
+    """The leaf tables are the only products of the whole transition table
+    with the observation tables, and the model keeps them for every block."""
+    products = []
+
+    class ProductSpy(np.ndarray):
+        def __matmul__(self, other):
+            products.append((self.ndim, np.ndim(other)))
+            return np.asarray(self) @ other
+
+    model, stages = solved(2, n=3, horizon=3)
+    spied = dataclasses.replace(model, transition=model.transition.view(ProductSpy))
+    cfg = EvalConfig(num_beliefs=3 * EVAL_BLOCK + 1, seed=2, mode="successive")
+    report = average_error(spied, stages, lattice_root(3), cfg)
+    assert products.count((3, 3)) == 2
+    assert report.average_loss == average_error(model, stages, lattice_root(3), cfg).average_loss

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from beliefproj import (GuardError, ProjectionScheme, SearchConfig, lattice_root,  # noqa: E402
                         random_pomdp, run_search, solve)
 from beliefproj.bounds import compute_bounds  # noqa: E402
-from beliefproj.evaluate import _block_values, _leaf_steps  # noqa: E402
+from beliefproj.evaluate import _block_values  # noqa: E402
 from beliefproj.model import sample_beliefs  # noqa: E402
 
 from conftest import random_partition  # noqa: E402
@@ -37,11 +37,9 @@ def test_every_beliefs_loss_is_within_the_bound_of_its_mode(n, actions, obs, hor
                "partition": ProjectionScheme(random_partition(n, rng)),
                "vs-sum": run_search(model, stages, SearchConfig(method="vs-sum")).per_region}
     beliefs = sample_beliefs(model.n_states, BELIEFS, rng)
-    leaf_steps = _leaf_steps(model)
     for name, source in sources.items():
         per_stage_B, per_stage_E = compute_bounds(model, stages, source)
         for mode, bound in (("single", max(per_stage_B)), ("successive", max(per_stage_E))):
-            optimal, achieved, _ = _block_values(model, stages, source, beliefs, mode,
-                                                 leaf_steps)
+            optimal, achieved, _ = _block_values(model, stages, source, beliefs, mode)
             worst = float(np.max(optimal - achieved))
             assert worst <= bound + SLACK, (name, mode, worst, bound)

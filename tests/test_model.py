@@ -262,3 +262,22 @@ def test_bool_among_numbers_reads_the_entries_only_of_a_table_holding_0_or_1():
             raise AssertionError("the entries of a table without 0 or 1 were read")
 
     assert not bool_among_numbers(Entries([0.5, 2.5]), np.array([0.5, 2.5]))
+
+
+@pytest.mark.parametrize("discount", [0.5, 0.9, 0.95, 1 - 1e-6, 1.0])
+def test_value_limit_in_closed_form_matches_the_summed_discounts(discount):
+    model = random_pomdp(2, 2, 2, np.random.default_rng(0), discount=discount)
+    largest = float(np.abs(model.reward).max())
+    for steps in range(501):
+        summed = largest * sum(discount ** t for t in range(steps))
+        assert model.value_limit(steps) == pytest.approx(summed, rel=1e-12, abs=0.0), steps
+
+
+def test_leaf_steps_are_built_once_read_only():
+    model = random_pomdp(2, 3, 2, np.random.default_rng(1))
+    step_obs, step_gain = model.leaf_steps
+    assert model.leaf_steps[0] is step_obs and model.leaf_steps[1] is step_gain
+    assert not step_obs.flags.writeable and not step_gain.flags.writeable
+    np.testing.assert_array_equal(step_obs, model.transition @ model.observation_fn)
+    np.testing.assert_array_equal(
+        step_gain, model.transition @ (model.observation_fn * model.reward[:, np.newaxis]))

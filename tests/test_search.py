@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from beliefproj import (InputError, LinearProgram, ProjectionScheme, bounds, bui
                         lattice_children, lattice_root, random_pomdp,
                         residual_sq_length, solve, solve_lp, vs_search, walsh_transform,
                         walsh_vector)
-from beliefproj import search
+from beliefproj import search, solver
 from beliefproj.bounds import SWITCH_TOL
 from beliefproj.search import (SearchConfig, _scoped_bound, greedy_bound_search,
                                result_from_doc, run_search)
@@ -347,3 +349,46 @@ def test_b_lp_warm_started_switch_lps_take_under_a_third_of_the_cold_pivots(monk
     assert len(pivots) == 667
     assert sum(pivots) <= 2_632
     assert all(ours == full for ours, full in decisions)
+
+
+@pytest.mark.parametrize("method, scope", [("b-vs", "all"), ("b-vs", "last"), ("e-vs", "last")])
+def test_vs_bound_search_transforms_each_tested_stage_once(monkeypatch, method, scope):
+    """Every lattice node reads the transform its stage set keeps: a search
+    of several nodes transforms each stage it tests once (a stage of one
+    vector has no pair to test), and B with scope "last" tests the last
+    stage alone, while E recurses through every one."""
+    model, stages = solved_instance(0, n=4, horizon=3)
+    transformed = []
+
+    def counted(matrix, original=solver.walsh_transform):
+        transformed.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(solver, "walsh_transform", counted)
+    result = run_search(model, stages, SearchConfig(method=method, scope=scope))
+    assert len(result.trace) >= 2
+    tested = [aset for aset in (stages[-1:] if (method, scope) == ("b-vs", "last") else stages)
+              if len(aset) > 1]
+    assert len(transformed) == len(tested) > 0
+    assert all(matrix is aset.matrix for matrix, aset in zip(transformed, tested))
+
+
+def test_vs_search_builds_each_nodes_children_once(monkeypatch):
+    """All regions descend one root, and a node builds its children once,
+    so a scheme with k pair blocks, a child of k nodes, is built at most k
+    times however many regions pass through it."""
+    _, stages = solved_instance(0, n=4, horizon=3)
+    built = []
+
+    def recorded(scheme, original=ProjectionScheme.__post_init__):
+        original(scheme)
+        built.append(scheme)
+
+    monkeypatch.setattr(ProjectionScheme, "__post_init__", recorded)
+    result = vs_search(stages, "sum")
+    steps = [len(trace) for trace in result.trace.values()]
+    assert len(steps) > 4 and sum(step > 0 for step in steps) > 4
+    counts = Counter(built)
+    assert counts[lattice_root(4)] == 1
+    for scheme, count in counts.items():
+        assert count <= max(1, sum(len(block) == 2 for block in scheme.blocks)), scheme
