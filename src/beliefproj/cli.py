@@ -1,19 +1,20 @@
 """Command-line front end: gen -> solve -> search -> eval pipelines.
 
 Every artifact file is byte-reproducible given the same inputs, flags, and
-seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json``
-run log, never into artifacts. Every JSON artifact and manifest goes through
-one writer, ``_write_json``, whose bytes are those of ``json.dumps(doc,
-indent=2, sort_keys=True)`` plus a newline. The float tables of models and
-policies reach it packed as base64 strings (``model.packed``). A non-finite
-number exits 4 and leaves no file, whether the encoder or the packing
-refuses it; a command that cannot write its manifest or CSV removes the
-outputs it wrote. The one value the writer does not encode is a policy's
-``model``: ``solve`` splices in the model file's text as read, re-indented,
-so a policy's ``model`` is the very document its ``model_sha256`` digests,
-and a model that ``gen`` wrote keeps the bytes ``model_to_spec`` would give
-it. Exit codes: 0 ok, 2 input error, 3 guard or resource error, 4
-numerical failure.
+seeds; wall-clock timings go to stdout and to the ``<out>.manifest.json`` run
+log that ``main`` alone writes, never into artifacts. An output that names an
+input or another output, by its path or through a link, exits 2 before any
+work. Every JSON artifact and manifest goes through one writer,
+``_write_json``, whose bytes are those of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline. The float tables of models and policies reach
+it packed as base64 strings (``model.packed``). A non-finite number exits 4 and
+leaves no file, whether the encoder or the packing refuses it; a command that
+cannot write its manifest or CSV removes the outputs it wrote. The one value
+the writer does not encode is a policy's ``model``: ``solve`` splices in the
+model file's text as read, re-indented, so a policy's ``model`` is the very
+document its ``model_sha256`` digests, and a model that ``gen`` wrote keeps the
+bytes ``model_to_spec`` would give it. Exit codes: 0 ok, 2 input error, 3 guard
+or resource error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import functools
 import hashlib
 import inspect
 import json
+import os
 import re
 import sys
 import time
@@ -151,20 +153,6 @@ def _removed_on_failure(outputs: list[str]):
         raise
 
 
-def _write_manifest(command: str, args: argparse.Namespace, out_path: str,
-                    outputs: list[str], seconds: dict, counters: dict | None = None) -> None:
-    doc = {
-        "command": command,
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
-        "outputs": outputs,
-        "seconds": seconds,
-    }
-    if counters is not None:
-        doc["counters"] = counters
-    with _removed_on_failure(outputs):
-        _write_json(str(out_path) + ".manifest.json", doc)
-
-
 def _policy_from_doc(doc):
     """(model, stages, model_sha256) of a policy document."""
     if not isinstance(doc, dict):
@@ -210,21 +198,17 @@ def _policy_from_doc(doc):
     return model, stages, digest
 
 
-def cmd_gen(args) -> int:
-    started = time.perf_counter()
+def cmd_gen(args) -> dict:
     rng = np.random.default_rng(args.seed)
     model = random_pomdp(args.vars, args.actions, args.obs, rng,
                          sparsity=args.sparsity, discount=args.discount)
     _write_json(args.out, model_to_spec(model))
     print(f"wrote {args.out}: {args.vars} variables ({model.n_states} states), "
           f"{args.actions} actions, {args.obs} observations")
-    _write_manifest("gen", args, args.out, [args.out],
-                    {"total": time.perf_counter() - started})
-    return 0
+    return {"seconds": {}}
 
 
-def cmd_solve(args) -> int:
-    started = time.perf_counter()
+def cmd_solve(args) -> dict:
     data = _read_bytes(args.model)
     digest = hashlib.sha256(data).hexdigest()
     text = _utf8(args.model, data)
@@ -246,13 +230,10 @@ def cmd_solve(args) -> int:
         print(f"stage {k}: {size} vector{'s' if size != 1 else ''}")
     print(f"max {max(sizes)}, average {sum(sizes) / len(sizes):.1f}; "
           f"solved in {solve_seconds:.3f}s")
-    _write_manifest("solve", args, args.out, [args.out],
-                    {"solve": solve_seconds, "total": time.perf_counter() - started})
-    return 0
+    return {"seconds": {"solve": solve_seconds}}
 
 
-def cmd_search(args) -> int:
-    started = time.perf_counter()
+def cmd_search(args) -> dict:
     config = SearchConfig(method=args.method, scope=args.scope)
     model, stages, _ = _decode(args.policy, _policy_from_doc)
     result = run_search(model, stages, config)
@@ -262,17 +243,10 @@ def cmd_search(args) -> int:
     else:
         print(f"{args.method}: {len(result.per_region)} per-region schemes")
     print(f"search took {result.elapsed_seconds:.3f}s")
-    _write_manifest("search", args, args.out, [args.out],
-                    {"search": result.elapsed_seconds,
-                     "total": time.perf_counter() - started})
-    return 0
+    return {"seconds": {"search": result.elapsed_seconds}}
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    if Path(args.out).suffix == ".csv":  # the CSV report's path would be the report's own
-        raise InputError(f"--out {args.out} is also the path of the CSV report; "
-                         "give the report a name that does not end in .csv")
+def cmd_eval(args) -> dict:
     model, stages, digest = _decode(args.policy, _policy_from_doc)
     # the loss is measured against the values solved for the policy's own
     # model, so the model file must be the very bytes it was solved from
@@ -286,7 +260,7 @@ def cmd_eval(args) -> int:
     cfg = EvalConfig(num_beliefs=args.beliefs, seed=args.seed, mode=args.mode)
     report = average_error(model, stages, source, cfg, method=result.method)
     _write_json(args.out, report.to_doc())
-    csv_path = str(Path(args.out).with_suffix(".csv"))
+    csv_path = _outputs(args)["CSV report"]
     with _removed_on_failure([args.out]):
         fh = _open_output(csv_path, newline="")
     with fh:
@@ -301,14 +275,12 @@ def cmd_eval(args) -> int:
     bound = report.bound_B if report.mode == "single" else report.bound_E
     print(f"{report.method} {report.mode}: average loss {report.average_loss:.6g} "
           f"(B={report.bound_B:.6g}, E={report.bound_E:.6g}) in {report.seconds:.3f}s")
-    _write_manifest("eval", args, args.out, [args.out, csv_path],
-                    {"eval": report.seconds, "total": time.perf_counter() - started},
-                    counters={"approx_restarts": report.approx_restarts,
-                              "loss_headroom": bound - report.worst_loss,
-                              "loss_stderr": report.loss_stderr,
-                              "worst_belief": report.worst_belief,
-                              "zero_loss_beliefs": report.zero_loss_beliefs})
-    return 0
+    return {"seconds": {"eval": report.seconds},
+            "counters": {"approx_restarts": report.approx_restarts,
+                         "loss_headroom": bound - report.worst_loss,
+                         "loss_stderr": report.loss_stderr,
+                         "worst_belief": report.worst_belief,
+                         "zero_loss_beliefs": report.zero_loss_beliefs}}
 
 
 def _int_from(low: int):
@@ -369,10 +341,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outputs(args) -> dict:
+    """The files the command of ``args`` writes, by role; the manifest last."""
+    report = ({"CSV report": str(Path(args.out).with_suffix(".csv"))}
+              if args.command == "eval" else {})
+    return {"--out": args.out, **report, "manifest": args.out + ".manifest.json"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    writes = _outputs(args)
+    # a missing input is left to its reader, which says there is no such file
+    named = [*writes.items(), *((r, p) for r, p in vars(args).items()
+                               if r in ("model", "policy", "scheme") and os.path.exists(p))]
     try:
-        return args.func(args)
+        for i, (role, path) in enumerate(writes.items()):
+            for other_role, other in named[i + 1:]:
+                try:  # a hard link or a symlink to a file is that file
+                    same = os.path.samefile(path, other)
+                except OSError:  # an output not written yet is named by its path alone
+                    same = os.path.abspath(path) == os.path.abspath(other)
+                if same:
+                    raise InputError(f"{role} {path} is also the path of the {other_role} {other}")
+        started = time.perf_counter()
+        doc = {"command": args.command,
+               "config": {k: v for k, v in vars(args).items() if k != "func"},
+               "outputs": list(writes.values())[:-1], **args.func(args)}
+        doc["seconds"]["total"] = time.perf_counter() - started
+        with _removed_on_failure(doc["outputs"]):
+            _write_json(writes["manifest"], doc)
+        return 0
     except (InputError, ZeroProbabilityObservation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

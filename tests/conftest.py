@@ -1,9 +1,10 @@
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from beliefproj import Pomdp, random_pomdp, solve_lp
+from beliefproj import LinearProgram, Pomdp, random_pomdp, solve_lp
 
 
 def random_partition(n, rng):
@@ -15,6 +16,18 @@ def random_partition(n, rng):
         blocks.append(tuple(order[:size]))
         order = order[size:]
     return tuple(blocks)
+
+
+def captured_lp(module, run) -> LinearProgram:
+    """The first program ``run()`` hands to ``module.solve_lp``."""
+    seen = []
+
+    def capture(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+    with mock.patch.object(module, "solve_lp", capture):
+        run()
+    return seen[0]
 
 
 def solve_to_optimum(lp):

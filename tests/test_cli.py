@@ -918,6 +918,68 @@ def test_eval_out_that_is_its_csv_path_exits_2_before_any_work(tmp_path, monkeyp
     assert not out.exists() and not (tmp_path / "r.csv.manifest.json").exists()
 
 
+def files(directory):
+    """Name and bytes of every file in ``directory``."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+@pytest.mark.parametrize("command,position,role", [
+    ("solve", 1, "model"), ("search", 1, "policy"), ("eval", 1, "model"), ("eval", 2, "policy"),
+    ("eval", 3, "scheme")],
+    ids=["solve-model", "search-policy", "eval-model", "eval-policy", "eval-scheme"])
+@pytest.mark.parametrize("name", ["path", "symlink", "hard-link"])
+def test_an_out_naming_an_input_exits_2_leaving_every_file_as_it_was(tmp_path, capsys, command,
+                                                                      position, role, name):
+    argv = pipeline_commands(tmp_path)[command]
+    source = argv[position]
+    out = source if name == "path" else tmp_path / "out.json"
+    if name == "symlink":
+        out.symlink_to(source)
+    elif name == "hard-link":
+        out.hardlink_to(source)
+    before = files(tmp_path)
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: --out {out} is also the path of the {role} {source}" in err
+    assert "Traceback" not in err
+    assert files(tmp_path) == before
+
+
+@pytest.mark.parametrize("output,name", [("CSV report", "r.csv"),
+                                         ("manifest", "r.json.manifest.json")])
+def test_an_eval_csv_or_manifest_naming_the_scheme_exits_2(tmp_path, capsys, output, name):
+    argv = pipeline_commands(tmp_path)["eval"]
+    scheme = tmp_path / name
+    argv[3] = argv[3].rename(scheme)
+    before = files(tmp_path)
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {output} {scheme} is also the path of the scheme {scheme}" in err
+    assert files(tmp_path) == before
+
+
+@pytest.mark.parametrize("command,own", [("gen", None), ("solve", "solve"),
+                                         ("search", "search"), ("eval", "eval")])
+def test_a_manifest_holds_the_command_its_config_outputs_and_seconds(tmp_path, command, own):
+    argv = [str(a) for a in pipeline_commands(tmp_path)[command] + ["--out", tmp_path / "x.json"]]
+    assert run(argv) == 0
+    doc = json.loads((tmp_path / "x.json.manifest.json").read_text())
+    assert set(doc) == {"command", "config", "outputs", "seconds"} | (
+        {"counters"} if command == "eval" else set())
+    assert doc["command"] == command
+    config = vars(cli.build_parser().parse_args(argv))
+    assert doc["config"] == {key: value for key, value in config.items() if key != "func"}
+    assert doc["outputs"] == [str(tmp_path / "x.json")] + (
+        [str(tmp_path / "x.csv")] if command == "eval" else [])
+    assert set(doc["seconds"]) == {"total"} | ({own} if own else set())
+    assert doc["seconds"]["total"] >= doc["seconds"].get(own, 0.0) >= 0.0
+    if command == "eval":
+        assert set(doc["counters"]) == {"approx_restarts", "loss_headroom", "loss_stderr",
+                                        "worst_belief", "zero_loss_beliefs"}
+
+
 def test_solve_of_a_vast_horizon_reaches_its_guard_at_once(tmp_path, capsys):
     """The reward bound checked before the first stage does not walk the
     horizon, so a backup cap of 1 exits 3 as soon as it is read."""

@@ -3,8 +3,6 @@ programs, solved from scratch and warm-started from a solved program. Their
 free margin is a pair of nonnegative columns, x⁺ and x⁻, and HiGHS gets the
 same program."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from beliefproj import (LinearProgram, LpResult, ProjectionScheme, bounds,  # no
 from beliefproj.bounds import SWITCH_TOL  # noqa: E402
 from beliefproj.projection import indicator_vector  # noqa: E402
 
-from conftest import random_partition, solve_to_optimum  # noqa: E402
+from conftest import captured_lp, random_partition, solve_to_optimum  # noqa: E402
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
@@ -43,18 +41,6 @@ def highs(lp: LinearProgram) -> tuple[str, float | None]:
         bounds=[(0.0, upper) for upper in lp.upper], method="highs")
     status = HIGHS_STATUS[res.status]
     return status, (-res.fun if status == "optimal" else None)
-
-
-def captured_lp(module, run) -> LinearProgram:
-    """The first program ``run()`` hands to ``module.solve_lp``."""
-    seen = []
-
-    def capture(lp):
-        seen.append(lp)
-        return solve_lp(lp)
-    with mock.patch.object(module, "solve_lp", capture):
-        run()
-    return seen[0]
 
 
 def assert_agrees(lp: LinearProgram) -> None:
